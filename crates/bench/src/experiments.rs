@@ -26,10 +26,7 @@ use pcs_router::{PcsConfig, PcsOutcome};
 use traffic::{FrameModel, PolicingMode, StreamClass, WorkloadSpec};
 
 use crate::sweep::SweepRunner;
-use crate::{
-    banner, run_fat_mesh_seeded, run_fat_mesh_traced, run_single_switch_seeded,
-    run_single_switch_traced, ExperimentRun, Point, RunArgs,
-};
+use crate::{banner, run_fat_mesh_seeded, run_single_switch_seeded, ExperimentRun, Point, RunArgs};
 
 /// The load axis used by the single-switch sweeps (Figs. 3–6).
 pub const LOADS: [f64; 5] = [0.6, 0.7, 0.8, 0.9, 0.96];
@@ -99,30 +96,18 @@ impl Sweep {
 /// come back in point order (the tasks a foreign shard owns stay `None`).
 /// Tracing follows `args.trace`.
 fn sweep_single_switch(points: &[Point], args: &RunArgs) -> Sweep {
-    let traced = args.trace.is_some();
     Sweep::collect(
         SweepRunner::from_args(args).map_sharded(points.len(), |task| {
-            let p = &points[task.index];
-            if traced {
-                run_single_switch_traced(p, args, task.seed)
-            } else {
-                (run_single_switch_seeded(p, args, task.seed), Vec::new())
-            }
+            run_single_switch_seeded(&points[task.index], args, task.seed)
         }),
     )
 }
 
 /// [`sweep_single_switch`] on the 2×2 fat-mesh.
 fn sweep_fat_mesh(points: &[Point], args: &RunArgs) -> Sweep {
-    let traced = args.trace.is_some();
     Sweep::collect(
         SweepRunner::from_args(args).map_sharded(points.len(), |task| {
-            let p = &points[task.index];
-            if traced {
-                run_fat_mesh_traced(p, args, task.seed)
-            } else {
-                (run_fat_mesh_seeded(p, args, task.seed), Vec::new())
-            }
+            run_fat_mesh_seeded(&points[task.index], args, task.seed)
         }),
     )
 }
@@ -441,7 +426,6 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
     let mut t = Table::new(["load", "router", "d (ms)", "sigma_d (ms)"])
         .with_title("Fig 8 — wormhole vs pipelined circuit switching");
     let loads = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
-    let traced = args.trace.is_some();
     /// Per-task result: either a MediaWorm or a PCS point.
     enum Half {
         Worm(Box<SimOutcome>, Vec<u8>),
@@ -455,11 +439,7 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
             let mut p = Point::new(load, 100.0, 0.0);
             p.router = RouterConfig::new(24);
             p.spec = WorkloadSpec::paper_100mbps();
-            let (out, trace) = if traced {
-                run_single_switch_traced(&p, args, task.seed)
-            } else {
-                (run_single_switch_seeded(&p, args, task.seed), Vec::new())
-            };
+            let (out, trace) = run_single_switch_seeded(&p, args, task.seed);
             Half::Worm(Box::new(out), trace)
         } else {
             let (w, m) = args.windows();

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 pub mod sweep;
 
 use std::io;
@@ -40,6 +39,7 @@ use std::path::{Path, PathBuf};
 use flitnet::VcPartition;
 use mediaworm::{sim, RouterConfig, SchedulerKind, SimOpts, SimOutcome};
 use metrics::{Json, Table};
+use netsim::{JsonlSink, NoopSink, TelemetrySink};
 use topo::Topology;
 use traffic::{PolicingMode, StreamClass, WorkloadBuilder, WorkloadSpec};
 
@@ -93,7 +93,7 @@ pub struct RunArgs {
     /// latency is checked against the observed maximum, and the
     /// per-stream bounds land in the per-point JSON records. Only
     /// feedforward topologies (the single switch, meshes) have bounds;
-    /// a point on a torus aborts with a typed error.
+    /// a point on a torus aborts with [`sim::SimError::Bounds`].
     pub bounds: bool,
     /// `--schedulers LIST`: restrict matrix experiments (`ablation_sched`)
     /// to these disciplines (comma-separated: `vc`, `fifo`, `rr`, `wfq`,
@@ -109,10 +109,6 @@ pub struct RunArgs {
     /// (comma-separated fractions). `None` runs the experiment's default
     /// load grid.
     pub loads: Option<Vec<f64>>,
-    /// `--skip-only` (perf binary): measure and emit only the
-    /// quiescence-skip section, so CI can gate on `cycles_skipped > 0`
-    /// without paying for the full throughput harness.
-    pub skip_only: bool,
 }
 
 impl RunArgs {
@@ -193,7 +189,6 @@ impl RunArgs {
                 "--resume" => args.resume = true,
                 "--audit" => args.audit = true,
                 "--bounds" => args.bounds = true,
-                "--skip-only" => args.skip_only = true,
                 "--schedulers" => {
                     let list = it
                         .next()
@@ -380,7 +375,6 @@ impl Default for RunArgs {
             schedulers: None,
             policing: None,
             loads: None,
-            skip_only: false,
         }
     }
 }
@@ -407,7 +401,7 @@ fn usage(msg: &str) -> ! {
         "usage: <experiment> [--quick] [--seed N] [--warmup SECS] [--measure SECS] [--jobs N] \
          [--threads N] [--json [PATH]] [--shard I/N] [--checkpoint CYCLES] [--resume] \
          [--audit] [--bounds] [--trace PATH] [--schedulers LIST] [--policing LIST] \
-         [--loads LIST] [--skip-only]"
+         [--loads LIST]"
     );
     std::process::exit(2);
 }
@@ -457,38 +451,26 @@ impl Point {
 
     /// Runs this point over `topology` with the args' base seed.
     pub fn run_on(&self, topology: &Topology, args: &RunArgs) -> SimOutcome {
-        self.run_on_seeded(topology, args, args.seed)
+        self.run_on_seeded(topology, args, args.seed).0
     }
 
     /// Runs this point over `topology` with an explicit workload seed
-    /// (sweeps derive one per task; see [`sweep`]).
+    /// (sweeps derive one per task; see [`sweep`]), returning the outcome
+    /// and — when the args ask for `--trace` — the point's JSONL
+    /// flit-event trace (empty otherwise).
     ///
     /// When the args ask for checkpointing ([`RunArgs::checkpoint_cycles`]),
     /// the run snapshots periodically to a point-specific file under
     /// `target/bench/state/` and — with `--resume` — restores from it
     /// first. Checkpointed, resumed and plain runs all produce identical
     /// bits.
-    pub fn run_on_seeded(&self, topology: &Topology, args: &RunArgs, seed: u64) -> SimOutcome {
-        let workload = self.workload(topology, seed);
-        let (w, m) = args.windows();
-        match self.checkpoint_opts(topology, args, seed) {
-            None => sim::run_opts(topology, workload, &self.router, w, m, args.sim_opts()),
-            Some(ckpt) => sim::run_checkpointed(
-                topology,
-                workload,
-                &self.router,
-                w,
-                m,
-                args.sim_opts(),
-                &ckpt,
-            )
-            .expect("point checkpoint I/O"),
-        }
-    }
-
-    /// [`Point::run_on_seeded`] recording a JSONL flit-event trace,
-    /// returned alongside the outcome.
-    pub fn run_on_seeded_traced(
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`sim::SimError`] when the point cannot run:
+    /// checkpoint I/O fails, or `--bounds` meets a topology without a
+    /// delay bound (a torus).
+    pub fn run_on_seeded(
         &self,
         topology: &Topology,
         args: &RunArgs,
@@ -496,19 +478,24 @@ impl Point {
     ) -> (SimOutcome, Vec<u8>) {
         let workload = self.workload(topology, seed);
         let (w, m) = args.windows();
-        match self.checkpoint_opts(topology, args, seed) {
-            None => sim::run_opts_traced(topology, workload, &self.router, w, m, args.sim_opts()),
-            Some(ckpt) => sim::run_checkpointed_traced(
-                topology,
-                workload,
-                &self.router,
-                w,
-                m,
-                args.sim_opts(),
-                &ckpt,
-            )
-            .expect("point checkpoint I/O"),
-        }
+        let ckpt = self.checkpoint_opts(topology, args, seed);
+        let mut trace = args.trace.is_some().then(JsonlSink::new);
+        let sink: &mut dyn TelemetrySink = match &mut trace {
+            Some(t) => t,
+            None => &mut NoopSink,
+        };
+        let out = sim::run_with(
+            topology,
+            workload,
+            &self.router,
+            w,
+            m,
+            args.sim_opts(),
+            ckpt.as_ref(),
+            sink,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        (out, trace.map_or_else(Vec::new, JsonlSink::into_bytes))
     }
 
     /// The checkpoint configuration these args imply for this point, if
@@ -570,8 +557,9 @@ pub fn run_single_switch(point: &Point, args: &RunArgs) -> SimOutcome {
     point.run_on(&Topology::single_switch(8), args)
 }
 
-/// [`run_single_switch`] with an explicit workload seed.
-pub fn run_single_switch_seeded(point: &Point, args: &RunArgs, seed: u64) -> SimOutcome {
+/// [`run_single_switch`] with an explicit workload seed; see
+/// [`Point::run_on_seeded`] for the trace bytes.
+pub fn run_single_switch_seeded(point: &Point, args: &RunArgs, seed: u64) -> (SimOutcome, Vec<u8>) {
     point.run_on_seeded(&Topology::single_switch(8), args, seed)
 }
 
@@ -581,19 +569,10 @@ pub fn run_fat_mesh(point: &Point, args: &RunArgs) -> SimOutcome {
     point.run_on(&Topology::fat_mesh(2, 2, 2, 4), args)
 }
 
-/// [`run_fat_mesh`] with an explicit workload seed.
-pub fn run_fat_mesh_seeded(point: &Point, args: &RunArgs, seed: u64) -> SimOutcome {
+/// [`run_fat_mesh`] with an explicit workload seed; see
+/// [`Point::run_on_seeded`] for the trace bytes.
+pub fn run_fat_mesh_seeded(point: &Point, args: &RunArgs, seed: u64) -> (SimOutcome, Vec<u8>) {
     point.run_on_seeded(&Topology::fat_mesh(2, 2, 2, 4), args, seed)
-}
-
-/// [`run_single_switch_seeded`] with a JSONL flit-event trace.
-pub fn run_single_switch_traced(point: &Point, args: &RunArgs, seed: u64) -> (SimOutcome, Vec<u8>) {
-    point.run_on_seeded_traced(&Topology::single_switch(8), args, seed)
-}
-
-/// [`run_fat_mesh_seeded`] with a JSONL flit-event trace.
-pub fn run_fat_mesh_traced(point: &Point, args: &RunArgs, seed: u64) -> (SimOutcome, Vec<u8>) {
-    point.run_on_seeded_traced(&Topology::fat_mesh(2, 2, 2, 4), args, seed)
 }
 
 /// The full result of one experiment: the printed table plus the

@@ -5,9 +5,7 @@
 //! task order, and a disabled (no-op) sink must not change any number.
 
 use mediaworm_bench::sweep::SweepRunner;
-use mediaworm_bench::{
-    experiments, run_single_switch_seeded, run_single_switch_traced, Point, RunArgs,
-};
+use mediaworm_bench::{experiments, run_single_switch_seeded, Point, RunArgs};
 use netsim::RunningStats;
 
 fn args_with_jobs(jobs: usize) -> RunArgs {
@@ -18,6 +16,15 @@ fn args_with_jobs(jobs: usize) -> RunArgs {
         measure_secs: 0.03,
         jobs: Some(jobs),
         ..RunArgs::default()
+    }
+}
+
+/// [`args_with_jobs`] with `--trace` set, so the runners return each
+/// point's JSONL trace (the path itself is only written by binaries).
+fn traced_args_with_jobs(jobs: usize) -> RunArgs {
+    RunArgs {
+        trace: Some("trace.jsonl".into()),
+        ..args_with_jobs(jobs)
     }
 }
 
@@ -34,7 +41,7 @@ fn merged_stats(jobs: usize) -> Vec<RunningStats> {
     let args = args_with_jobs(jobs);
     let points = test_points();
     SweepRunner::from_args(&args).run_stats(points.len(), 2, |p, _replica, seed| {
-        let out = run_single_switch_seeded(&points[p], &args, seed);
+        let (out, _) = run_single_switch_seeded(&points[p], &args, seed);
         let mut s = RunningStats::new();
         s.push(out.jitter.mean_ms);
         s.push(out.jitter.std_ms);
@@ -89,7 +96,9 @@ fn counters_are_identical_at_any_job_count() {
     let collect = |jobs: usize| {
         let args = args_with_jobs(jobs);
         SweepRunner::from_args(&args).map(points.len(), |task| {
-            run_single_switch_seeded(&points[task.index], &args, task.seed).counters
+            run_single_switch_seeded(&points[task.index], &args, task.seed)
+                .0
+                .counters
         })
     };
     assert_eq!(collect(1), collect(8));
@@ -99,9 +108,9 @@ fn counters_are_identical_at_any_job_count() {
 fn traces_are_bit_identical_at_any_job_count() {
     let points = test_points();
     let collect = |jobs: usize| {
-        let args = args_with_jobs(jobs);
+        let args = traced_args_with_jobs(jobs);
         let per_point = SweepRunner::from_args(&args).map(points.len(), |task| {
-            run_single_switch_traced(&points[task.index], &args, task.seed).1
+            run_single_switch_seeded(&points[task.index], &args, task.seed).1
         });
         // Concatenated in task order, exactly as the experiments do.
         per_point.concat()
@@ -115,8 +124,9 @@ fn traces_are_bit_identical_at_any_job_count() {
 fn tracing_does_not_change_results() {
     let args = args_with_jobs(2);
     for point in &test_points() {
-        let plain = run_single_switch_seeded(point, &args, 7);
-        let (traced, trace) = run_single_switch_traced(point, &args, 7);
+        let (plain, no_trace) = run_single_switch_seeded(point, &args, 7);
+        let (traced, trace) = run_single_switch_seeded(point, &traced_args_with_jobs(2), 7);
+        assert!(no_trace.is_empty(), "untraced runs return no trace bytes");
         assert!(!trace.is_empty());
         assert_eq!(plain.delivered_msgs, traced.delivered_msgs);
         assert_eq!(plain.injected_msgs, traced.injected_msgs);

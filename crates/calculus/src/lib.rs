@@ -10,7 +10,7 @@
 //! convolution composes the per-hop curves along the (feedforward) route,
 //! and the horizontal deviation between α and the composed β is a delay
 //! no conforming message can exceed — at any fabric size, in O(flows ×
-//! hops) time, where the exhaustive stepping oracles stop scaling.
+//! hops) time, where the every-cycle stepping oracle stops scaling.
 //!
 //! The analysis is *separate-flow* (SFA): at each scheduling point the
 //! flow under study receives the scheduler's per-VC service curve minus

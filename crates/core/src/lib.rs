@@ -36,8 +36,9 @@
 //!   router per switch of a [`topo::Topology`], wires links and credit
 //!   paths, injects a [`traffic::Workload`] and collects
 //!   [`metrics::JitterSummary`] / best-effort latency.
-//! * [`sim`] — one-call experiment driver used by the `mediaworm-bench`
-//!   binaries.
+//! * [`sim`] — the experiment driver used by the `mediaworm-bench`
+//!   binaries: [`sim::run`] for a plain run, [`sim::run_with`] for
+//!   explicit [`SimOpts`], a checkpoint and a flit-event sink.
 //! * [`counters`] — always-on per-router/per-port telemetry counters
 //!   (flits per class, mux conflicts, credit stalls, sampled occupancy).
 //! * [`admission`] — a bandwidth-accounting admission controller (the
@@ -96,4 +97,4 @@ pub use counters::{NetCounters, PortCounters, RouterCounters, SkipStats};
 pub use net::Network;
 pub use router::Router;
 pub use scheduler::{MuxScheduler, DRR_QUANTUM, STAMP_SATURATION};
-pub use sim::{run, run_opts, run_opts_traced, run_traced, SimOpts, SimOutcome};
+pub use sim::{run, run_with, CheckpointOpts, SimError, SimOpts, SimOutcome};

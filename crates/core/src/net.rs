@@ -89,12 +89,20 @@ struct AuditState {
     next_at: Cycles,
 }
 
+/// The watchdog's `last_signature` after a check that found the network
+/// empty: no real signature equals it, so the first busy check after a
+/// drained span always counts as progress. That keeps the trip cycle
+/// independent of which drained cycles a driver stepped (the oracle
+/// steps all of them, the fast driver jumps most).
+const DRAINED: u64 = u64::MAX;
+
 /// State of the (opt-in) progress watchdog.
 #[derive(Debug)]
 struct WatchdogState {
     cfg: WatchdogConfig,
     /// Progress signature at the last observed progress (see
-    /// [`Network::progress_signature`]).
+    /// [`Network::progress_signature`]), or [`DRAINED`] after a check
+    /// that found the network empty.
     last_signature: u64,
     /// Cycle of the last observed progress (or idle network).
     last_progress_at: Cycles,
@@ -195,10 +203,6 @@ pub struct Network {
     watchdog: Option<WatchdogState>,
     /// The stall report, once the watchdog has tripped.
     stall: Option<StallReport>,
-    /// Whether the drivers may jump quiescent spans to the horizon
-    /// (default on). The perf harness turns it off to time the legacy
-    /// all-idle-jump baseline against the horizon path.
-    horizon_skipping: bool,
     /// Skip-effectiveness counters (driver diagnostics; never
     /// serialised — a restored network starts its own tally).
     skip: SkipStats,
@@ -369,7 +373,6 @@ impl Network {
             audit: None,
             watchdog: None,
             stall: None,
-            horizon_skipping: true,
             skip: SkipStats::default(),
         }
     }
@@ -621,12 +624,13 @@ impl Network {
         in_flight
     }
 
-    /// Runs the simulation until cycle `end` using the *full-scan
-    /// reference* stepping mode: every phase scans every slot, as the
-    /// code did before the occupancy-driven active sets existed. Kept as
-    /// the oracle for the bit-identity tests — a run here must produce
-    /// exactly the same counters, stall reports and trace bytes as
-    /// [`Network::run_until`].
+    /// Runs the simulation until cycle `end` on the *oracle* driver: every
+    /// cycle is stepped (no horizon jump) and every phase scans every
+    /// slot, as the code did before the occupancy-driven active sets
+    /// existed. The audit and watchdog run exactly as under
+    /// [`Network::run_until`]. Kept for the bit-identity tests: a run here
+    /// must produce exactly the same counters, stall reports, snapshots
+    /// and trace bytes as the fast driver.
     pub fn run_until_reference(&mut self, end: Cycles) {
         self.run_until_reference_with(end, &mut NoopSink);
     }
@@ -637,21 +641,23 @@ impl Network {
         self.run_until_impl(end, sink, true);
     }
 
-    fn run_until_impl(&mut self, end: Cycles, sink: &mut dyn TelemetrySink, reference: bool) {
+    /// The sequential driver loop; `oracle` selects full scans with every
+    /// cycle stepped, otherwise active-set scans with horizon jumps.
+    fn run_until_impl(&mut self, end: Cycles, sink: &mut dyn TelemetrySink, oracle: bool) {
         self.set_tracing(sink.is_enabled());
         let checked = self.audit.is_some() || self.watchdog.is_some();
         while self.now < end {
-            if self.try_horizon_jump(end) {
+            if !oracle && self.try_horizon_jump(end) {
                 continue;
             }
-            self.step_impl(sink, reference);
+            self.step_impl(sink, oracle);
             if checked {
                 self.safety_check();
                 if self.stall.is_some() {
                     break;
                 }
             }
-            self.advance_clock(end);
+            self.advance_clock();
         }
     }
 
@@ -703,8 +709,8 @@ impl Network {
         }
         // Safety machinery deadlines are horizon terms, not exceptions:
         // an audited run steps its due-cycles (the sweep observes the
-        // same quiescent state it would have seen under exhaustive
-        // stepping), and the watchdog's trip cycle stays exact even when
+        // same quiescent state it would have seen stepping every cycle),
+        // and the watchdog's trip cycle stays exact even when
         // the span around it is skipped.
         if let Some(st) = &self.audit {
             h = h.min(st.next_at);
@@ -715,14 +721,15 @@ impl Network {
         h
     }
 
-    /// If skipping is enabled, the network is quiescent and nothing is
-    /// due at the current cycle, jumps the clock to the horizon (clamped
-    /// to `end`) and returns `true`; the caller skips the step pipeline
-    /// entirely. Every skipped cycle is one in which no component could
-    /// have acted, so stepping it would have been a pure no-op — the
-    /// identity suites hold the horizon path to that claim bit-for-bit.
+    /// If the network is quiescent and nothing is due at the current
+    /// cycle, jumps the clock to the horizon (clamped to `end`) and
+    /// returns `true`; the caller skips the step pipeline entirely. Every
+    /// skipped cycle is one in which no component could have acted, so
+    /// stepping it would have been a pure no-op — the identity suites
+    /// hold the horizon path to that claim bit-for-bit against
+    /// [`Network::run_until_reference`], which steps every cycle.
     fn try_horizon_jump(&mut self, end: Cycles) -> bool {
-        if !self.horizon_skipping || !self.quiescent() {
+        if !self.quiescent() {
             return false;
         }
         let h = self.horizon();
@@ -740,21 +747,13 @@ impl Network {
         true
     }
 
-    /// End-of-cycle clock advance shared by the sequential and parallel
-    /// drivers. With horizon skipping enabled this is a plain `+1` (the
-    /// jump decision lives at the top of the loop, so a re-entered
-    /// driver — e.g. a checkpoint segment boundary — re-jumps without
-    /// stepping); with it disabled, the legacy all-idle jump to the next
-    /// injection is preserved as the perf baseline, overshooting `end`
-    /// exactly like the pre-horizon stepper did.
-    fn advance_clock(&mut self, end: Cycles) {
+    /// End-of-cycle clock advance shared by every driver. Always a plain
+    /// `+1`: the jump decision lives at the top of the loop, so a
+    /// re-entered driver — e.g. a checkpoint segment boundary — re-jumps
+    /// without stepping.
+    fn advance_clock(&mut self) {
         self.skip.cycles_stepped += 1;
-        if !self.horizon_skipping && self.flits_in_flight == 0 {
-            let next = self.calendar.next_at().unwrap_or(end);
-            self.now = next.max(self.now + Cycles(1));
-        } else {
-            self.now += Cycles(1);
-        }
+        self.now += Cycles(1);
     }
 
     /// Skip-effectiveness counters accumulated by this network's drivers
@@ -769,27 +768,6 @@ impl Network {
         self.skip = SkipStats::default();
     }
 
-    /// Enables or disables quiescence-horizon skipping (on by default).
-    ///
-    /// With skipping off the drivers fall back to the legacy behaviour —
-    /// stepping every cycle unless the network is completely empty — so
-    /// the perf harness can measure the horizon's win honestly against
-    /// the previous stepper rather than against a strawman.
-    pub fn set_horizon_skipping(&mut self, on: bool) {
-        self.horizon_skipping = on;
-    }
-
-    /// Runs the simulation until cycle `end` without the idle-cycle jump:
-    /// every cycle is stepped explicitly. Only useful as a reference for
-    /// validating that the jump in [`run_until`] is unobservable (the
-    /// jumped-over cycles have no flit anywhere, so nothing can act).
-    pub fn run_until_exhaustive(&mut self, end: Cycles) {
-        while self.now < end {
-            self.step();
-            self.now += Cycles(1);
-        }
-    }
-
     /// Arms or disarms flit-event tracing on the endpoints and every
     /// router.
     fn set_tracing(&mut self, on: bool) {
@@ -799,18 +777,8 @@ impl Network {
         }
     }
 
-    /// Executes one cycle at the current time.
-    pub fn step(&mut self) {
-        self.step_with(&mut NoopSink);
-    }
-
-    /// Executes one cycle, streaming flit events into `sink`. Callers
-    /// driving the network step by step must arm tracing themselves (it
-    /// is off by default); [`Network::run_until_with`] does it for them.
-    pub fn step_with(&mut self, sink: &mut dyn TelemetrySink) {
-        self.step_impl(sink, false);
-    }
-
+    /// Executes one cycle at the current time; `reference` selects the
+    /// full-scan phases.
     fn step_impl(&mut self, sink: &mut dyn TelemetrySink, reference: bool) {
         let now = self.now;
         self.inject(now, sink);
@@ -1194,7 +1162,8 @@ impl Network {
     pub fn enable_watchdog(&mut self, cfg: WatchdogConfig) {
         self.watchdog = Some(WatchdogState {
             cfg,
-            last_signature: self.progress_signature(),
+            // Arming counts as progress, like a drained check.
+            last_signature: DRAINED,
             last_progress_at: self.now,
         });
     }
@@ -1262,7 +1231,10 @@ impl Network {
         }
         if let Some(mut wd) = self.watchdog.take() {
             let sig = self.progress_signature();
-            if self.flits_in_flight == 0 || sig != wd.last_signature {
+            if self.flits_in_flight == 0 {
+                wd.last_signature = DRAINED;
+                wd.last_progress_at = now;
+            } else if sig != wd.last_signature {
                 wd.last_signature = sig;
                 wd.last_progress_at = now;
             } else if (now - wd.last_progress_at).get() >= wd.cfg.stall_cycles {
@@ -2124,6 +2096,38 @@ mod tests {
         // The run stops at detection instead of spinning to the end.
         assert!(net.now() < end);
         assert_eq!(stall.stalled_for, 5_000);
+    }
+
+    #[test]
+    fn watchdog_trips_at_the_same_cycle_after_a_drained_span_on_both_drivers() {
+        use crate::audit::WatchdogConfig;
+        // Every NI starts with zero credits, so the first message can never
+        // leave its NI. The drained span before it is jumped by the fast
+        // driver and stepped by the oracle; the first busy check must count
+        // as progress on both, or the trip cycles drift apart.
+        let build = || {
+            let topology = Topology::single_switch(8);
+            let mut net = Network::new(&topology, small_workload(0.3, 4), &RouterConfig::default());
+            net.enable_watchdog(WatchdogConfig {
+                stall_cycles: 5_000,
+            });
+            for ep in &mut net.endpoints {
+                ep.credits.iter_mut().for_each(|c| *c = 0);
+            }
+            net
+        };
+        let mut fast = build();
+        let mut oracle = build();
+        let end = fast.timebase().cycles_from_ms(50.0);
+        fast.run_until(end);
+        oracle.run_until_reference(end);
+        let stall = fast.stall_report().expect("credit-less NIs must stall");
+        assert_eq!(Some(stall), oracle.stall_report());
+        assert_eq!(fast.now(), oracle.now(), "both trip at the same cycle");
+        assert!(
+            fast.skip_stats().cycles_skipped > 0,
+            "the fast driver jumped"
+        );
     }
 
     #[test]

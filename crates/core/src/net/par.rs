@@ -483,7 +483,7 @@ pub(super) fn drive(net: &mut Network, end: Cycles, threads: usize, sink: &mut d
                     break;
                 }
             }
-            net.advance_clock(end);
+            net.advance_clock();
         }
 
         cmd.store(EXIT, Ordering::Relaxed);

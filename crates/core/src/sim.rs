@@ -7,8 +7,9 @@
 use std::io;
 use std::path::PathBuf;
 
+use calculus::BoundError;
 use metrics::JitterSummary;
-use netsim::telemetry::{JsonlSink, NoopSink, TelemetrySink};
+use netsim::telemetry::{NoopSink, TelemetrySink};
 use netsim::Cycles;
 use topo::Topology;
 use traffic::Workload;
@@ -26,8 +27,8 @@ pub struct SimOpts {
     pub audit: Option<AuditConfig>,
     /// Progress watchdog; `None` is off.
     pub watchdog: Option<WatchdogConfig>,
-    /// Step with the full-scan reference mode instead of the
-    /// occupancy-driven active sets (see
+    /// Step on the oracle driver instead of the fast one: every cycle
+    /// stepped, every slot scanned, with the same audit and watchdog (see
     /// [`crate::net::Network::run_until_reference`]). Slow; only useful
     /// as the oracle in bit-identity tests.
     pub reference: bool,
@@ -38,9 +39,10 @@ pub struct SimOpts {
     /// Delay-bound audit: compute each real-time stream's analytic
     /// worst-case latency before the run (see [`crate::bounds`]) and
     /// check `observed ≤ bound` at the end, attaching a
-    /// [`BoundsReport`] to the outcome. Panics at run start if the
-    /// topology's routes are not feedforward (tori, cyclic ring traffic)
-    /// — those have no network-calculus bound.
+    /// [`BoundsReport`] to the outcome. [`run_with`] returns
+    /// [`SimError::Bounds`] before stepping if the topology's routes are
+    /// not feedforward (tori, cyclic ring traffic) — those have no
+    /// network-calculus bound.
     pub bounds: bool,
 }
 
@@ -79,7 +81,10 @@ impl SimOpts {
         }
     }
 
-    /// This configuration with full-scan reference stepping.
+    /// This configuration on the oracle driver: every cycle stepped with
+    /// full scans and no horizon jump, the audit and watchdog as
+    /// configured. Every identity test compares the fast driver (and the
+    /// parallel one) against it.
     pub fn reference(self) -> SimOpts {
         SimOpts {
             reference: true,
@@ -96,7 +101,7 @@ impl SimOpts {
 }
 
 /// Periodic on-disk checkpointing for a resumable run (see
-/// [`run_checkpointed`]).
+/// [`run_with`]).
 ///
 /// The checkpoint file is a [`crate::net::Network::snapshot`] image:
 /// versioned, length- and checksum-guarded, and restored bit-identically.
@@ -196,7 +201,8 @@ impl SimOutcome {
 
 /// Runs `workload` over `topology` with `cfg`-configured MediaWorm
 /// switches for `warmup_secs + measure_secs` of simulated time, measuring
-/// only after the warm-up.
+/// only after the warm-up, under [`SimOpts::standard`] with no checkpoint
+/// and no trace. [`run_with`] takes every knob explicitly.
 ///
 /// # Example
 ///
@@ -233,159 +239,97 @@ pub fn run(
         warmup_secs,
         measure_secs,
         SimOpts::standard(),
+        None,
         &mut NoopSink,
     )
+    .expect("a standard run without checkpoint or bounds cannot fail")
 }
 
-/// Like [`run`], with explicit [`SimOpts`] (audit mode, watchdog tuning,
-/// or both off for an exact pre-audit instruction stream).
-pub fn run_opts(
-    topology: &Topology,
-    workload: Workload,
-    cfg: &RouterConfig,
-    warmup_secs: f64,
-    measure_secs: f64,
-    opts: SimOpts,
-) -> SimOutcome {
-    run_with(
-        topology,
-        workload,
-        cfg,
-        warmup_secs,
-        measure_secs,
-        opts,
-        &mut NoopSink,
-    )
+/// Why [`run_with`] could not produce an outcome.
+#[derive(Debug)]
+pub enum SimError {
+    /// Checkpoint I/O failed; a corrupt or mismatched snapshot surfaces
+    /// as [`io::ErrorKind::InvalidData`].
+    Checkpoint(io::Error),
+    /// [`SimOpts::bounds`] was asked of a topology whose routes are not
+    /// feedforward (tori, cyclic ring traffic): there is no
+    /// network-calculus bound to audit against.
+    Bounds(BoundError),
 }
 
-/// Like [`run`], but additionally records a JSONL flit-event trace
-/// (inject/route/arbitrate/deliver) and returns its bytes alongside the
-/// outcome.
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            SimError::Bounds(e) => write!(f, "delay-bound audit unavailable: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SimError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SimError::Checkpoint(e) => Some(e),
+            SimError::Bounds(e) => Some(e),
+        }
+    }
+}
+
+impl From<io::Error> for SimError {
+    fn from(e: io::Error) -> SimError {
+        SimError::Checkpoint(e)
+    }
+}
+
+/// Runs `workload` over `topology` like [`run`], with every knob
+/// explicit: the safety layers and driver (`opts`), an optional on-disk
+/// checkpoint (`ckpt`) and a flit-event sink (`sink`; pass a
+/// [`JsonlSink`](netsim::JsonlSink) and call `into_bytes()` for a JSONL
+/// trace, or [`NoopSink`] for none). A `JsonlSink` buffers in memory and
+/// every flit movement through a crossbar is an event, so keep traced
+/// runs to a few simulated milliseconds.
 ///
-/// The trace is buffered in memory; keep traced runs short (a few
-/// simulated milliseconds) — every flit movement through a crossbar is an
-/// event.
-pub fn run_traced(
-    topology: &Topology,
-    workload: Workload,
-    cfg: &RouterConfig,
-    warmup_secs: f64,
-    measure_secs: f64,
-) -> (SimOutcome, Vec<u8>) {
-    run_opts_traced(
-        topology,
-        workload,
-        cfg,
-        warmup_secs,
-        measure_secs,
-        SimOpts::standard(),
-    )
-}
-
-/// Like [`run_traced`], with explicit [`SimOpts`].
-pub fn run_opts_traced(
-    topology: &Topology,
-    workload: Workload,
-    cfg: &RouterConfig,
-    warmup_secs: f64,
-    measure_secs: f64,
-    opts: SimOpts,
-) -> (SimOutcome, Vec<u8>) {
-    let mut sink = JsonlSink::new();
-    let outcome = run_with(
-        topology,
-        workload,
-        cfg,
-        warmup_secs,
-        measure_secs,
-        opts,
-        &mut sink,
-    );
-    (outcome, sink.into_bytes())
-}
-
-/// Like [`run_opts`], but additionally writes a periodic on-disk
-/// checkpoint and — when `ckpt.resume` is set and the file exists — picks
-/// the run up from it instead of starting at cycle zero.
-///
-/// A resumed run is bit-identical to an uninterrupted one: the snapshot
-/// captures the complete mutable simulation state (RNG streams, VC
-/// buffers, scheduler tags, link pipelines, metric accumulators), so
-/// counters, statistics and traces continue exactly where the checkpoint
-/// left them. The checkpoint file is removed once the run reaches its end
-/// cycle, so a completed point never resumes stale state.
+/// With `ckpt`, the run writes a snapshot every `interval_cycles` and —
+/// when `resume` is set and the file exists — picks the run up from it
+/// instead of starting at cycle zero. A resumed run is bit-identical to
+/// an uninterrupted one: the snapshot captures the complete mutable
+/// simulation state (RNG streams, VC buffers, scheduler tags, link
+/// pipelines, metric accumulators), so counters, statistics and traces
+/// continue exactly where the checkpoint left them; a resumed run's
+/// trace covers only the segment after the restore point. The checkpoint
+/// file is removed once the run reaches its end cycle, so a completed
+/// point never resumes stale state.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; a corrupt or mismatched snapshot surfaces
-/// as [`io::ErrorKind::InvalidData`].
-pub fn run_checkpointed(
-    topology: &Topology,
-    workload: Workload,
-    cfg: &RouterConfig,
-    warmup_secs: f64,
-    measure_secs: f64,
-    opts: SimOpts,
-    ckpt: &CheckpointOpts,
-) -> io::Result<SimOutcome> {
-    run_checkpointed_with(
-        topology,
-        workload,
-        cfg,
-        warmup_secs,
-        measure_secs,
-        opts,
-        ckpt,
-        &mut NoopSink,
-    )
-}
-
-/// [`run_checkpointed`] with a JSONL flit-event trace. A resumed run's
-/// trace covers only the segment after the restore point; appending it to
-/// the pre-checkpoint trace reproduces the uninterrupted run's bytes.
+/// [`SimError::Checkpoint`] for filesystem errors and corrupt or
+/// mismatched snapshots; [`SimError::Bounds`] when `opts.bounds` meets a
+/// topology without a delay bound. Both are reported before any cycle is
+/// simulated, except write failures of periodic checkpoints.
 ///
-/// # Errors
+/// # Panics
 ///
-/// See [`run_checkpointed`].
-pub fn run_checkpointed_traced(
-    topology: &Topology,
-    workload: Workload,
-    cfg: &RouterConfig,
-    warmup_secs: f64,
-    measure_secs: f64,
-    opts: SimOpts,
-    ckpt: &CheckpointOpts,
-) -> io::Result<(SimOutcome, Vec<u8>)> {
-    let mut sink = JsonlSink::new();
-    let outcome = run_checkpointed_with(
-        topology,
-        workload,
-        cfg,
-        warmup_secs,
-        measure_secs,
-        opts,
-        ckpt,
-        &mut sink,
-    )?;
-    Ok((outcome, sink.into_bytes()))
-}
-
+/// Panics if either duration is not positive.
 #[allow(clippy::too_many_arguments)]
-fn run_checkpointed_with(
+pub fn run_with(
     topology: &Topology,
     workload: Workload,
     cfg: &RouterConfig,
     warmup_secs: f64,
     measure_secs: f64,
     opts: SimOpts,
-    ckpt: &CheckpointOpts,
+    ckpt: Option<&CheckpointOpts>,
     sink: &mut dyn TelemetrySink,
-) -> io::Result<SimOutcome> {
+) -> Result<SimOutcome, SimError> {
     assert!(warmup_secs > 0.0, "warm-up must be positive");
     assert!(measure_secs > 0.0, "measurement window must be positive");
     let (rt_load, be_load) = workload.realized_load();
     let oversubscribed = workload.is_oversubscribed();
-    let oracle = oracle_for(topology, &workload, cfg, opts);
+    let oracle = if opts.bounds {
+        Some(BoundsOracle::new(topology, &workload, cfg).map_err(SimError::Bounds)?)
+    } else {
+        None
+    };
     let mut net = Network::new(topology, workload, cfg);
     if let Some(a) = opts.audit {
         net.enable_audit(a);
@@ -397,7 +341,7 @@ fn run_checkpointed_with(
     let warmup = tb.cycles_from_secs(warmup_secs);
     let end = tb.cycles_from_secs(warmup_secs + measure_secs);
     net.set_warmup_end(warmup);
-    if ckpt.resume {
+    if let Some(ckpt) = ckpt.filter(|c| c.resume) {
         match std::fs::read(&ckpt.path) {
             Ok(bytes) => net.restore(&bytes).map_err(|e| {
                 io::Error::new(
@@ -406,33 +350,55 @@ fn run_checkpointed_with(
                 )
             })?,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
+    let interval = ckpt.map_or(0, |c| c.interval_cycles);
     while net.now() < end && net.stall_report().is_none() {
-        let to = if ckpt.interval_cycles == 0 {
+        let to = if interval == 0 {
             end
         } else {
-            end.min(net.now() + Cycles(ckpt.interval_cycles))
+            end.min(net.now() + Cycles(interval))
         };
-        step_net(&mut net, to, opts, sink);
-        if net.now() < end && net.stall_report().is_none() {
-            write_checkpoint(&ckpt.path, &net.snapshot())?;
+        if opts.reference {
+            net.run_until_reference_with(to, sink);
+        } else if opts.threads > 1 {
+            net.run_until_parallel_with(to, opts.threads, sink);
+        } else {
+            net.run_until_with(to, sink);
+        }
+        if let Some(ckpt) = ckpt {
+            if net.now() < end && net.stall_report().is_none() {
+                write_checkpoint(&ckpt.path, &net.snapshot())?;
+            }
         }
     }
-    match std::fs::remove_file(&ckpt.path) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
+    if let Some(ckpt) = ckpt {
+        match std::fs::remove_file(&ckpt.path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
     }
-    Ok(outcome_of(
-        &mut net,
+    let bounds = oracle.map(|o| o.report(&net, end));
+    let in_flight_at_end = net.note_truncated_messages();
+    Ok(SimOutcome {
+        jitter: net.delivery().summary(),
+        be_mean_latency_us: net.latency().mean_us(),
+        be_msgs: net.latency().count(),
         rt_load,
         be_load,
         oversubscribed,
-        end,
-        oracle,
-    ))
+        injected_msgs: net.injected_msgs(),
+        delivered_msgs: net.delivered_msgs(),
+        in_flight_at_end,
+        cycles: end.get(),
+        counters: net.counters(),
+        stall: net.stall_report().cloned(),
+        audit_violations: net.audit_log().map_or(0, |l| l.total()),
+        skip: net.skip_stats(),
+        bounds,
+    })
 }
 
 /// Writes `bytes` to `path` atomically: a `.tmp` sibling is written,
@@ -449,104 +415,12 @@ fn write_checkpoint(path: &std::path::Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// One stepping segment under `opts` (reference / parallel / sequential).
-fn step_net(net: &mut Network, to: Cycles, opts: SimOpts, sink: &mut dyn TelemetrySink) {
-    if opts.reference {
-        net.run_until_reference_with(to, sink);
-    } else if opts.threads > 1 {
-        net.run_until_parallel_with(to, opts.threads, sink);
-    } else {
-        net.run_until_with(to, sink);
-    }
-}
-
-/// Condenses a finished network into the [`SimOutcome`] record.
-fn outcome_of(
-    net: &mut Network,
-    rt_load: f64,
-    be_load: f64,
-    oversubscribed: bool,
-    end: Cycles,
-    oracle: Option<BoundsOracle>,
-) -> SimOutcome {
-    let bounds = oracle.map(|o| o.report(net, end));
-    let in_flight_at_end = net.note_truncated_messages();
-    SimOutcome {
-        jitter: net.delivery().summary(),
-        be_mean_latency_us: net.latency().mean_us(),
-        be_msgs: net.latency().count(),
-        rt_load,
-        be_load,
-        oversubscribed,
-        injected_msgs: net.injected_msgs(),
-        delivered_msgs: net.delivered_msgs(),
-        in_flight_at_end,
-        cycles: end.get(),
-        counters: net.counters(),
-        stall: net.stall_report().cloned(),
-        audit_violations: net.audit_log().map_or(0, |l| l.total()),
-        skip: net.skip_stats(),
-        bounds,
-    }
-}
-
-/// Builds the delay-bound oracle when [`SimOpts::bounds`] asks for one.
-/// Must run *before* `Network::new` consumes the workload.
-///
-/// # Panics
-///
-/// Panics when the route set is not feedforward — the caller opted into
-/// bounds on a topology that has none.
-fn oracle_for(
-    topology: &Topology,
-    workload: &Workload,
-    cfg: &RouterConfig,
-    opts: SimOpts,
-) -> Option<BoundsOracle> {
-    if !opts.bounds {
-        return None;
-    }
-    match BoundsOracle::new(topology, workload, cfg) {
-        Ok(o) => Some(o),
-        Err(e) => panic!("delay-bound audit unavailable: {e}"),
-    }
-}
-
-/// Shared body of [`run`] / [`run_opts`] / [`run_traced`].
-fn run_with(
-    topology: &Topology,
-    workload: Workload,
-    cfg: &RouterConfig,
-    warmup_secs: f64,
-    measure_secs: f64,
-    opts: SimOpts,
-    sink: &mut dyn TelemetrySink,
-) -> SimOutcome {
-    assert!(warmup_secs > 0.0, "warm-up must be positive");
-    assert!(measure_secs > 0.0, "measurement window must be positive");
-    let (rt_load, be_load) = workload.realized_load();
-    let oversubscribed = workload.is_oversubscribed();
-    let oracle = oracle_for(topology, &workload, cfg, opts);
-    let mut net = Network::new(topology, workload, cfg);
-    if let Some(a) = opts.audit {
-        net.enable_audit(a);
-    }
-    if let Some(w) = opts.watchdog {
-        net.enable_watchdog(w);
-    }
-    let tb = net.timebase();
-    let warmup = tb.cycles_from_secs(warmup_secs);
-    let end = tb.cycles_from_secs(warmup_secs + measure_secs);
-    net.set_warmup_end(warmup);
-    step_net(&mut net, end, opts, sink);
-    outcome_of(&mut net, rt_load, be_load, oversubscribed, end, oracle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SchedulerKind;
     use flitnet::VcPartition;
+    use netsim::JsonlSink;
     use traffic::{StreamClass, WorkloadBuilder};
 
     fn workload(load: f64, x: f64, y: f64, seed: u64) -> Workload {
@@ -600,7 +474,19 @@ mod tests {
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let plain = run(&topology, workload(0.4, 100.0, 0.0, 5), &cfg, 0.01, 0.02);
-        let (traced, trace) = run_traced(&topology, workload(0.4, 100.0, 0.0, 5), &cfg, 0.01, 0.02);
+        let mut sink = JsonlSink::new();
+        let traced = run_with(
+            &topology,
+            workload(0.4, 100.0, 0.0, 5),
+            &cfg,
+            0.01,
+            0.02,
+            SimOpts::standard(),
+            None,
+            &mut sink,
+        )
+        .expect("traced run");
+        let trace = sink.into_bytes();
         assert_eq!(plain.delivered_msgs, traced.delivered_msgs);
         assert_eq!(plain.counters, traced.counters);
         assert_eq!(plain.cycles, traced.cycles);
@@ -646,14 +532,17 @@ mod tests {
 
     #[test]
     fn audited_opts_report_zero_violations_on_healthy_runs() {
-        let out = run_opts(
+        let out = run_with(
             &Topology::single_switch(8),
             workload(0.5, 80.0, 20.0, 22),
             &RouterConfig::default(),
             0.01,
             0.02,
             SimOpts::audited(),
-        );
+            None,
+            &mut NoopSink,
+        )
+        .expect("audited run");
         assert_eq!(out.audit_violations, 0);
         assert!(out.stall.is_none());
     }
@@ -712,14 +601,15 @@ mod tests {
         let plain = run(&topology, workload(0.5, 80.0, 20.0, 31), &cfg, 0.01, 0.03);
         let path = std::env::temp_dir().join("mediaworm_sim_ckpt_plain.snap");
         let _ = std::fs::remove_file(&path);
-        let out = run_checkpointed(
+        let out = run_with(
             &topology,
             workload(0.5, 80.0, 20.0, 31),
             &cfg,
             0.01,
             0.03,
             SimOpts::standard(),
-            &CheckpointOpts::resumable(path.clone(), 20_000),
+            Some(&CheckpointOpts::resumable(path.clone(), 20_000)),
+            &mut NoopSink,
         )
         .expect("checkpointed run");
         assert_eq!(plain.delivered_msgs, out.delivered_msgs);
@@ -750,14 +640,15 @@ mod tests {
         let path = std::env::temp_dir().join("mediaworm_sim_ckpt_resume.snap");
         std::fs::write(&path, half.snapshot()).expect("write checkpoint");
 
-        let out = run_checkpointed(
+        let out = run_with(
             &topology,
             workload(0.6, 80.0, 20.0, 32),
             &cfg,
             0.01,
             0.03,
             SimOpts::standard(),
-            &CheckpointOpts::resumable(path.clone(), 0),
+            Some(&CheckpointOpts::resumable(path.clone(), 0)),
+            &mut NoopSink,
         )
         .expect("resumed run");
         assert_eq!(plain.delivered_msgs, out.delivered_msgs);
@@ -778,18 +669,52 @@ mod tests {
         let cfg = RouterConfig::default();
         let path = std::env::temp_dir().join("mediaworm_sim_ckpt_corrupt.snap");
         std::fs::write(&path, b"not a snapshot").expect("write garbage");
-        let err = run_checkpointed(
+        let err = run_with(
             &topology,
             workload(0.5, 80.0, 20.0, 33),
             &cfg,
             0.01,
             0.02,
             SimOpts::standard(),
-            &CheckpointOpts::resumable(path.clone(), 0),
+            Some(&CheckpointOpts::resumable(path.clone(), 0)),
+            &mut NoopSink,
         )
         .expect_err("garbage checkpoint must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            matches!(&err, SimError::Checkpoint(e) if e.kind() == io::ErrorKind::InvalidData),
+            "{err:?}"
+        );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bounds_on_a_torus_is_a_typed_error_not_a_panic() {
+        // Dateline routing wraps around a cycle, outside feedforward
+        // network calculus: asking for bounds must come back as a
+        // matchable error before any cycle is simulated.
+        let topology = Topology::torus(4, 4, 1);
+        let wl = WorkloadBuilder::new(16, VcPartition::from_mix(4, 50.0, 50.0))
+            .load(0.3)
+            .mix(80.0, 20.0)
+            .real_time_class(StreamClass::Vbr)
+            .seed(1)
+            .build();
+        let err = run_with(
+            &topology,
+            wl,
+            &RouterConfig::new(4),
+            0.001,
+            0.001,
+            SimOpts::standard().bounds(),
+            None,
+            &mut NoopSink,
+        )
+        .expect_err("a torus has no delay bound");
+        assert!(
+            matches!(err, SimError::Bounds(BoundError::Datelines { .. })),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("delay-bound audit unavailable"));
     }
 
     #[test]

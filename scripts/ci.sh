@@ -1,73 +1,98 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite, and audit mode.
+# Local CI gate: formatting, lints, every test in the workspace (unit,
+# doc and integration tests of all crates, once each), and the smoke runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test -q
+cargo test -q --workspace
 
 # The criterion targets must keep compiling even though full benchmark
 # runs stay out of the gate (they are wall-clock heavy).
 cargo bench --no-run
 
-# Active-set stepping must stay bit-identical to the full-scan reference
-# (counters, stall reports, trace bytes); named so the gate gets loud if
-# the suite is renamed away.
-cargo test -q --test stepping_identity
+# require_tests CARGO_ARGS... -- NAME...: every NAME must appear in the
+# `--list` output of `cargo test CARGO_ARGS`. The tests themselves ran in
+# the workspace step above; listing them keeps the gate loud if one is
+# renamed or deleted away, without running it twice.
+require_tests() {
+  local args=()
+  while [ "$1" != "--" ]; do
+    args+=("$1")
+    shift
+  done
+  shift
+  local list
+  list=$(cargo test -q "${args[@]}" -- --list 2>/dev/null)
+  for name in "$@"; do
+    if ! grep -qF -- "$name" <<<"$list"; then
+      echo "error: no test matching '$name' in cargo test ${args[*]}" >&2
+      exit 1
+    fi
+  done
+}
+
+# Bit identity: the fast driver (active sets + horizon jumps) must match
+# the every-cycle full-scan oracle, which runs the same audit and
+# watchdog (counters, stall reports, trace bytes, snapshots), across
+# loads, policing modes and topologies, including a checkpoint taken
+# inside a skipped span and the deadlocked ring's stall report. The fig. 3
+# horizon grid also gates skip effectiveness: cycles_skipped > 0 at load
+# 0.3, at the shaped points and on the wire-dominated wire64 switch.
+require_tests --test stepping_identity -- \
+  fig3_load_grid_is_bit_identical_to_reference \
+  horizon_skipping_matches_exhaustive_on_fig3_grid \
+  audited_run_is_bit_identical_to_reference \
+  traces_are_bit_identical_to_reference \
+  horizon_identity_grid_over_topologies_and_drivers \
+  horizon_identity_over_random_runs \
+  horizon_jumps_preserve_deadlock_detection \
+  snapshot_mid_jump_round_trips_bit_identically
+require_tests --test properties -- \
+  idle_jump_matches_exhaustive_stepping \
+  active_set_stepping_matches_full_scan_reference
+require_tests -p mediaworm -- skip
 
 # The deterministic parallel stepper must produce the same bits as the
 # sequential path at every thread count (meshes, fat-mesh, dateline
 # torus, traces, deadlock reports).
-cargo test -q --test stepping_identity parallel
-cargo test -q --test stepping_identity ring_deadlock_classification_is_identical_under_parallel_stepping
+require_tests --test stepping_identity -- \
+  parallel_grid_is_bit_identical_to_sequential \
+  parallel_mesh_matches_the_reference_oracle \
+  parallel_traces_are_bit_identical_to_sequential \
+  parallel_torus_audits_clean \
+  parallel_mesh_identity_over_seeds_and_loads \
+  ring_deadlock_classification_is_identical_under_parallel_stepping
 
 # Audit mode: the flow-control invariant checks must stay clean on healthy
 # runs AND flag an injected credit fault (mutation coverage), and the
 # progress watchdog must classify the crafted deadlock without false
-# positives elsewhere. These run as part of the full suite above; naming
-# them keeps the gate loud if they are ever renamed away.
-cargo test -q -p mediaworm audit
-cargo test -q -p mediaworm watchdog
-cargo test -q -p pcs-router watchdog
+# positives elsewhere.
+require_tests -p mediaworm -- audit watchdog
+require_tests -p pcs-router -- watchdog
 
 # Resume identity: checkpoint/restore must be bit-identical to an
 # uninterrupted run (stitched traces, end snapshots, stall reports) on
 # every stepping path, and the sharded sweep engine must merge shard
-# reports byte-stably and resume interrupted points through the bench
-# layer. Corrupt checkpoints must abort, never silently restart.
-cargo test -q --test stepping_identity checkpoint
-cargo test -q --test stepping_identity snapshot_round_trip_over_random_runs
-cargo test -q -p mediaworm snapshot
-cargo test -q -p mediaworm checkpoint
-cargo test -q -p mediaworm-bench --test shard_resume
-cargo test -q -p mediaworm-bench shard
-
-# Quiescence-horizon identity: the horizon-skipping driver must be
-# byte-identical to the exhaustive every-cycle oracle (and the reference
-# and parallel drivers) across loads, policing modes and topologies,
-# including a checkpoint taken inside a skipped span and the deadlocked
-# ring's stall report.
-cargo test -q --test stepping_identity horizon
-cargo test -q --test stepping_identity snapshot_mid_jump
-cargo test -q -p mediaworm skip
-cargo test -q -p mediaworm-bench skip_timing
-
-# Skip effectiveness: the perf harness's skip section (fig. 3 load 0.3,
-# the shaped points, the wire-dominated configuration) must report a
-# nonzero cycles_skipped at every point.
-cargo run --release -q -p mediaworm-bench --bin perf -- \
-  --quick --skip-only --json target/bench/BENCH_perf_skip.json
-test "$(jq '(.skip | length >= 4) and ([.skip[] | .skip.cycles_skipped > 0] | all)' \
-  target/bench/BENCH_perf_skip.json)" = "true"
+# reports byte-stably. Corrupt checkpoints must abort, never silently
+# restart.
+require_tests --test stepping_identity -- \
+  checkpoint_restore_grid_is_bit_identical \
+  snapshot_round_trip_over_random_runs \
+  ring_deadlock_stall_report_survives_checkpoint
+require_tests -p mediaworm -- snapshot checkpoint
+require_tests -p mediaworm-bench -- shard resume
 
 # Delay-bound oracle: the network-calculus bounds must dominate the
 # simulator on healthy runs (sim <= bound for every real-time stream),
-# and the credit-starvation mutation test proves the oracle fires when
-# flow control is sabotaged. Both run as part of the full suite above;
-# naming them keeps the gate loud if they are renamed away.
-cargo test -q -p calculus
-cargo test -q --test delay_bounds
+# the credit-starvation mutation test proves the oracle fires when flow
+# control is sabotaged, and bounds on a torus are a typed error.
+require_tests -p calculus -- tests::
+require_tests --test delay_bounds -- \
+  cbr_bounds_hold_for_every_isolating_scheduler \
+  credit_starvation_trips_the_oracle
+require_tests -p mediaworm -- bounds_on_a_torus_is_a_typed_error_not_a_panic
 
 # Bounds smoke: one Virtual Clock slice of the bounds matrix must bound
 # every stream, observe no violations, and audit the provable (CBR,

@@ -8,7 +8,8 @@
 //! oracle that can't catch a broken network isn't checking anything.
 
 use flitnet::VcPartition;
-use mediaworm::{sim, BoundsOracle, Network, RouterConfig, SchedulerKind, SimOpts};
+use mediaworm::{sim, BoundsOracle, Network, RouterConfig, SchedulerKind, SimOpts, SimOutcome};
+use netsim::NoopSink;
 use topo::Topology;
 use traffic::{PolicingMode, StreamClass, Workload, WorkloadBuilder};
 
@@ -41,22 +42,33 @@ fn fig3_workload(load: f64, seed: u64, policing: PolicingMode) -> Workload {
         .build()
 }
 
+/// Runs `workload` on the fig. 3 switch for 5 + 15 ms with the delay-bound
+/// audit on.
+fn run_bounded(workload: Workload, cfg: &RouterConfig) -> SimOutcome {
+    sim::run_with(
+        &Topology::single_switch(8),
+        workload,
+        cfg,
+        0.005,
+        0.015,
+        SimOpts::standard().bounds(),
+        None,
+        &mut NoopSink,
+    )
+    .expect("the single switch is feedforward")
+}
+
 /// CBR without policing is the `guaranteed` case: the envelope is the
 /// generator's literal schedule, so a violation falsifies the simulator.
 /// Every isolating scheduler at a mid and a high fig. 3 load must come
 /// back clean.
 #[test]
 fn cbr_bounds_hold_for_every_isolating_scheduler() {
-    let topology = Topology::single_switch(8);
     for kind in ISOLATING {
         for &load in &[0.6, 0.9] {
-            let out = sim::run_opts(
-                &topology,
+            let out = run_bounded(
                 cbr_workload(load, 42),
                 &RouterConfig::default().scheduler(kind),
-                0.005,
-                0.015,
-                SimOpts::standard().bounds(),
             );
             let report = out.bounds.expect("bounds audit requested");
             let what = format!("{kind:?} load {load}");
@@ -95,16 +107,8 @@ fn cbr_bounds_hold_for_every_isolating_scheduler() {
 /// with room to spare.
 #[test]
 fn fig3_mixed_bounds_hold_across_policing_modes() {
-    let topology = Topology::single_switch(8);
     for mode in PolicingMode::ALL {
-        let out = sim::run_opts(
-            &topology,
-            fig3_workload(0.9, 42, mode),
-            &RouterConfig::default(),
-            0.005,
-            0.015,
-            SimOpts::standard().bounds(),
-        );
+        let out = run_bounded(fig3_workload(0.9, 42, mode), &RouterConfig::default());
         let report = out.bounds.expect("bounds audit requested");
         assert!(out.delivered_msgs > 0, "policing {mode}: traffic must flow");
         assert!(
@@ -129,14 +133,9 @@ fn fig3_mixed_bounds_hold_across_policing_modes() {
 /// the analysis must refuse to produce a number at all.
 #[test]
 fn fifo_with_best_effort_has_no_finite_bounds() {
-    let topology = Topology::single_switch(8);
-    let out = sim::run_opts(
-        &topology,
+    let out = run_bounded(
         fig3_workload(0.9, 42, PolicingMode::Off),
         &RouterConfig::default().scheduler(SchedulerKind::Fifo),
-        0.005,
-        0.015,
-        SimOpts::standard().bounds(),
     );
     let report = out.bounds.expect("bounds audit requested");
     assert!(

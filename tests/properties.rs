@@ -422,12 +422,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// `Network::run_until`'s idle-cycle jump must be unobservable: a
-    /// naive cycle-by-cycle run of an identically-built network reaches
-    /// the same end state (deliveries, jitter summary, best-effort
-    /// latency) bit for bit. The jumped-over cycles have no flit anywhere
-    /// in the system, so nothing can act in them — credits still in
-    /// flight are drained by the first post-jump delivery phase.
+    /// `Network::run_until`'s idle-cycle jump must be unobservable: the
+    /// oracle, which steps an identically-built network cycle by cycle
+    /// (`run_until_reference`), reaches the same end state (deliveries,
+    /// jitter summary, best-effort latency) bit for bit at the
+    /// mostly-idle low end of the load range, where the driver jumps.
+    /// The jumped-over cycles have no component able to act, so nothing
+    /// can happen in them.
     #[test]
     fn idle_jump_matches_exhaustive_stepping(
         seed in 0u64..1_000_000,
@@ -455,7 +456,7 @@ proptest! {
         jumped.set_warmup_end(warmup);
         naive.set_warmup_end(warmup);
         jumped.run_until(end);
-        naive.run_until_exhaustive(end);
+        naive.run_until_reference(end);
 
         prop_assert_eq!(jumped.injected_msgs(), naive.injected_msgs());
         prop_assert_eq!(jumped.delivered_msgs(), naive.delivered_msgs());
@@ -473,12 +474,16 @@ proptest! {
             jumped.latency().mean_us().to_bits(),
             naive.latency().mean_us().to_bits()
         );
+        // Stepped + skipped covers the run; the oracle skips nothing.
+        prop_assert_eq!(jumped.skip_stats().simulated_cycles(), end.get());
+        prop_assert_eq!(naive.skip_stats().cycles_stepped, end.get());
     }
 
     /// The occupancy-driven active sets must be unobservable: stepping
-    /// with them (`run_until`) and with the full-scan reference
-    /// (`run_until_reference`) reaches the same end state bit for bit,
-    /// for arbitrary seeds and loads across the operating range.
+    /// with them (`run_until`) and with the oracle, which full-scans
+    /// every slot on every cycle (`run_until_reference`), reaches the
+    /// same end state bit for bit, for arbitrary seeds and loads across
+    /// the operating range.
     #[test]
     fn active_set_stepping_matches_full_scan_reference(
         seed in 0u64..1_000_000,
@@ -526,5 +531,9 @@ proptest! {
             active.latency().mean_us().to_bits(),
             reference.latency().mean_us().to_bits()
         );
+        // Stepped + skipped covers the run on both drivers; the oracle
+        // skips nothing.
+        prop_assert_eq!(active.skip_stats().simulated_cycles(), end.get());
+        prop_assert_eq!(reference.skip_stats().cycles_stepped, end.get());
     }
 }
