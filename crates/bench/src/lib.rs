@@ -17,7 +17,7 @@
 //!   [`sweep`].
 //! * Sweeps shard and resume: `--shard i/n` runs only the tasks owned by
 //!   shard `i` of `n` and writes `BENCH_<name>.shard<i>of<n>.json`;
-//!   [`merge_shards`] (or the `merge-shards` binary) recombines the shard
+//!   [`merge_shards`] (or the `merge_shards` binary) recombines the shard
 //!   files into the byte-stable monolithic report. `--checkpoint N`
 //!   snapshots each in-flight point every `N` simulated cycles under
 //!   `target/bench/state/`, and `--resume` restores from those snapshots,

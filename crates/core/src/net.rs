@@ -256,7 +256,7 @@ impl Network {
                     flit: Link::new(Cycles(u64::from(cfg.link_latency_value()))),
                     // The downstream input port can free at most one slot
                     // per VC per cycle (full crossbar), bounding the
-                    // credit ring at m credits per cycle of latency.
+                    // credit FIFO at m credits per cycle of latency.
                     credit: CreditLink::new(
                         Cycles(u64::from(cfg.link_latency_value())),
                         m as usize,
@@ -522,39 +522,6 @@ impl Network {
             d.2 += rd.2;
         }
         d
-    }
-
-    /// Prints every router's VC state (diagnostics).
-    pub fn debug_dump(&self) {
-        for (i, r) in self.routers.iter().enumerate() {
-            println!("router {i}:");
-            r.debug_dump();
-        }
-    }
-
-    /// Diagnostic snapshot: flits `(real_time, best_effort)` waiting at the
-    /// network interfaces, and `(real_time, best_effort)` buffered inside
-    /// routers.
-    pub fn occupancy_by_class(&self) -> ((usize, usize), (usize, usize)) {
-        let mut ni = (0, 0);
-        for ep in &self.endpoints {
-            for q in &ep.queues {
-                for f in q {
-                    if f.class.is_real_time() {
-                        ni.0 += 1;
-                    } else {
-                        ni.1 += 1;
-                    }
-                }
-            }
-        }
-        let mut router = (0, 0);
-        for r in &self.routers {
-            let (rt, be) = r.occupancy_by_class();
-            router.0 += rt;
-            router.1 += be;
-        }
-        (ni, router)
     }
 
     /// Runs the simulation until cycle `end`.
@@ -1423,14 +1390,7 @@ impl Network {
             .map(|ep| ep.queues.iter().map(VecDeque::len).sum::<usize>() as u64)
             .sum();
         let on_links: u64 = self.links.iter().map(|lp| lp.flit.in_flight() as u64).sum();
-        let in_routers: u64 = self
-            .routers
-            .iter()
-            .map(|r| {
-                let (rt, be) = r.occupancy_by_class();
-                (rt + be) as u64
-            })
-            .sum();
+        let in_routers: u64 = self.routers.iter().map(Router::buffered_flits).sum();
         let present = in_nis + on_links + in_routers;
         if present != self.flits_in_flight {
             log.record(Violation {

@@ -26,8 +26,6 @@
 //! The router is pure state + decisions; moving flits across links and
 //! returning credits is the [`crate::net::Network`]'s job.
 
-use std::collections::VecDeque;
-
 use flitnet::{Flit, MsgId, PortId, RouterId, VcBuffer, VcId, VcPartition, VcSel};
 use netsim::telemetry::{FlitEvent, FlitEventKind, TelemetrySink};
 use netsim::Cycles;
@@ -69,9 +67,8 @@ struct Grant {
 /// Per-VC input unit: buffer + pipeline bookkeeping.
 #[derive(Debug)]
 struct InputVc {
-    buf: VcBuffer,
-    /// Arrival cycle of each buffered flit (parallel to `buf`).
-    arrivals: VecDeque<Cycles>,
+    /// Buffered flits with their arrival cycle.
+    buf: VcBuffer<(Cycles, Flit)>,
     grant: Option<Grant>,
     /// When the current head flit was first seen at the buffer front
     /// (starts the stage-2/3 latency).
@@ -93,8 +90,7 @@ struct InputPort {
 #[derive(Debug)]
 struct OutputVc {
     /// Staged flits with their staging-arrival cycle.
-    buf: VecDeque<(Cycles, Flit)>,
-    cap: usize,
+    buf: VcBuffer<(Cycles, Flit)>,
     /// Credits for the downstream input VC buffer.
     credits: u32,
     /// Message currently allocated this output VC (held head → tail).
@@ -211,7 +207,6 @@ impl Router {
                 vcs: (0..m)
                     .map(|_| InputVc {
                         buf: VcBuffer::new(cfg.buf_flits_value() as usize),
-                        arrivals: VecDeque::new(),
                         grant: None,
                         head_seen_at: None,
                     })
@@ -224,8 +219,7 @@ impl Router {
             .map(|_| OutputPort {
                 vcs: (0..m)
                     .map(|_| OutputVc {
-                        buf: VecDeque::new(),
-                        cap: cfg.out_buf_flits_value() as usize,
+                        buf: VcBuffer::new(cfg.out_buf_flits_value() as usize),
                         credits: 0,
                         owner: None,
                     })
@@ -295,8 +289,7 @@ impl Router {
         let p = port.index();
         let ip = &mut self.inputs[p];
         let v = flit.vc.index();
-        ip.vcs[v].buf.push(flit);
-        ip.vcs[v].arrivals.push_back(now);
+        ip.vcs[v].buf.push((now, flit));
         ip.sched.on_arrival(v, now, &flit);
         self.resident += 1;
         // An ungranted slot with buffered flits is a pending head (the
@@ -403,10 +396,9 @@ impl Router {
     {
         let ivc = &mut self.inputs[p].vcs[v];
         debug_assert!(ivc.grant.is_none(), "pending slot must be ungranted");
-        let head = *ivc.buf.head().expect("pending slot has a buffered head");
+        let (arrived, head) = *ivc.buf.head().expect("pending slot has a buffered head");
         // Stage-1 latency: the head becomes visible to the routing
         // logic the cycle after it was buffered.
-        let arrived = *ivc.arrivals.front().expect("arrivals parallel buf");
         if now < arrived + Cycles(1) {
             return;
         }
@@ -509,20 +501,18 @@ impl Router {
         let Some(grant) = ivc.grant else {
             return false;
         };
-        let Some(head) = ivc.buf.head() else {
+        let Some(&(arrived, head)) = ivc.buf.head() else {
             return false;
         };
         // Stage-1 latency: a flit becomes schedulable the cycle after it
         // was buffered.
-        let arrived = *ivc.arrivals.front().expect("arrivals parallel buf");
         if now < arrived + Cycles(1) {
             return false;
         }
         if head.kind.is_head() && now < grant.ready_at {
             return false;
         }
-        let ovc = &self.outputs[grant.out_port].vcs[grant.out_vc];
-        ovc.buf.len() < ovc.cap
+        !self.outputs[grant.out_port].vcs[grant.out_vc].buf.is_full()
     }
 
     /// Moves input `(p, v)`'s head flit through the crossbar.
@@ -537,11 +527,10 @@ impl Router {
         let grant = self.inputs[p].vcs[v]
             .grant
             .expect("eligible VC has a grant");
-        let mut flit = self.inputs[p].vcs[v]
+        let (_, mut flit) = self.inputs[p].vcs[v]
             .buf
             .pop()
             .expect("eligible VC has a flit");
-        self.inputs[p].vcs[v].arrivals.pop_front();
         self.inputs[p].sched.on_service(v);
         credits.push(CreditReturn {
             port: PortId(p as u32),
@@ -551,7 +540,7 @@ impl Router {
         flit.vc = VcId(grant.out_vc as u32);
         let out = &mut self.outputs[grant.out_port];
         out.sched.on_arrival(grant.out_vc, now, &flit);
-        out.vcs[grant.out_vc].buf.push_back((now, flit));
+        out.vcs[grant.out_vc].buf.push((now, flit));
         if out.vcs[grant.out_vc].buf.len() == 1 {
             sorted_insert(&mut out.staged, grant.out_vc);
         }
@@ -773,10 +762,7 @@ impl Router {
             if reference {
                 for (v, e) in eligible.iter_mut().enumerate() {
                     let ovc = &out.vcs[v];
-                    let staged = ovc
-                        .buf
-                        .front()
-                        .is_some_and(|(at, _)| now >= *at + Cycles(1));
+                    let staged = ovc.buf.head().is_some_and(|(at, _)| now >= *at + Cycles(1));
                     *e = staged && ovc.credits > 0;
                     // A staged head that only lacks a credit is stalled by
                     // downstream flow control — the per-VC backpressure
@@ -786,10 +772,7 @@ impl Router {
             } else {
                 for &v in &out.staged {
                     let ovc = &out.vcs[v];
-                    let staged = ovc
-                        .buf
-                        .front()
-                        .is_some_and(|(at, _)| now >= *at + Cycles(1));
+                    let staged = ovc.buf.head().is_some_and(|(at, _)| now >= *at + Cycles(1));
                     eligible[v] = staged && ovc.credits > 0;
                     pc.credit_stalls[v] += u64::from(staged && ovc.credits == 0);
                 }
@@ -803,7 +786,7 @@ impl Router {
             let Some(v) = choice else {
                 continue;
             };
-            let (_, flit) = out.vcs[v].buf.pop_front().expect("eligible VC has a flit");
+            let (_, flit) = out.vcs[v].buf.pop().expect("eligible VC has a flit");
             if out.vcs[v].buf.is_empty() {
                 sorted_remove(&mut out.staged, v);
             }
@@ -836,6 +819,23 @@ impl Router {
     /// Flits resident in the router (input buffers + output staging).
     pub fn resident_flits(&self) -> u64 {
         self.resident
+    }
+
+    /// Flits buffered in the router, recounted from the input and staging
+    /// FIFO lengths — an audit cross-check independent of the resident
+    /// counter [`Router::resident_flits`] reports.
+    pub(crate) fn buffered_flits(&self) -> u64 {
+        let inputs = self
+            .inputs
+            .iter()
+            .flat_map(|ip| &ip.vcs)
+            .map(|vc| vc.buf.len());
+        let staged = self
+            .outputs
+            .iter()
+            .flat_map(|op| &op.vcs)
+            .map(|vc| vc.buf.len());
+        inputs.chain(staged).sum::<usize>() as u64
     }
 
     /// Total flits that have traversed the crossbar.
@@ -876,7 +876,10 @@ impl Router {
     /// The flit at the front of input `(port, vc)`'s buffer, if any
     /// (audit/watchdog visibility).
     pub fn input_head(&self, port: PortId, vc: VcId) -> Option<&Flit> {
-        self.inputs[port.index()].vcs[vc.index()].buf.head()
+        self.inputs[port.index()].vcs[vc.index()]
+            .buf
+            .head()
+            .map(|(_, f)| f)
     }
 
     /// The class split of this router's VCs.
@@ -889,8 +892,6 @@ impl Router {
     ///
     /// * every input and output VC buffer holds a well-formed run of worms
     ///   (head→body→tail, no interleaving);
-    /// * the per-flit arrival bookkeeping stays parallel to the buffer;
-    /// * no output staging buffer exceeds its configured capacity;
     /// * every input-VC grant points at an output VC owned by the granted
     ///   message;
     /// * the incrementally maintained active sets (pending heads, granted
@@ -904,7 +905,8 @@ impl Router {
         let router = Some(self.id.get());
         for (p, ip) in self.inputs.iter().enumerate() {
             for (v, ivc) in ip.vcs.iter().enumerate() {
-                if let Some(detail) = flitnet::worm_order_violation(ivc.buf.iter()) {
+                if let Some(detail) = flitnet::worm_order_violation(ivc.buf.iter().map(|(_, f)| f))
+                {
                     log.record(Violation {
                         cycle: now.get(),
                         router,
@@ -914,23 +916,9 @@ impl Router {
                         detail,
                     });
                 }
-                if ivc.arrivals.len() != ivc.buf.len() {
-                    log.record(Violation {
-                        cycle: now.get(),
-                        router,
-                        port: p as u32,
-                        vc: v as u32,
-                        kind: ViolationKind::FlitConservation,
-                        detail: format!(
-                            "arrival bookkeeping out of step: {} arrivals for {} buffered flits",
-                            ivc.arrivals.len(),
-                            ivc.buf.len()
-                        ),
-                    });
-                }
                 if let Some(grant) = ivc.grant {
                     let owner = self.outputs[grant.out_port].vcs[grant.out_vc].owner;
-                    let held_by = ivc.buf.head().map(|f| f.msg);
+                    let held_by = ivc.buf.head().map(|(_, f)| f.msg);
                     let mismatch = match (owner, held_by) {
                         (None, _) => Some("granted output VC has no owner".to_string()),
                         (Some(o), Some(h)) if o != h => Some(format!(
@@ -953,20 +941,6 @@ impl Router {
         }
         for (p, op) in self.outputs.iter().enumerate() {
             for (v, ovc) in op.vcs.iter().enumerate() {
-                if ovc.buf.len() > ovc.cap {
-                    log.record(Violation {
-                        cycle: now.get(),
-                        router,
-                        port: p as u32,
-                        vc: v as u32,
-                        kind: ViolationKind::StagingOverflow,
-                        detail: format!(
-                            "{} staged flits in a {}-slot buffer",
-                            ovc.buf.len(),
-                            ovc.cap
-                        ),
-                    });
-                }
                 if let Some(detail) = flitnet::worm_order_violation(ovc.buf.iter().map(|(_, f)| f))
                 {
                     log.record(Violation {
@@ -999,7 +973,6 @@ impl Router {
                 detail,
             });
         };
-        let mut resident = 0u64;
         for (p, ip) in self.inputs.iter().enumerate() {
             let granted: Vec<usize> = (0..m).filter(|&v| ip.vcs[v].grant.is_some()).collect();
             if granted != ip.granted {
@@ -1013,7 +986,6 @@ impl Router {
                 );
             }
             for (v, ivc) in ip.vcs.iter().enumerate() {
-                resident += ivc.buf.len() as u64;
                 let idx = p * m + v;
                 let should_pend = ivc.grant.is_none() && !ivc.buf.is_empty();
                 if self.pending_mask[idx] != should_pend {
@@ -1047,8 +1019,8 @@ impl Router {
                     ),
                 );
             }
-            resident += op.vcs.iter().map(|vc| vc.buf.len() as u64).sum::<u64>();
         }
+        let resident = self.buffered_flits();
         if resident != self.resident {
             desync(
                 0,
@@ -1088,11 +1060,9 @@ impl Router {
         for ip in &self.inputs {
             ip.sched.save(w);
             for ivc in &ip.vcs {
-                ivc.buf.save(w);
-                w.usize(ivc.arrivals.len());
-                for &at in &ivc.arrivals {
-                    w.u64(at.0);
-                }
+                // Flits first, then their arrival cycles.
+                ivc.buf.save_with(w, |w, (_, f)| f.save(w));
+                ivc.buf.save_with(w, |w, (at, _)| w.u64(at.0));
                 w.option(ivc.grant, |w, g| {
                     w.usize(g.out_port);
                     w.usize(g.out_vc);
@@ -1104,11 +1074,10 @@ impl Router {
         for op in &self.outputs {
             op.sched.save(w);
             for ovc in &op.vcs {
-                w.usize(ovc.buf.len());
-                for (at, f) in &ovc.buf {
+                ovc.buf.save_with(w, |w, (at, f)| {
                     w.u64(at.0);
                     f.save(w);
-                }
+                });
                 w.u32(ovc.credits);
                 w.option(ovc.owner, |w, m| w.u64(m.0));
             }
@@ -1121,7 +1090,8 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot decoding errors.
+    /// Propagates snapshot decoding errors; rejects an input or staging
+    /// buffer holding more flits than its configured depth.
     ///
     /// # Panics
     ///
@@ -1152,14 +1122,13 @@ impl Router {
         for ip in &mut self.inputs {
             ip.sched.load_into(r)?;
             for ivc in &mut ip.vcs {
-                ivc.buf.load_into(r)?;
-                let n = r.usize()?;
-                ivc.arrivals.clear();
-                for _ in 0..n {
-                    ivc.arrivals.push_back(Cycles(r.u64()?));
-                }
-                if ivc.arrivals.len() != ivc.buf.len() {
+                ivc.buf
+                    .load_with(r, |r| Ok((Cycles::ZERO, Flit::load(r)?)))?;
+                if r.usize()? != ivc.buf.len() {
                     return Err(SnapError::BadValue("arrival bookkeeping mismatch"));
+                }
+                for (at, _) in ivc.buf.iter_mut() {
+                    *at = Cycles(r.u64()?);
                 }
                 ivc.grant = r.option(|r| {
                     Ok(Grant {
@@ -1174,25 +1143,19 @@ impl Router {
         for op in &mut self.outputs {
             op.sched.load_into(r)?;
             for ovc in &mut op.vcs {
-                let n = r.usize()?;
-                ovc.buf.clear();
-                for _ in 0..n {
-                    let at = Cycles(r.u64()?);
-                    ovc.buf.push_back((at, Flit::load(r)?));
-                }
+                ovc.buf
+                    .load_with(r, |r| Ok((Cycles(r.u64()?), Flit::load(r)?)))?;
                 ovc.credits = r.u32()?;
                 ovc.owner = r.option(|r| r.u64().map(MsgId))?;
             }
         }
         // Recompute the derived active sets from the restored buffers —
         // the same predicates the ActiveSetDesync audit checks.
-        let mut resident = 0u64;
         self.pending.clear();
         self.pending_mask.fill(false);
         for (p, ip) in self.inputs.iter_mut().enumerate() {
             ip.granted.clear();
             for (v, ivc) in ip.vcs.iter().enumerate() {
-                resident += ivc.buf.len() as u64;
                 if ivc.grant.is_some() {
                     ip.granted.push(v);
                 } else if !ivc.buf.is_empty() {
@@ -1205,76 +1168,13 @@ impl Router {
         for op in &mut self.outputs {
             op.staged.clear();
             for (v, ovc) in op.vcs.iter().enumerate() {
-                resident += ovc.buf.len() as u64;
                 if !ovc.buf.is_empty() {
                     op.staged.push(v);
                 }
             }
         }
-        self.resident = resident;
+        self.resident = self.buffered_flits();
         Ok(())
-    }
-
-    /// Prints a human-readable dump of every VC's state (diagnostics).
-    pub fn debug_dump(&self) {
-        for (p, ip) in self.inputs.iter().enumerate() {
-            for (v, vc) in ip.vcs.iter().enumerate() {
-                if vc.buf.is_empty() {
-                    continue;
-                }
-                let head = vc.buf.head().expect("non-empty");
-                println!(
-                    "  in p{p} v{v}: len={:<2} head={:?} {:?} granted={} ",
-                    vc.buf.len(),
-                    head.kind,
-                    head.class,
-                    vc.grant.is_some(),
-                );
-            }
-        }
-        for (p, op) in self.outputs.iter().enumerate() {
-            for (v, vc) in op.vcs.iter().enumerate() {
-                if vc.owner.is_none() && vc.buf.is_empty() {
-                    continue;
-                }
-                println!(
-                    "  out p{p} v{v}: staged={} owner={:?} credits={}",
-                    vc.buf.len(),
-                    vc.owner,
-                    vc.credits
-                );
-            }
-        }
-    }
-
-    /// Counts buffered flits `(real_time, best_effort)` across all input
-    /// and output buffers (diagnostics).
-    pub fn occupancy_by_class(&self) -> (usize, usize) {
-        let mut rt = 0;
-        let mut be = 0;
-        for ip in &self.inputs {
-            for vc in &ip.vcs {
-                for f in vc.buf.iter() {
-                    if f.class.is_real_time() {
-                        rt += 1;
-                    } else {
-                        be += 1;
-                    }
-                }
-            }
-        }
-        for op in &self.outputs {
-            for vc in &op.vcs {
-                for (_, f) in &vc.buf {
-                    if f.class.is_real_time() {
-                        rt += 1;
-                    } else {
-                        be += 1;
-                    }
-                }
-            }
-        }
-        (rt, be)
     }
 }
 
@@ -1599,6 +1499,44 @@ mod tests {
             sent += d.len();
         }
         assert_eq!(sent, 5);
+    }
+
+    #[test]
+    fn restore_rejects_staging_over_configured_depth() {
+        // With no downstream credits the whole worm piles up in one
+        // output VC's staging buffer.
+        let c = cfg();
+        let mut r = Router::new(
+            RouterId(0),
+            4,
+            &c,
+            VcPartition::all_real_time(c.vcs_per_pc()),
+        );
+        for f in msg_flits(1, 5, 2, 0, 100.0) {
+            r.receive_flit(Cycles(0), PortId(0), f);
+        }
+        for t in 0..40u64 {
+            drive(&mut r, Cycles(t));
+        }
+        assert!(r.output_staged(PortId(2), VcId(0)) >= 2);
+        let mut w = netsim::snap::SnapWriter::new();
+        r.save(&mut w);
+        let bytes = w.finish();
+        let restore = |cfg: &RouterConfig| {
+            let mut target = Router::new(
+                RouterId(0),
+                4,
+                cfg,
+                VcPartition::all_real_time(cfg.vcs_per_pc()),
+            );
+            let mut rd = netsim::snap::SnapReader::new(&bytes).unwrap();
+            target.load_into(&mut rd)
+        };
+        assert!(restore(&c).is_ok());
+        assert!(matches!(
+            restore(&cfg().out_buf_flits(1)),
+            Err(netsim::snap::SnapError::BadValue(_))
+        ));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! fields at route/arbitration time, which the pipeline model enforces
 //! structurally.
 
-use std::borrow::Borrow;
-
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::Cycles;
 
@@ -236,17 +234,9 @@ impl Flit {
 /// The sequence may begin mid-message (the head has already moved on) and
 /// end mid-message (the tail has not arrived yet). Returns a description
 /// of the first violation, or `None` when the sequence is well-formed.
-///
-/// Items may be owned flits (the struct-of-arrays [`crate::VcBuffer`]
-/// assembles them by value) or references.
-pub fn worm_order_violation<I>(flits: I) -> Option<String>
-where
-    I: IntoIterator,
-    I::Item: Borrow<Flit>,
-{
-    let mut prev: Option<Flit> = None;
+pub fn worm_order_violation<'a>(flits: impl IntoIterator<Item = &'a Flit>) -> Option<String> {
+    let mut prev: Option<&Flit> = None;
     for f in flits {
-        let f = *f.borrow();
         if let Some(p) = prev {
             if p.msg == f.msg {
                 if p.kind.is_tail() {
@@ -376,8 +366,6 @@ mod tests {
         // Empty and single-flit sequences are trivially fine.
         assert_eq!(worm_order_violation(std::iter::empty::<&Flit>()), None);
         assert_eq!(worm_order_violation([&a[1]].into_iter()), None);
-        // Owned items work too (the SoA buffer yields flits by value).
-        assert_eq!(worm_order_violation(a.iter().copied()), None);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   best-effort).
 //! * [`Flit`] — the unit of flow control; a head flit carries routing and
 //!   bandwidth (`Vtick`) information, middle/tail flits follow the worm.
-//! * [`VcBuffer`] — a bounded per-virtual-channel flit FIFO.
+//! * [`VcBuffer`] — the bounded FIFO behind every fixed-capacity queue:
+//!   router input and staging buffers, links and credit paths.
 //! * [`Link`] — a one-flit-per-cycle pipelined physical channel, plus the
 //!   matching [`CreditLink`] for upstream credit returns.
 //! * [`VcPartition`] — the paper's static x:y split of the virtual channels

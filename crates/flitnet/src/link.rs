@@ -5,94 +5,21 @@
 //! upstream with the same latency model. Both are plain delay lines — the
 //! *decision* of what to send is the router's job.
 //!
-//! Both channels store their in-flight payloads in a fixed-capacity ring
-//! sized at construction from the latency: a flit channel holds at most
-//! one entry per cycle of latency (the bandwidth gate enforces one send
-//! per cycle, and due flits drain before new sends within a cycle), and a
-//! credit channel holds at most `per_cycle_max` entries per cycle of
-//! latency (the crossbar frees at most that many slots per port per
-//! cycle). The ring kills the `VecDeque` heap traffic in `deliver` and
-//! makes [`Link::earliest_arrival`] a plain head load — the key input to
-//! the quiescence-horizon computation in `core::net`.
+//! Both queue `(arrival cycle, payload)` pairs in a [`VcBuffer`] sized at
+//! construction from the latency: a flit channel holds at most one entry
+//! per cycle of latency (the bandwidth gate enforces one send per cycle,
+//! and due flits drain before new sends within a cycle), and a credit
+//! channel holds at most `per_cycle_max` entries per cycle of latency
+//! (the crossbar frees at most that many slots per port per cycle).
+//! Entries are pushed in send order and the delay is constant, so arrival
+//! cycles never decrease and the head is always the earliest arrival.
 
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::Cycles;
 
 use crate::flit::Flit;
 use crate::ids::VcId;
-
-/// Fixed-capacity FIFO of `(arrival cycle, payload)` pairs.
-///
-/// Entries are pushed in send order; because both channel types delay by a
-/// constant latency, arrival cycles are monotonically non-decreasing and
-/// the head is always the earliest arrival.
-#[derive(Debug, Clone)]
-struct Ring<T> {
-    slots: Box<[Option<(Cycles, T)>]>,
-    head: usize,
-    len: usize,
-}
-
-impl<T> Ring<T> {
-    fn with_capacity(cap: usize) -> Ring<T> {
-        assert!(cap > 0, "ring capacity must be at least one slot");
-        Ring {
-            slots: (0..cap).map(|_| None).collect(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn push_back(&mut self, at: Cycles, item: T) {
-        assert!(
-            self.len < self.slots.len(),
-            "link ring over capacity: flow control admitted more than \
-             latency-bounded traffic"
-        );
-        let tail = (self.head + self.len) % self.slots.len();
-        self.slots[tail] = Some((at, item));
-        self.len += 1;
-    }
-
-    fn front(&self) -> Option<&(Cycles, T)> {
-        if self.len == 0 {
-            None
-        } else {
-            self.slots[self.head].as_ref()
-        }
-    }
-
-    fn pop_front(&mut self) -> Option<(Cycles, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        let entry = self.slots[self.head].take();
-        self.head = (self.head + 1) % self.slots.len();
-        self.len -= 1;
-        entry
-    }
-
-    /// Iterates head-to-tail (send order).
-    fn iter(&self) -> impl Iterator<Item = &(Cycles, T)> {
-        (0..self.len).map(move |i| {
-            self.slots[(self.head + i) % self.slots.len()]
-                .as_ref()
-                .expect("occupied ring slot")
-        })
-    }
-}
+use crate::vcbuf::VcBuffer;
 
 /// A one-flit-per-cycle pipelined physical channel.
 ///
@@ -117,14 +44,14 @@ impl<T> Ring<T> {
 #[derive(Debug, Clone)]
 pub struct Link {
     latency: Cycles,
-    in_flight: Ring<Flit>,
+    in_flight: VcBuffer<(Cycles, Flit)>,
     last_send: Option<Cycles>,
 }
 
 impl Link {
     /// Creates a link with the given pipeline latency (≥ 1 cycle).
     ///
-    /// The in-flight ring holds `latency` slots: the one-send-per-cycle
+    /// The in-flight FIFO holds `latency` entries: the one-send-per-cycle
     /// bandwidth gate bounds occupancy by the latency window.
     ///
     /// # Panics
@@ -138,7 +65,7 @@ impl Link {
         );
         Link {
             latency,
-            in_flight: Ring::with_capacity(latency.0 as usize),
+            in_flight: VcBuffer::new(latency.0 as usize),
             last_send: None,
         }
     }
@@ -162,13 +89,13 @@ impl Link {
     pub fn send(&mut self, now: Cycles, flit: Flit) {
         assert!(self.can_send(now), "link bandwidth exceeded at {now}");
         self.last_send = Some(now);
-        self.in_flight.push_back(now + self.latency, flit);
+        self.in_flight.push((now + self.latency, flit));
     }
 
     /// Takes the flit arriving at cycle `now`, if any.
     pub fn recv(&mut self, now: Cycles) -> Option<Flit> {
-        if self.in_flight.front().is_some_and(|(at, _)| *at <= now) {
-            Some(self.in_flight.pop_front().expect("peeked entry").1)
+        if self.in_flight.head().is_some_and(|(at, _)| *at <= now) {
+            Some(self.in_flight.pop().expect("peeked entry").1)
         } else {
             None
         }
@@ -187,11 +114,11 @@ impl Link {
     /// The arrival cycle of the earliest in-flight flit, if any.
     ///
     /// Entries arrive in send order and the delay is constant, so the
-    /// head of the ring is always the minimum — this is an O(1) load,
+    /// head of the FIFO is always the minimum — this is an O(1) load,
     /// cheap enough to scan across every active link when computing the
     /// quiescence horizon.
     pub fn earliest_arrival(&self) -> Option<Cycles> {
-        self.in_flight.front().map(|&(at, _)| at)
+        self.in_flight.head().map(|&(at, _)| at)
     }
 
     /// Iterates over the flits currently on the wire, in send order.
@@ -206,11 +133,10 @@ impl Link {
     /// cycles, plus the bandwidth-gate timestamp) into a snapshot.
     pub fn save(&self, w: &mut SnapWriter) {
         w.option(self.last_send, |w, at| w.u64(at.0));
-        w.usize(self.in_flight.len());
-        for (at, f) in self.in_flight.iter() {
+        self.in_flight.save_with(w, |w, (at, f)| {
             w.u64(at.0);
             f.save(w);
-        }
+        });
     }
 
     /// Restores wire state saved by [`Link::save`] into this (idle) link.
@@ -218,26 +144,15 @@ impl Link {
     /// # Errors
     ///
     /// Propagates snapshot decoding errors; rejects snapshots claiming
-    /// more in-flight flits than the latency-bounded ring can hold.
+    /// more in-flight flits than the latency-bounded FIFO can hold.
     ///
     /// # Panics
     ///
     /// Panics if the link is not idle.
     pub fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        assert!(
-            self.in_flight.is_empty(),
-            "restore target link must be idle"
-        );
         self.last_send = r.option(|r| r.u64().map(Cycles))?;
-        let n = r.usize()?;
-        if n > self.in_flight.capacity() {
-            return Err(SnapError::BadValue("link in-flight count over capacity"));
-        }
-        for _ in 0..n {
-            let at = Cycles(r.u64()?);
-            self.in_flight.push_back(at, Flit::load(r)?);
-        }
-        Ok(())
+        self.in_flight
+            .load_with(r, |r| Ok((Cycles(r.u64()?), Flit::load(r)?)))
     }
 }
 
@@ -248,7 +163,7 @@ impl Link {
 #[derive(Debug, Clone)]
 pub struct CreditLink {
     latency: Cycles,
-    in_flight: Ring<VcId>,
+    in_flight: VcBuffer<(Cycles, VcId)>,
 }
 
 impl CreditLink {
@@ -257,7 +172,7 @@ impl CreditLink {
     /// `per_cycle_max` bounds how many credits the downstream component
     /// can return in a single cycle (for a router input port that is the
     /// VC count — a full crossbar can drain one flit per VC per cycle);
-    /// the in-flight ring holds `per_cycle_max * latency` slots.
+    /// the in-flight FIFO holds `per_cycle_max * latency` entries.
     ///
     /// # Panics
     ///
@@ -275,21 +190,21 @@ impl CreditLink {
         );
         CreditLink {
             latency,
-            in_flight: Ring::with_capacity(per_cycle_max * latency.0 as usize),
+            in_flight: VcBuffer::new(per_cycle_max * latency.0 as usize),
         }
     }
 
     /// Sends one credit for `vc` at cycle `now`.
     pub fn send(&mut self, now: Cycles, vc: VcId) {
-        self.in_flight.push_back(now + self.latency, vc);
+        self.in_flight.push((now + self.latency, vc));
     }
 
     /// Takes the next credit arriving at or before `now`, if any. Call in a
     /// loop to drain all due credits (multiple VCs may return credits in the
     /// same cycle).
     pub fn recv(&mut self, now: Cycles) -> Option<VcId> {
-        if self.in_flight.front().is_some_and(|(at, _)| *at <= now) {
-            Some(self.in_flight.pop_front().expect("peeked entry").1)
+        if self.in_flight.head().is_some_and(|(at, _)| *at <= now) {
+            Some(self.in_flight.pop().expect("peeked entry").1)
         } else {
             None
         }
@@ -306,9 +221,9 @@ impl CreditLink {
     }
 
     /// The arrival cycle of the earliest in-flight credit, if any (O(1):
-    /// constant delay keeps the ring sorted by arrival).
+    /// constant delay keeps the FIFO sorted by arrival).
     pub fn earliest_arrival(&self) -> Option<Cycles> {
-        self.in_flight.front().map(|&(at, _)| at)
+        self.in_flight.head().map(|&(at, _)| at)
     }
 
     /// Iterates over the VCs of the credits currently in flight.
@@ -320,11 +235,10 @@ impl CreditLink {
 
     /// Serialises the in-flight credits into a snapshot.
     pub fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.in_flight.len());
-        for &(at, vc) in self.in_flight.iter() {
+        self.in_flight.save_with(w, |w, (at, vc)| {
             w.u64(at.0);
             w.u32(vc.0);
-        }
+        });
     }
 
     /// Restores credits saved by [`CreditLink::save`] into this (idle)
@@ -333,27 +247,14 @@ impl CreditLink {
     /// # Errors
     ///
     /// Propagates snapshot decoding errors; rejects snapshots claiming
-    /// more in-flight credits than the ring can hold.
+    /// more in-flight credits than the FIFO can hold.
     ///
     /// # Panics
     ///
     /// Panics if the credit path is not idle.
     pub fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        assert!(
-            self.in_flight.is_empty(),
-            "restore target credit link must be idle"
-        );
-        let n = r.usize()?;
-        if n > self.in_flight.capacity() {
-            return Err(SnapError::BadValue(
-                "credit link in-flight count over capacity",
-            ));
-        }
-        for _ in 0..n {
-            let at = Cycles(r.u64()?);
-            self.in_flight.push_back(at, VcId(r.u32()?));
-        }
-        Ok(())
+        self.in_flight
+            .load_with(r, |r| Ok((Cycles(r.u64()?), VcId(r.u32()?))))
     }
 }
 
@@ -479,13 +380,13 @@ mod tests {
 
     #[test]
     fn ring_wraps_under_sustained_traffic() {
-        // Saturate a latency-3 link for many cycles so the ring head wraps
+        // Saturate a latency-3 link for many cycles so the FIFO head wraps
         // repeatedly; order and arrival cycles must stay exact.
         let mut link = Link::new(Cycles(3));
         let mut next_rx = 0u32;
         for t in 0..100u64 {
             // Deliveries drain before sends within a cycle, exactly as the
-            // network steps links — that order is what bounds the ring.
+            // network steps links — that order is what bounds the FIFO.
             if let Some(f) = link.recv(Cycles(t)) {
                 assert_eq!(f.seq_in_msg, next_rx);
                 next_rx += 1;
@@ -505,7 +406,7 @@ mod tests {
     #[test]
     fn credit_ring_holds_per_cycle_burst_times_latency() {
         // 4 credits per cycle for `latency` cycles is the worst case the
-        // ring is sized for; it must hold them all without panicking.
+        // FIFO is sized for; it must hold them all without panicking.
         let mut credits = CreditLink::new(Cycles(2), 4);
         for t in 0..2u64 {
             for v in 0..4u32 {
@@ -525,7 +426,7 @@ mod tests {
     #[test]
     fn overfull_link_snapshot_is_rejected() {
         // A latency-1 link can hold one flit; a snapshot claiming two
-        // must be rejected as corrupt, not grow the ring.
+        // must be rejected as corrupt, not grow the FIFO.
         let mut donor = Link::new(Cycles(2));
         donor.send(Cycles(0), flit(0));
         donor.send(Cycles(1), flit(1));
@@ -533,6 +434,24 @@ mod tests {
         donor.save(&mut w);
         let bytes = w.finish();
         let mut target = Link::new(Cycles(1));
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert!(matches!(
+            target.load_into(&mut r),
+            Err(SnapError::BadValue(_))
+        ));
+    }
+
+    #[test]
+    fn overfull_credit_link_snapshot_is_rejected() {
+        // One credit per cycle over a latency-1 path is one entry; a
+        // snapshot claiming two must be rejected as corrupt.
+        let mut donor = CreditLink::new(Cycles(1), 2);
+        donor.send(Cycles(0), VcId(0));
+        donor.send(Cycles(0), VcId(1));
+        let mut w = SnapWriter::new();
+        donor.save(&mut w);
+        let bytes = w.finish();
+        let mut target = CreditLink::new(Cycles(1), 1);
         let mut r = SnapReader::new(&bytes).unwrap();
         assert!(matches!(
             target.load_into(&mut r),

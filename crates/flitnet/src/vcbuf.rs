@@ -1,257 +1,144 @@
-//! Bounded per-virtual-channel flit buffers, stored struct-of-arrays.
+//! The one bounded FIFO behind every fixed-capacity queue in the model.
 //!
-//! Each input port of the router holds one [`VcBuffer`] per virtual channel
-//! (the paper's configuration: 20-flit buffers). Occupancy is governed by
-//! credit-based flow control — the upstream sender only transmits when it
-//! holds a credit, so `push` overflowing indicates a protocol bug and
-//! panics rather than dropping flits.
+//! The paper's router (Table 1) holds a 20-flit buffer per VC at each
+//! input, a staging buffer per output VC, and pipelined links with credit
+//! return. All four are the same structure: a FIFO whose capacity is set
+//! by configuration and guaranteed by flow control. [`VcBuffer`] is that
+//! FIFO — a `VecDeque` reserved to its capacity — and each user picks the
+//! item it queues:
 //!
-//! # Layout
+//! * router input VCs hold `(arrival cycle, Flit)`;
+//! * output staging buffers hold `(staging cycle, Flit)`;
+//! * a [`crate::Link`] holds `(arrival cycle, Flit)`;
+//! * a [`crate::CreditLink`] holds `(arrival cycle, VcId)`.
 //!
-//! The buffer is a fixed-capacity ring with one parallel lane per [`Flit`]
-//! field rather than a `VecDeque<Flit>`. Two things want this:
-//!
-//! * the audit/occupancy scans that read a single field of every buffered
-//!   flit (e.g. [`VcBuffer::classes`]) touch one dense lane instead of
-//!   striding through 96-byte structs, and
-//! * the checkpoint format serialises each lane as a contiguous run, so
-//!   the on-disk layout mirrors the in-memory one.
-//!
-//! The head flit — the only one the router hot path inspects — is
-//! memoized in assembled form, so [`VcBuffer::head`] stays a plain
-//! reference with no per-access reassembly.
+//! Occupancy is governed by flow control (credits for the buffers, the
+//! latency window for the links), so `push` overflowing indicates a
+//! protocol bug and panics rather than dropping items. A snapshot that
+//! claims more items than the capacity is rejected as corrupt.
+
+use std::collections::VecDeque;
 
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::class::TrafficClass;
-use crate::flit::{Flit, FlitKind};
-use crate::ids::{FrameId, MsgId, NodeId, StreamId, VcId};
-use netsim::Cycles;
+use crate::flit::Flit;
 
-/// Placeholder for unoccupied slots and the empty-buffer head memo.
-const VACANT: Flit = Flit {
-    kind: FlitKind::HeadTail,
-    stream: StreamId(0),
-    msg: MsgId(0),
-    frame: FrameId(0),
-    seq_in_msg: 0,
-    msg_len: 1,
-    msg_seq_in_frame: 0,
-    msgs_in_frame: 1,
-    dest: NodeId(0),
-    vc: VcId(0),
-    out_vc: VcId(0),
-    vtick: 0.0,
-    class: TrafficClass::BestEffort,
-    created_at: Cycles(0),
-};
-
-/// A bounded FIFO of flits with a fixed capacity.
+/// A FIFO with a fixed capacity, by default of flits.
 ///
 /// # Example
 ///
 /// ```
 /// use flitnet::VcBuffer;
 ///
-/// let buf = VcBuffer::new(20);
-/// assert_eq!(buf.capacity(), 20);
-/// assert!(buf.is_empty());
-/// assert_eq!(buf.free_space(), 20);
+/// let mut buf: VcBuffer<u32> = VcBuffer::new(2);
+/// buf.push(7);
+/// buf.push(8);
+/// assert!(buf.is_full());
+/// assert_eq!(buf.pop(), Some(7));
+/// assert_eq!(buf.head(), Some(&8));
 /// ```
 #[derive(Debug, Clone)]
-pub struct VcBuffer {
+pub struct VcBuffer<T = Flit> {
+    items: VecDeque<T>,
     cap: usize,
-    head: usize,
-    len: usize,
-    /// The assembled flit at the ring head; [`VACANT`] while empty.
-    head_flit: Flit,
-    kind: Box<[FlitKind]>,
-    stream: Box<[u32]>,
-    msg: Box<[u64]>,
-    frame: Box<[u32]>,
-    seq_in_msg: Box<[u32]>,
-    msg_len: Box<[u32]>,
-    msg_seq_in_frame: Box<[u32]>,
-    msgs_in_frame: Box<[u32]>,
-    dest: Box<[u32]>,
-    vc: Box<[u32]>,
-    out_vc: Box<[u32]>,
-    vtick: Box<[f64]>,
-    class: Box<[TrafficClass]>,
-    created_at: Box<[u64]>,
 }
 
-impl VcBuffer {
-    /// Creates an empty buffer holding at most `capacity` flits.
+impl<T> VcBuffer<T> {
+    /// Creates an empty buffer holding at most `capacity` items.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> VcBuffer {
-        assert!(capacity > 0, "a VC buffer must hold at least one flit");
+    pub fn new(capacity: usize) -> VcBuffer<T> {
+        assert!(capacity > 0, "a bounded FIFO must hold at least one item");
         VcBuffer {
+            items: VecDeque::with_capacity(capacity),
             cap: capacity,
-            head: 0,
-            len: 0,
-            head_flit: VACANT,
-            kind: vec![VACANT.kind; capacity].into_boxed_slice(),
-            stream: vec![0; capacity].into_boxed_slice(),
-            msg: vec![0; capacity].into_boxed_slice(),
-            frame: vec![0; capacity].into_boxed_slice(),
-            seq_in_msg: vec![0; capacity].into_boxed_slice(),
-            msg_len: vec![0; capacity].into_boxed_slice(),
-            msg_seq_in_frame: vec![0; capacity].into_boxed_slice(),
-            msgs_in_frame: vec![0; capacity].into_boxed_slice(),
-            dest: vec![0; capacity].into_boxed_slice(),
-            vc: vec![0; capacity].into_boxed_slice(),
-            out_vc: vec![0; capacity].into_boxed_slice(),
-            vtick: vec![0.0; capacity].into_boxed_slice(),
-            class: vec![VACANT.class; capacity].into_boxed_slice(),
-            created_at: vec![0; capacity].into_boxed_slice(),
         }
     }
 
-    /// Maximum number of flits the buffer can hold.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Current number of buffered flits.
+    /// Current number of buffered items.
     pub fn len(&self) -> usize {
-        self.len
+        self.items.len()
     }
 
-    /// Whether the buffer holds no flits.
+    /// Whether the buffer holds no items.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.items.is_empty()
     }
 
     /// Whether the buffer is at capacity.
     pub fn is_full(&self) -> bool {
-        self.len >= self.cap
+        self.items.len() >= self.cap
     }
 
-    /// Remaining space in flits.
-    pub fn free_space(&self) -> usize {
-        self.cap - self.len
-    }
-
-    /// Assembles the flit stored in ring slot `slot`.
-    fn get(&self, slot: usize) -> Flit {
-        Flit {
-            kind: self.kind[slot],
-            stream: StreamId(self.stream[slot]),
-            msg: MsgId(self.msg[slot]),
-            frame: FrameId(self.frame[slot]),
-            seq_in_msg: self.seq_in_msg[slot],
-            msg_len: self.msg_len[slot],
-            msg_seq_in_frame: self.msg_seq_in_frame[slot],
-            msgs_in_frame: self.msgs_in_frame[slot],
-            dest: NodeId(self.dest[slot]),
-            vc: VcId(self.vc[slot]),
-            out_vc: VcId(self.out_vc[slot]),
-            vtick: self.vtick[slot],
-            class: self.class[slot],
-            created_at: Cycles(self.created_at[slot]),
-        }
-    }
-
-    /// Appends a flit.
+    /// Appends an item.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is full — credit-based flow control must have
-    /// prevented the send, so overflow is a simulator bug, not a network
-    /// condition.
-    pub fn push(&mut self, flit: Flit) {
+    /// Panics if the buffer is full — flow control must have prevented
+    /// the send, so overflow is a simulator bug, not a network condition.
+    pub fn push(&mut self, item: T) {
         assert!(
             !self.is_full(),
-            "VC buffer overflow: credit protocol violated (capacity {})",
+            "bounded FIFO overflow: flow control violated (capacity {})",
             self.cap
         );
-        let slot = (self.head + self.len) % self.cap;
-        self.kind[slot] = flit.kind;
-        self.stream[slot] = flit.stream.0;
-        self.msg[slot] = flit.msg.0;
-        self.frame[slot] = flit.frame.0;
-        self.seq_in_msg[slot] = flit.seq_in_msg;
-        self.msg_len[slot] = flit.msg_len;
-        self.msg_seq_in_frame[slot] = flit.msg_seq_in_frame;
-        self.msgs_in_frame[slot] = flit.msgs_in_frame;
-        self.dest[slot] = flit.dest.0;
-        self.vc[slot] = flit.vc.0;
-        self.out_vc[slot] = flit.out_vc.0;
-        self.vtick[slot] = flit.vtick;
-        self.class[slot] = flit.class;
-        self.created_at[slot] = flit.created_at.0;
-        if self.len == 0 {
-            self.head_flit = flit;
-        }
-        self.len += 1;
+        self.items.push_back(item);
     }
 
-    /// The flit at the head of the FIFO, if any.
-    pub fn head(&self) -> Option<&Flit> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(&self.head_flit)
-        }
+    /// The item at the head of the FIFO, if any.
+    pub fn head(&self) -> Option<&T> {
+        self.items.front()
     }
 
-    /// Removes and returns the head flit.
-    pub fn pop(&mut self) -> Option<Flit> {
-        if self.len == 0 {
-            return None;
-        }
-        let popped = self.head_flit;
-        self.head = (self.head + 1) % self.cap;
-        self.len -= 1;
-        self.head_flit = if self.len == 0 {
-            VACANT
-        } else {
-            self.get(self.head)
-        };
-        Some(popped)
+    /// Removes and returns the head item.
+    pub fn pop(&mut self) -> Option<T> {
+        self.items.pop_front()
     }
 
-    /// Iterates over buffered flits, head first (assembled by value).
-    pub fn iter(&self) -> impl Iterator<Item = Flit> + '_ {
-        (0..self.len).map(move |i| self.get((self.head + i) % self.cap))
+    /// Iterates over buffered items, head first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.items.iter()
     }
 
-    /// Iterates over just the traffic classes of the buffered flits, head
-    /// first — a single-lane scan for occupancy accounting.
-    pub fn classes(&self) -> impl Iterator<Item = TrafficClass> + '_ {
-        (0..self.len).map(move |i| self.class[(self.head + i) % self.cap])
+    /// Iterates mutably over buffered items, head first.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.items.iter_mut()
     }
 
-    /// Serialises the buffered flits (not the capacity, which is
-    /// configuration) into a snapshot.
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.len);
-        for f in self.iter() {
-            f.save(w);
+    /// Serialises the item count, then each item with `save` (not the
+    /// capacity, which is configuration).
+    pub fn save_with(&self, w: &mut SnapWriter, mut save: impl FnMut(&mut SnapWriter, &T)) {
+        w.usize(self.items.len());
+        for item in &self.items {
+            save(w, item);
         }
     }
 
-    /// Restores flits saved by [`VcBuffer::save`] into this (empty) buffer.
+    /// Restores items saved by [`VcBuffer::save_with`] into this (empty)
+    /// buffer, decoding each with `load`.
     ///
     /// # Errors
     ///
-    /// Propagates decoding errors; rejects a flit count beyond capacity.
+    /// Propagates decoding errors; rejects a count beyond capacity with
+    /// [`SnapError::BadValue`].
     ///
     /// # Panics
     ///
     /// Panics if the buffer is not empty.
-    pub fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        assert!(self.is_empty(), "restore target buffer must be empty");
+    pub fn load_with(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        mut load: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
+    ) -> Result<(), SnapError> {
+        assert!(self.is_empty(), "restore target FIFO must be empty");
         let n = r.usize()?;
-        if n > self.free_space() {
-            return Err(SnapError::BadValue("VC buffer occupancy over capacity"));
+        if n > self.cap {
+            return Err(SnapError::BadValue("FIFO occupancy over capacity"));
         }
         for _ in 0..n {
-            self.push(Flit::load(r)?);
+            self.items.push_back(load(r)?);
         }
         Ok(())
     }
@@ -261,34 +148,15 @@ impl VcBuffer {
 mod tests {
     use super::*;
 
-    fn flit(seq: u32) -> Flit {
-        Flit {
-            kind: FlitKind::Body,
-            stream: StreamId(0),
-            msg: MsgId(0),
-            frame: FrameId(0),
-            seq_in_msg: seq,
-            msg_len: 100,
-            msg_seq_in_frame: 0,
-            msgs_in_frame: 1,
-            dest: NodeId(0),
-            vc: VcId(0),
-            out_vc: VcId(0),
-            vtick: 1.0,
-            class: TrafficClass::Vbr,
-            created_at: Cycles(0),
-        }
-    }
-
     #[test]
     fn fifo_order() {
         let mut buf = VcBuffer::new(4);
-        for i in 0..4 {
-            buf.push(flit(i));
+        for i in 0..4u32 {
+            buf.push(i);
         }
         assert!(buf.is_full());
         for i in 0..4 {
-            assert_eq!(buf.pop().unwrap().seq_in_msg, i);
+            assert_eq!(buf.pop(), Some(i));
         }
         assert!(buf.is_empty());
     }
@@ -296,90 +164,41 @@ mod tests {
     #[test]
     fn head_peeks_without_removing() {
         let mut buf = VcBuffer::new(2);
-        buf.push(flit(9));
-        assert_eq!(buf.head().unwrap().seq_in_msg, 9);
+        buf.push(9u32);
+        assert_eq!(buf.head(), Some(&9));
         assert_eq!(buf.len(), 1);
     }
 
     #[test]
-    fn free_space_tracks_occupancy() {
-        let mut buf = VcBuffer::new(3);
-        assert_eq!(buf.free_space(), 3);
-        buf.push(flit(0));
-        assert_eq!(buf.free_space(), 2);
-        buf.pop();
-        assert_eq!(buf.free_space(), 3);
-    }
-
-    #[test]
-    fn ring_wraparound_preserves_flits_exactly() {
-        let mut buf = VcBuffer::new(3);
-        // Drive the ring through several full wraps with mixed occupancy.
-        let mut next = 0u32;
-        let mut expected = std::collections::VecDeque::new();
-        for step in 0..20 {
-            if step % 3 != 2 && !buf.is_full() {
-                let mut f = flit(next);
-                f.msg = MsgId(u64::from(next) * 7);
-                f.vtick = f64::from(next) + 0.5;
-                buf.push(f);
-                expected.push_back(f);
-                next += 1;
-            } else if !buf.is_empty() {
-                assert_eq!(buf.pop(), expected.pop_front());
-            }
-            assert_eq!(buf.head(), expected.front());
-            let got: Vec<Flit> = buf.iter().collect();
-            let want: Vec<Flit> = expected.iter().copied().collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn classes_scans_one_lane() {
+    fn snapshot_round_trip() {
         let mut buf = VcBuffer::new(4);
-        let mut cbr = flit(0);
-        cbr.class = TrafficClass::Cbr;
-        buf.push(cbr);
-        buf.push(flit(1));
-        let classes: Vec<TrafficClass> = buf.classes().collect();
-        assert_eq!(classes, vec![TrafficClass::Cbr, TrafficClass::Vbr]);
-    }
-
-    #[test]
-    fn snapshot_round_trip_after_wraparound() {
-        let mut buf = VcBuffer::new(4);
-        for i in 0..4 {
-            buf.push(flit(i));
+        for i in 0..4u32 {
+            buf.push(i);
         }
         buf.pop();
         buf.pop();
-        buf.push(flit(10)); // wraps
+        buf.push(10);
         let mut w = SnapWriter::new();
-        buf.save(&mut w);
+        buf.save_with(&mut w, |w, &x| w.u32(x));
         let bytes = w.finish();
         let mut restored = VcBuffer::new(4);
         let mut r = SnapReader::new(&bytes).unwrap();
-        restored.load_into(&mut r).unwrap();
+        restored.load_with(&mut r, |r| r.u32()).unwrap();
         r.finish().unwrap();
-        let a: Vec<Flit> = buf.iter().collect();
-        let b: Vec<Flit> = restored.iter().collect();
-        assert_eq!(a, b);
-        assert_eq!(restored.head(), buf.head());
-        assert_eq!(restored.len(), 3);
+        assert!(restored.iter().eq(buf.iter()));
     }
 
     #[test]
-    #[should_panic(expected = "credit protocol violated")]
+    #[should_panic(expected = "flow control violated")]
     fn overflow_panics() {
         let mut buf = VcBuffer::new(1);
-        buf.push(flit(0));
-        buf.push(flit(1));
+        buf.push(0u32);
+        buf.push(1);
     }
 
     #[test]
-    #[should_panic(expected = "at least one flit")]
+    #[should_panic(expected = "at least one item")]
     fn zero_capacity_panics() {
-        let _ = VcBuffer::new(0);
+        let _ = VcBuffer::<u32>::new(0);
     }
 }

@@ -52,7 +52,10 @@ pub enum ViolationKind {
     /// A VC buffer's flit sequence is not a well-formed run of worms
     /// (head→body→tail, no interleaving).
     WormOrder,
-    /// An output staging queue grew beyond its configured capacity.
+    /// An output staging queue grew beyond its configured capacity. The
+    /// MediaWorm router no longer raises it — its staging buffers are
+    /// bounded FIFOs whose `push` panics on overflow — but the kind keeps
+    /// its snapshot tag so saved audit logs decode unchanged.
     StagingOverflow,
     /// An input VC holds a grant on an output VC that has no recorded
     /// owner, or one owned by a different message.

@@ -119,3 +119,20 @@ sed 's/"throughput".*//' target/bench/ablation_smoke_jobs1.json \
 sed 's/"throughput".*//' target/bench/BENCH_ablation_sched.json \
   > target/bench/ablation_smoke_jobs2.stripped
 cmp target/bench/ablation_smoke_jobs1.stripped target/bench/ablation_smoke_jobs2.stripped
+
+# Shard smoke: the same slice run as two shards in its own directory and
+# recombined by the merge_shards binary must equal the --jobs 1 report
+# byte-for-byte once the throughput block is stripped.
+shard_dir=target/bench/shard_smoke
+rm -rf "$shard_dir"
+mkdir -p "$shard_dir"
+for i in 0 1; do
+  cargo run --release -q -p mediaworm-bench --bin ablation_sched -- \
+    "${smoke_flags[@]}" --shard "$i/2" \
+    --json "$shard_dir/BENCH_ablation_sched.shard${i}of2.json"
+done
+cargo run --release -q -p mediaworm-bench --bin merge_shards -- \
+  ablation_sched --shards 2 --dir "$shard_dir"
+sed 's/"throughput".*//' "$shard_dir/BENCH_ablation_sched.json" \
+  > "$shard_dir/merged.stripped"
+cmp target/bench/ablation_smoke_jobs1.stripped "$shard_dir/merged.stripped"
