@@ -56,6 +56,35 @@ fn bench_scheduler(c: &mut Criterion) {
                 vc = (vc + 1) % 16;
             });
         });
+        // The measured busy regimes: about 2 of 16 VCs eligible per port
+        // on the fig. 9 fat mesh and about 6 on the saturated fig. 3
+        // switch, handed over as the ascending list the router builds.
+        for k in [2usize, 6] {
+            g.bench_function(format!("{kind:?}_choose_from_{k}_of_16vc"), |b| {
+                let mut s = MuxScheduler::new(kind, 16);
+                for v in 0..16 {
+                    for _ in 0..4 {
+                        s.on_arrival(v, Cycles(0), &flit(100.0));
+                    }
+                }
+                // Sixteen rotations of `k` evenly spread VCs, each sorted.
+                let lists: Vec<Vec<usize>> = (0..16)
+                    .map(|r| {
+                        let mut l: Vec<usize> = (0..k).map(|i| (r + i * 16 / k) % 16).collect();
+                        l.sort_unstable();
+                        l
+                    })
+                    .collect();
+                let mut r = 0usize;
+                b.iter(|| {
+                    let pick = s.choose_from(black_box(&lists[r])).expect("eligible");
+                    s.on_service(pick);
+                    // Refill the served VC so every listed VC stays backlogged.
+                    s.on_arrival(pick, Cycles(1), &flit(100.0));
+                    r = (r + 1) % 16;
+                });
+            });
+        }
     }
     g.finish();
 }

@@ -78,6 +78,9 @@ struct Endpoint {
     /// the network compact; pacing between competing worms is the
     /// *router's* job (that is where the paper puts Virtual Clock).
     current: Option<usize>,
+    /// Reusable ascending list of the sendable VCs the NI multiplexer
+    /// picks from (scratch; never serialized).
+    sendable: Vec<usize>,
 }
 
 /// State of the (opt-in) invariant audit sweep.
@@ -157,8 +160,6 @@ pub struct Network {
     flits_in_flight: u64,
     injected_msgs: u64,
     timebase: TimeBase,
-    /// Scratch eligibility mask reused across NI scheduling calls.
-    scratch: Vec<bool>,
     /// Reusable per-cycle buffer for crossbar credit returns.
     credit_buf: Vec<CreditReturn>,
     /// Reusable per-cycle buffer for output-stage departures.
@@ -290,6 +291,7 @@ impl Network {
                 link: links.len() - 1,
                 queued: 0,
                 current: None,
+                sendable: Vec::with_capacity(m as usize),
             });
         }
         // Index the feeders.
@@ -332,7 +334,6 @@ impl Network {
             staged.push(Some(msg));
         }
 
-        let m_usize = m as usize;
         let link_count = links.len();
         Network {
             topology: topology.clone(),
@@ -358,7 +359,6 @@ impl Network {
             flits_in_flight: 0,
             injected_msgs: 0,
             timebase,
-            scratch: vec![false; m_usize],
             credit_buf: Vec::new(),
             depart_buf: Vec::new(),
             active_links: Vec::new(),
@@ -1074,7 +1074,7 @@ impl Network {
     /// link.
     fn ni_send_one(&mut self, n: usize, now: Cycles) {
         let ep = &mut self.endpoints[n];
-        let Some(flit) = Self::ni_pick(ep, &mut self.scratch) else {
+        let Some(flit) = Self::ni_pick(ep) else {
             return;
         };
         let link = ep.link;
@@ -1089,15 +1089,17 @@ impl Network {
     /// this cycle, if any. Split out so the parallel stepper can run the
     /// decision on the endpoint's owning thread and do the shared-state
     /// bookkeeping itself.
-    fn ni_pick(ep: &mut Endpoint, scratch: &mut [bool]) -> Option<Flit> {
+    fn ni_pick(ep: &mut Endpoint) -> Option<Flit> {
         let sendable = |ep: &Endpoint, v: usize| !ep.queues[v].is_empty() && ep.credits[v] > 0;
         let v = match ep.current {
             Some(v) if sendable(ep, v) => v,
             _ => {
-                for (v, e) in scratch.iter_mut().enumerate() {
-                    *e = sendable(ep, v);
-                }
-                ep.sched.choose(scratch)?
+                let mut list = std::mem::take(&mut ep.sendable);
+                list.clear();
+                list.extend((0..ep.queues.len()).filter(|&v| sendable(ep, v)));
+                let choice = ep.sched.choose_from(&list);
+                ep.sendable = list;
+                choice?
             }
         };
         let flit = ep.queues[v].pop_front().expect("eligible VC has a flit");

@@ -192,11 +192,10 @@ struct WorkerBox {
     link_sends: u64,
     credit_buf: Vec<CreditReturn>,
     depart_buf: Vec<Departure>,
-    scratch: Vec<bool>,
 }
 
 impl WorkerBox {
-    fn new(trace: bool, vcs: usize) -> WorkerBox {
+    fn new(trace: bool) -> WorkerBox {
         WorkerBox {
             route_sink: BufferSink::new(trace),
             arb_sink: BufferSink::new(trace),
@@ -204,7 +203,6 @@ impl WorkerBox {
             link_sends: 0,
             credit_buf: Vec::new(),
             depart_buf: Vec::new(),
-            scratch: vec![false; vcs],
         }
     }
 }
@@ -343,7 +341,7 @@ unsafe fn compute_pass(me: usize, plan: &Plan, ctx: &Ctx, bx: &mut WorkerBox) {
             continue;
         }
         let ep = ctx.endpoints.get_mut(n);
-        if let Some(flit) = Network::ni_pick(ep, &mut bx.scratch) {
+        if let Some(flit) = Network::ni_pick(ep) {
             let link = ep.link;
             (*ctx.links.ptr_at(link)).flit.send(now, flit);
             *ctx.link_sent.get_mut(link) += 1;
@@ -359,12 +357,11 @@ unsafe fn compute_pass(me: usize, plan: &Plan, ctx: &Ctx, bx: &mut WorkerBox) {
 pub(super) fn drive(net: &mut Network, end: Cycles, threads: usize, sink: &mut dyn TelemetrySink) {
     let plan = Plan::build(net, threads);
     let trace = net.trace;
-    let vcs = net.scratch.len();
     let checked = net.audit.is_some() || net.watchdog.is_some();
 
-    let mut box0 = WorkerBox::new(trace, vcs);
+    let mut box0 = WorkerBox::new(trace);
     let boxes: Vec<SharedCell<WorkerBox>> = (1..threads)
-        .map(|_| SharedCell::new(WorkerBox::new(trace, vcs)))
+        .map(|_| SharedCell::new(WorkerBox::new(trace)))
         .collect();
     let ctx_cell = SharedCell::new(Ctx::capture(net, net.now));
     let b1 = Barrier::new(threads);

@@ -48,6 +48,15 @@ pub(crate) fn sorted_insert(list: &mut Vec<usize>, x: usize) {
     list.insert(pos, x);
 }
 
+/// `blocked_at` value of a slot with no blocked-head record.
+const NOT_BLOCKED: u64 = u64::MAX;
+
+/// Index of a traffic class in [`OutputPort::free`]: best-effort 0,
+/// real-time 1.
+fn class_slot(real_time: bool) -> usize {
+    usize::from(real_time)
+}
+
 /// Removes `x` from a sorted ascending list.
 pub(crate) fn sorted_remove(list: &mut Vec<usize>, x: usize) {
     let pos = list.partition_point(|&y| y < x);
@@ -109,6 +118,24 @@ struct OutputPort {
     /// nothing to transmit, and a tail handover clears the owner while the
     /// tail still sits staged.
     staged: Vec<usize>,
+    /// Unowned VCs per traffic class, indexed by [`class_slot`]: one down
+    /// at a grant, one up at a tail release. Lets stage 3 reject a head
+    /// whose class has no free VC here without scanning the VCs.
+    /// Recomputed on restore, never serialized.
+    free: [u32; 2],
+}
+
+impl OutputPort {
+    /// Recounts [`OutputPort::free`] from the VC owners.
+    fn count_free(&self, partition: &VcPartition) -> [u32; 2] {
+        let mut free = [0; 2];
+        for (v, ovc) in self.vcs.iter().enumerate() {
+            if ovc.owner.is_none() {
+                free[class_slot(partition.class_of(VcId(v as u32)).is_real_time())] += 1;
+            }
+        }
+        free
+    }
 }
 
 /// A flit leaving the router this cycle on `port`.
@@ -152,17 +179,24 @@ pub struct Router {
     pending: Vec<usize>,
     /// Whether each flat input slot is in `pending` (same indexing).
     pending_mask: Vec<bool>,
+    /// `(port, vc)` of each flat input slot, so the hot loops decode a
+    /// slot index without a division.
+    slot_of: Vec<(usize, usize)>,
+    /// Output-VC releases so far (one per tail crossing).
+    releases: u64,
+    /// Per flat input slot: the value of `releases` when the slot's
+    /// pending head last found every candidate output VC owned, or
+    /// [`NOT_BLOCKED`]. Between releases ownership only grows, so
+    /// `arbitrate` skips the head while the record is current. Reset when
+    /// the slot joins `pending`; never serialized.
+    blocked_at: Vec<u64>,
     /// Flits resident in the router (input buffers + output staging):
     /// makes `has_work` O(1).
     resident: u64,
-    /// Reusable index scratch for iterating an active set while the
-    /// iteration itself mutates it (arbitration, full-crossbar moves).
+    /// Reusable index scratch: the arbitration scan and full-crossbar
+    /// moves (which mutate the active set they iterate), and the
+    /// ascending eligible-VC lists handed to the multiplexers.
     scratch_idx: Vec<usize>,
-    /// Reusable eligibility mask for the crossbar input multiplexers
-    /// (avoids a per-cycle allocation on the hot path).
-    xbar_mask: Vec<bool>,
-    /// Reusable eligibility mask for the output VC multiplexers.
-    out_mask: Vec<bool>,
     /// Total flits that traversed the crossbar (utilisation stats).
     flits_crossed: u64,
     /// Allocator diagnostics: (active cycles, input-slots with an eligible
@@ -226,6 +260,7 @@ impl Router {
                     .collect(),
                 sched: MuxScheduler::new(c_kind, m),
                 staged: Vec::new(),
+                free: [partition.best_effort_count(), partition.real_time_count()],
             })
             .collect();
         Router {
@@ -237,10 +272,13 @@ impl Router {
             arb_cursor: 0,
             pending: Vec::new(),
             pending_mask: vec![false; n_ports * m],
+            slot_of: (0..n_ports)
+                .flat_map(|p| (0..m).map(move |v| (p, v)))
+                .collect(),
+            releases: 0,
+            blocked_at: vec![NOT_BLOCKED; n_ports * m],
             resident: 0,
-            scratch_idx: Vec::new(),
-            xbar_mask: vec![false; m],
-            out_mask: vec![false; m],
+            scratch_idx: Vec::with_capacity(n_ports * m),
             flits_crossed: 0,
             diag: (0, 0, 0),
             counters: RouterCounters::new(n_ports, m),
@@ -297,6 +335,7 @@ impl Router {
         let idx = p * m + v;
         if ip.vcs[v].grant.is_none() && !self.pending_mask[idx] {
             self.pending_mask[idx] = true;
+            self.blocked_at[idx] = NOT_BLOCKED;
             sorted_insert(&mut self.pending, idx);
         }
     }
@@ -321,33 +360,54 @@ impl Router {
     ///
     /// Each successful grant emits a `Route` event to `sink` when tracing
     /// is enabled (see [`Router::set_tracing`]).
+    ///
+    /// A head that found every candidate output VC owned is not visited
+    /// again until some output VC is released: ownership only grows in
+    /// between, so it would fail the same way. `candidates` must
+    /// therefore be the same function of the flit on every call (the
+    /// network passes its fixed routing table).
     pub fn arbitrate<'t, F>(&mut self, now: Cycles, candidates: F, sink: &mut dyn TelemetrySink)
     where
         F: Fn(&Flit) -> (&'t [PortId], VcSel),
     {
-        let m = self.cfg.vcs_per_pc() as usize;
-        let total = self.inputs.len() * m;
-        let start = self.arb_cursor;
-        self.arb_cursor = (self.arb_cursor + 1) % total;
-
-        // Visit only pending heads, in the rotated order the full scan
-        // uses: slots >= start first, then the wrap-around. A scratch copy
-        // is scanned because granting removes entries from `pending`.
+        let start = self.advance_arb_cursor();
+        // Visit only pending heads that are not blocked, in the rotated
+        // order the full scan uses: slots >= start first, then the
+        // wrap-around. A scratch copy is scanned because granting removes
+        // entries from `pending`.
         let mut scan = std::mem::take(&mut self.scratch_idx);
         scan.clear();
+        let (releases, blocked_at) = (self.releases, &self.blocked_at);
         let split = self.pending.partition_point(|&i| i < start);
-        scan.extend_from_slice(&self.pending[split..]);
-        scan.extend_from_slice(&self.pending[..split]);
+        let (before, from_start) = self.pending.split_at(split);
+        scan.extend(
+            from_start
+                .iter()
+                .chain(before)
+                .filter(|&&i| blocked_at[i] != releases),
+        );
         for &idx in &scan {
-            self.try_route_slot(idx / m, idx % m, now, &candidates, sink);
+            self.try_route_slot(idx, now, &candidates, sink);
         }
         self.scratch_idx = scan;
     }
 
+    /// Returns this cycle's arbitration start slot and rotates the cursor.
+    fn advance_arb_cursor(&mut self) -> usize {
+        let start = self.arb_cursor;
+        self.arb_cursor = if start + 1 == self.slot_of.len() {
+            0
+        } else {
+            start + 1
+        };
+        start
+    }
+
     /// [`Router::arbitrate`] as the original full scan over every input
     /// slot — the oracle the bit-identity tests compare the pending-heads
-    /// list against. Both paths share [`Router::try_route_slot`] and
-    /// maintain the active sets identically.
+    /// list and the blocked-head skip against. Both paths share
+    /// [`Router::try_route_slot`] and maintain the active sets
+    /// identically; this one retries blocked heads every cycle.
     pub fn arbitrate_reference<'t, F>(
         &mut self,
         now: Cycles,
@@ -356,14 +416,10 @@ impl Router {
     ) where
         F: Fn(&Flit) -> (&'t [PortId], VcSel),
     {
-        let m = self.cfg.vcs_per_pc() as usize;
-        let total = self.inputs.len() * m;
-        let start = self.arb_cursor;
-        self.arb_cursor = (self.arb_cursor + 1) % total;
-
-        for off in 0..total {
-            let idx = (start + off) % total;
-            let (p, v) = (idx / m, idx % m);
+        let total = self.slot_of.len();
+        let start = self.advance_arb_cursor();
+        for idx in (start..total).chain(0..start) {
+            let (p, v) = self.slot_of[idx];
             let ivc = &mut self.inputs[p].vcs[v];
             if ivc.grant.is_some() {
                 continue;
@@ -376,24 +432,25 @@ impl Router {
                 self.pending_mask[idx],
                 "ungranted non-empty slot {idx} missing from the pending list"
             );
-            self.try_route_slot(p, v, now, &candidates, sink);
+            self.try_route_slot(idx, now, &candidates, sink);
         }
     }
 
-    /// Stage 2–3 body for one pending input slot: the slot holds buffered
-    /// flits and no grant. Tries to route + arbitrate its head; on success
-    /// the slot moves from the pending-heads list to the port's granted
-    /// list.
+    /// Stage 2–3 body for the pending input slot with flat index `idx`:
+    /// the slot holds buffered flits and no grant. Tries to route +
+    /// arbitrate its head; on success the slot moves from the
+    /// pending-heads list to the port's granted list, and a head that
+    /// finds no free output VC records the release count it failed at.
     fn try_route_slot<'t, F>(
         &mut self,
-        p: usize,
-        v: usize,
+        idx: usize,
         now: Cycles,
         candidates: &F,
         sink: &mut dyn TelemetrySink,
     ) where
         F: Fn(&Flit) -> (&'t [PortId], VcSel),
     {
+        let (p, v) = self.slot_of[idx];
         let ivc = &mut self.inputs[p].vcs[v];
         debug_assert!(ivc.grant.is_none(), "pending slot must be ungranted");
         let (arrived, head) = *ivc.buf.head().expect("pending slot has a buffered head");
@@ -421,7 +478,13 @@ impl Router {
         // dependency cycle the datelines exist to break.
         let borrowing = self.cfg.vc_borrowing_enabled();
         let (cands, sel) = candidates(&head);
+        let own = class_slot(head.class.is_real_time());
         let free_vc = |op: &OutputPort| -> Option<usize> {
+            // O(1) reject: no unowned VC in the head's class (nor, when
+            // borrowing, in the other one) means every tier below fails.
+            if op.free[own] == 0 && (!borrowing || op.free[1 - own] == 0) {
+                return None;
+            }
             let preferred = head.out_vc.index();
             if self.partition.class_of(head.out_vc).is_real_time() == head.class.is_real_time()
                 && self.partition.sel_allows(sel, head.out_vc)
@@ -463,6 +526,7 @@ impl Router {
             }
         }
         let Some((_, o, out_vc)) = best else {
+            self.blocked_at[idx] = self.releases;
             return;
         };
         self.inputs[p].vcs[v].grant = Some(Grant {
@@ -471,11 +535,12 @@ impl Router {
             ready_at: now + Cycles(1),
         });
         self.inputs[p].vcs[v].head_seen_at = None;
-        self.outputs[o].vcs[out_vc].owner = Some(head.msg);
+        let class = class_slot(self.partition.class_of(VcId(out_vc as u32)).is_real_time());
+        let op = &mut self.outputs[o];
+        op.vcs[out_vc].owner = Some(head.msg);
+        op.free[class] -= 1;
         // Routed: the slot leaves the pending-heads list and joins the
         // port's granted connections.
-        let m = self.cfg.vcs_per_pc() as usize;
-        let idx = p * m + v;
         debug_assert!(self.pending_mask[idx]);
         self.pending_mask[idx] = false;
         sorted_remove(&mut self.pending, idx);
@@ -563,6 +628,8 @@ impl Router {
             // buffer is FIFO, so a successor message cannot overtake the
             // worm downstream.
             out.vcs[grant.out_vc].owner = None;
+            out.free[class_slot(self.partition.class_of(flit.vc).is_real_time())] += 1;
+            self.releases += 1;
             // The connection closes: the slot leaves the granted list,
             // and rejoins the pending-heads list if the next worm's head
             // is already buffered behind the tail.
@@ -571,6 +638,7 @@ impl Router {
                 let idx = p * self.cfg.vcs_per_pc() as usize + v;
                 debug_assert!(!self.pending_mask[idx]);
                 self.pending_mask[idx] = true;
+                self.blocked_at[idx] = NOT_BLOCKED;
                 sorted_insert(&mut self.pending, idx);
             }
         }
@@ -648,43 +716,28 @@ impl Router {
         }
         match self.cfg.crossbar_kind() {
             CrossbarKind::Multiplexed => {
-                let mut eligible = std::mem::take(&mut self.xbar_mask);
+                let mut eligible = std::mem::take(&mut self.scratch_idx);
                 for p in 0..n {
-                    // Only granted VCs can be crossbar-eligible; a port
-                    // with no granted connection is an empty slot. The
-                    // mask starts all-false and only granted entries are
-                    // written (and cleared below), so the scheduler sees
-                    // the exact mask the full scan builds.
-                    if !reference && self.inputs[p].granted.is_empty() {
-                        self.diag.2 += 1;
-                        continue;
-                    }
-                    let mut n_eligible = 0u64;
+                    // Only granted VCs can be crossbar-eligible, and the
+                    // granted list is ascending, so filtering it yields
+                    // the exact list the full scan builds.
+                    eligible.clear();
                     if reference {
-                        for (v, e) in eligible.iter_mut().enumerate() {
-                            *e = self.xbar_eligible(p, v, now);
-                            n_eligible += u64::from(*e);
-                        }
+                        eligible.extend((0..m).filter(|&v| self.xbar_eligible(p, v, now)));
                     } else {
-                        for i in 0..self.inputs[p].granted.len() {
-                            let v = self.inputs[p].granted[i];
-                            let e = self.xbar_eligible(p, v, now);
-                            eligible[v] = e;
-                            n_eligible += u64::from(e);
-                        }
+                        eligible.extend(
+                            self.inputs[p]
+                                .granted
+                                .iter()
+                                .copied()
+                                .filter(|&v| self.xbar_eligible(p, v, now)),
+                        );
                     }
+                    let n_eligible = eligible.len() as u64;
                     // Every eligible VC beyond the one served loses this
                     // cycle to the input multiplexer: a mux conflict.
                     self.counters.ports[p].mux_conflicts += n_eligible.saturating_sub(1);
-                    let choice = self.inputs[p].sched.choose(&eligible);
-                    if !reference {
-                        // Clear before moving: a tail crossing mutates
-                        // the granted list.
-                        for i in 0..self.inputs[p].granted.len() {
-                            eligible[self.inputs[p].granted[i]] = false;
-                        }
-                    }
-                    if let Some(v) = choice {
+                    if let Some(v) = self.inputs[p].sched.choose_from(&eligible) {
                         self.xbar_move(p, v, now, credits, sink);
                     } else if n_eligible > 0 {
                         self.diag.1 += 1;
@@ -692,12 +745,7 @@ impl Router {
                         self.diag.2 += 1;
                     }
                 }
-                if reference {
-                    // The mask invariant between calls is all-false (the
-                    // optimized path relies on it).
-                    eligible.fill(false);
-                }
-                self.xbar_mask = eligible;
+                self.scratch_idx = eligible;
             }
             CrossbarKind::Full => {
                 if reference {
@@ -749,41 +797,34 @@ impl Router {
     }
 
     fn output_stage_impl(&mut self, now: Cycles, departures: &mut Vec<Departure>, reference: bool) {
-        let mut eligible = std::mem::take(&mut self.out_mask);
+        let mut eligible = std::mem::take(&mut self.scratch_idx);
         for (p, out) in self.outputs.iter_mut().enumerate() {
             // VCs with an empty staging buffer can neither transmit nor
             // count a credit stall, so a port with nothing staged is a
-            // no-op and the mask write-and-clear can be confined to the
-            // staged list.
+            // no-op, and the ascending staged list holds every VC the
+            // full scan could list.
             if !reference && out.staged.is_empty() {
                 continue;
             }
             let pc = &mut self.counters.ports[p];
+            eligible.clear();
+            let mut visit = |v: usize| {
+                let ovc = &out.vcs[v];
+                let staged = ovc.buf.head().is_some_and(|(at, _)| now >= *at + Cycles(1));
+                if staged && ovc.credits > 0 {
+                    eligible.push(v);
+                }
+                // A staged head that only lacks a credit is stalled by
+                // downstream flow control — the per-VC backpressure
+                // signal.
+                pc.credit_stalls[v] += u64::from(staged && ovc.credits == 0);
+            };
             if reference {
-                for (v, e) in eligible.iter_mut().enumerate() {
-                    let ovc = &out.vcs[v];
-                    let staged = ovc.buf.head().is_some_and(|(at, _)| now >= *at + Cycles(1));
-                    *e = staged && ovc.credits > 0;
-                    // A staged head that only lacks a credit is stalled by
-                    // downstream flow control — the per-VC backpressure
-                    // signal.
-                    pc.credit_stalls[v] += u64::from(staged && ovc.credits == 0);
-                }
+                (0..out.vcs.len()).for_each(&mut visit);
             } else {
-                for &v in &out.staged {
-                    let ovc = &out.vcs[v];
-                    let staged = ovc.buf.head().is_some_and(|(at, _)| now >= *at + Cycles(1));
-                    eligible[v] = staged && ovc.credits > 0;
-                    pc.credit_stalls[v] += u64::from(staged && ovc.credits == 0);
-                }
+                out.staged.iter().copied().for_each(&mut visit);
             }
-            let choice = out.sched.choose(&eligible);
-            if !reference {
-                for &v in &out.staged {
-                    eligible[v] = false;
-                }
-            }
-            let Some(v) = choice else {
+            let Some(v) = out.sched.choose_from(&eligible) else {
                 continue;
             };
             let (_, flit) = out.vcs[v].buf.pop().expect("eligible VC has a flit");
@@ -803,10 +844,7 @@ impl Router {
                 flit,
             });
         }
-        if reference {
-            eligible.fill(false);
-        }
-        self.out_mask = eligible;
+        self.scratch_idx = eligible;
     }
 
     /// Whether any flit is buffered anywhere in the router. O(1): a
@@ -895,8 +933,9 @@ impl Router {
     /// * every input-VC grant points at an output VC owned by the granted
     ///   message;
     /// * the incrementally maintained active sets (pending heads, granted
-    ///   connections, staged output VCs, resident-flit counter) agree with
-    ///   the buffer state they summarize.
+    ///   connections, staged output VCs, per-class free output-VC counts,
+    ///   resident-flit counter) agree with the buffer and ownership state
+    ///   they summarize.
     ///
     /// Credit conservation needs both link endpoints, so the network-level
     /// audit checks it; see `Network::audit_now`.
@@ -1008,6 +1047,18 @@ impl Router {
             desync(0, 0, format!("pending list {:?} out of step", self.pending));
         }
         for (p, op) in self.outputs.iter().enumerate() {
+            let free = op.count_free(&self.partition);
+            if free != op.free {
+                desync(
+                    p,
+                    0,
+                    format!(
+                        "free output-VC counts {:?} but {free:?} unowned \
+                         (best-effort, real-time)",
+                        op.free
+                    ),
+                );
+            }
             let staged: Vec<usize> = (0..m).filter(|&v| !op.vcs[v].buf.is_empty()).collect();
             if staged != op.staged {
                 desync(
@@ -1036,10 +1087,13 @@ impl Router {
     /// Serialises the router's mutable state into a snapshot: buffers,
     /// arrival bookkeeping, grants, owners, credits, schedulers, cursors
     /// and counters. The derived active sets (pending heads, granted
-    /// connections, staged VCs, resident counter) are *not* written — they
-    /// are pure functions of the buffer state (the exact predicates
-    /// [`Router::audit`]'s `ActiveSetDesync` sweep re-derives) and are
-    /// recomputed on load.
+    /// connections, staged VCs, per-class free output-VC counts, resident
+    /// counter) are *not* written — they are pure functions of the buffer
+    /// and ownership state (the exact predicates [`Router::audit`]'s
+    /// `ActiveSetDesync` sweep re-derives) and are recomputed on load.
+    /// Neither are the blocked-head records: a restored router retries
+    /// every pending head once, which fails without side effects exactly
+    /// where the records would have skipped it.
     pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
         w.usize(self.arb_cursor);
         w.u64(self.flits_crossed);
@@ -1090,8 +1144,9 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot decoding errors; rejects an input or staging
-    /// buffer holding more flits than its configured depth.
+    /// Propagates snapshot decoding errors; rejects an arbitration cursor
+    /// outside the input slots and an input or staging buffer holding
+    /// more flits than its configured depth.
     ///
     /// # Panics
     ///
@@ -1104,6 +1159,9 @@ impl Router {
         assert_eq!(self.resident, 0, "restore target router must be empty");
         let m = self.cfg.vcs_per_pc() as usize;
         self.arb_cursor = r.usize()?;
+        if self.arb_cursor >= self.slot_of.len() {
+            return Err(SnapError::BadValue("arbitration cursor out of range"));
+        }
         self.flits_crossed = r.u64()?;
         self.diag = (r.u64()?, r.u64()?, r.u64()?);
         self.counters.occupancy_samples = r.u64()?;
@@ -1165,6 +1223,7 @@ impl Router {
                 }
             }
         }
+        self.blocked_at.fill(NOT_BLOCKED);
         for op in &mut self.outputs {
             op.staged.clear();
             for (v, ovc) in op.vcs.iter().enumerate() {
@@ -1172,6 +1231,7 @@ impl Router {
                     op.staged.push(v);
                 }
             }
+            op.free = op.count_free(&self.partition);
         }
         self.resident = self.buffered_flits();
         Ok(())
@@ -1540,6 +1600,31 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_an_out_of_range_arbitration_cursor() {
+        let c = cfg();
+        let fresh = || Router::new(RouterId(0), 4, &c, VcPartition::all_real_time(4));
+        let mut w = netsim::snap::SnapWriter::new();
+        fresh().save(&mut w);
+        let bytes = w.finish();
+        // Re-encode the payload with the cursor (its first field) set to
+        // the slot count, one past the last input slot.
+        const HEADER_LEN: usize = 24;
+        let mut w = netsim::snap::SnapWriter::new();
+        w.usize(4 * 4);
+        for &b in &bytes[HEADER_LEN + 8..] {
+            w.u8(b);
+        }
+        let bad = w.finish();
+        let mut rd = netsim::snap::SnapReader::new(&bad).unwrap();
+        assert_eq!(
+            fresh().load_into(&mut rd),
+            Err(netsim::snap::SnapError::BadValue(
+                "arbitration cursor out of range"
+            ))
+        );
+    }
+
+    #[test]
     fn crossbar_returns_one_credit_per_moved_flit() {
         let mut r = new_router(&cfg());
         for f in msg_flits(1, 4, 1, 2, 100.0) {
@@ -1764,6 +1849,94 @@ mod tests {
             r.output_stage(now, &mut departs);
         }
         assert_eq!(sink.events(), 0);
+    }
+
+    #[test]
+    fn audit_flags_a_corrupted_free_vc_count() {
+        use netsim::audit::{AuditLog, ViolationKind};
+        let mut r = new_router(&cfg());
+        for f in msg_flits(1, 10, 2, 0, 100.0) {
+            r.receive_flit(Cycles(0), PortId(0), f);
+        }
+        for t in 0..5u64 {
+            drive(&mut r, Cycles(t));
+        }
+        // The worm owns one of output 2's four real-time VCs.
+        assert_eq!(r.outputs[2].free, [0, 3]);
+        let mut log = AuditLog::new();
+        r.audit(Cycles(5), &mut log);
+        assert!(log.is_clean(), "healthy router: {:?}", log.violations());
+        r.outputs[2].free[1] += 1;
+        let mut log = AuditLog::new();
+        r.audit(Cycles(5), &mut log);
+        assert!(
+            log.violations()
+                .iter()
+                .any(|v| v.kind == ViolationKind::ActiveSetDesync && v.detail.contains("free")),
+            "a corrupted free count must be flagged: {:?}",
+            log.violations()
+        );
+    }
+
+    #[test]
+    fn blocked_head_skip_grants_in_the_same_cycle_as_the_full_scan() {
+        // One VC per channel: msg 2's head finds output 3's only VC owned
+        // by msg 1 and blocks until msg 1's tail hands the VC over. The
+        // skipping scan and the full-scan oracle must grant it in the
+        // same cycle and forward the same flits.
+        const PORTS: [PortId; 4] = [PortId(0), PortId(1), PortId(2), PortId(3)];
+        let route = |f: &Flit| (std::slice::from_ref(&PORTS[f.dest.index()]), VcSel::Any);
+        let run = |reference: bool| {
+            let c = RouterConfig::new(1);
+            let mut r = Router::new(RouterId(0), 4, &c, VcPartition::all_real_time(1));
+            for p in 0..4 {
+                r.init_credits(PortId(p), VcId(0), 1_000_000);
+            }
+            for f in msg_flits(1, 6, 3, 0, 100.0) {
+                r.receive_flit(Cycles(0), PortId(0), f);
+            }
+            for f in msg_flits(2, 6, 3, 0, 100.0) {
+                r.receive_flit(Cycles(0), PortId(1), f);
+            }
+            let mut sink = netsim::telemetry::NoopSink;
+            let (mut granted_at, mut skipped_cycles) = (None, 0);
+            let mut departed = Vec::new();
+            for t in 0..60u64 {
+                let now = Cycles(t);
+                // Slot 1 is (port 1, VC 0): msg 2's input VC.
+                skipped_cycles += u64::from(r.blocked_at[1] == r.releases);
+                let (mut credits, mut departs) = (Vec::new(), Vec::new());
+                if reference {
+                    r.arbitrate_reference(now, route, &mut sink);
+                    r.crossbar_reference(now, &mut credits, &mut sink);
+                    r.output_stage_reference(now, &mut departs);
+                } else {
+                    r.arbitrate(now, route, &mut sink);
+                    r.crossbar(now, &mut credits, &mut sink);
+                    r.output_stage(now, &mut departs);
+                }
+                if granted_at.is_none() && r.grant_of(PortId(1), VcId(0)).is_some() {
+                    granted_at = Some(t);
+                }
+                departed.extend(departs.iter().map(|d| (t, d.flit.msg, d.flit.kind)));
+            }
+            assert!(!r.has_work(), "both worms drain");
+            assert_eq!(r.outputs[3].free, [0, 1], "the VC is free again");
+            (
+                granted_at.expect("msg 2 is granted"),
+                skipped_cycles,
+                departed,
+            )
+        };
+        let (fast_at, fast_skipped, fast_departed) = run(false);
+        let (ref_at, _, ref_departed) = run(true);
+        assert_eq!(fast_at, ref_at, "grant cycle");
+        assert_eq!(fast_departed, ref_departed, "departures");
+        assert!(
+            fast_at > 6,
+            "msg 2 must wait for msg 1's tail, granted at {fast_at}"
+        );
+        assert!(fast_skipped > 0, "the blocked head must have been skipped");
     }
 
     /// Drives one router whose route closure pins every hop to `sel`.

@@ -71,7 +71,7 @@ pub const DRR_QUANTUM: f64 = 4.0;
 struct VcState {
     /// Pending stamps, parallel to the flits queued at this mux point.
     stamps: VecDeque<f64>,
-    /// Memoized copy of `stamps.front()`: `choose` scans every eligible
+    /// Memoized copy of `stamps.front()`: the pick scans every eligible
     /// VC every cycle, and a plain field load beats a `VecDeque` front
     /// access in that loop. Maintained on arrival (first flit) and
     /// service (next flit); meaningless while `stamps` is empty.
@@ -95,8 +95,11 @@ struct VcState {
 ///
 /// The owner mirrors its flit queues into the scheduler: call
 /// [`MuxScheduler::on_arrival`] when a flit joins VC `vc`'s queue,
-/// [`MuxScheduler::choose`] each cycle with the eligibility mask, and
-/// [`MuxScheduler::on_service`] when the chosen VC's head flit departs.
+/// [`MuxScheduler::choose_from`] each cycle with the ascending list of
+/// eligible VCs (or [`MuxScheduler::choose`] with an eligibility mask),
+/// and [`MuxScheduler::on_service`] when the chosen VC's head flit
+/// departs. Choosing mutates nothing: an empty list (or an all-false
+/// mask) returns `None` and leaves the scheduler as it was.
 ///
 /// # Example
 ///
@@ -115,6 +118,7 @@ struct VcState {
 /// s.on_arrival(0, Cycles(0), &head(1000.0));
 /// s.on_arrival(1, Cycles(0), &head(10.0));
 /// // The high-rate stream's flit has the earlier virtual-clock stamp.
+/// assert_eq!(s.choose_from(&[0, 1]), Some(1));
 /// assert_eq!(s.choose(&[true, true]), Some(1));
 /// ```
 #[derive(Debug, Clone)]
@@ -236,22 +240,69 @@ impl MuxScheduler {
         };
     }
 
-    /// Picks the VC to serve this cycle among those marked eligible.
+    /// Picks the VC to serve this cycle among `eligible`, the eligible
+    /// VCs listed in strictly ascending order.
     ///
-    /// A VC may only be marked eligible if it has at least one pending
-    /// stamp (i.e. a queued flit) — violations panic, as they indicate the
-    /// owner's queue and the scheduler went out of sync.
+    /// This is the hot-path entry: the owner lists only the VCs that can
+    /// move (its active sets already hold them in ascending order), and
+    /// the rotation starts at a `partition_point` on the service cursor
+    /// instead of visiting every VC. A listed VC must have at least one
+    /// pending stamp (i.e. a queued flit) — violations panic, as they
+    /// indicate the owner's queue and the scheduler went out of sync.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed VC is out of range or has no pending flit.
+    pub fn choose_from(&mut self, eligible: &[usize]) -> Option<usize> {
+        debug_assert!(
+            eligible.windows(2).all(|w| w[0] < w[1]),
+            "eligible list must be strictly ascending: {eligible:?}"
+        );
+        for &vc in eligible {
+            assert!(
+                !self.vcs[vc].stamps.is_empty(),
+                "eligible VC must have a queued flit"
+            );
+        }
+        self.select(|from| {
+            let split = eligible.partition_point(|&vc| vc < from);
+            eligible[split..].iter().chain(&eligible[..split]).copied()
+        })
+    }
+
+    /// [`MuxScheduler::choose_from`] over an eligibility mask (`eligible[vc]`
+    /// marks VC `vc`). Same rule, same result; kept for callers that hold
+    /// a mask rather than a list.
     ///
     /// # Panics
     ///
     /// Panics if `eligible.len()` differs from the VC count, or an eligible
-    /// VC has no pending flit.
+    /// VC the rotation visits has no pending flit.
     pub fn choose(&mut self, eligible: &[bool]) -> Option<usize> {
-        assert_eq!(
-            eligible.len(),
-            self.vcs.len(),
-            "eligibility mask size mismatch"
-        );
+        let n = self.vcs.len();
+        assert_eq!(eligible.len(), n, "eligibility mask size mismatch");
+        self.select(|from| {
+            (from..n)
+                .chain(0..from)
+                .filter(move |&vc| eligible[vc])
+                .inspect(|&vc| {
+                    assert!(
+                        !self.vcs[vc].stamps.is_empty(),
+                        "eligible VC must have a queued flit"
+                    );
+                })
+        })
+    }
+
+    /// The selection rule shared by [`MuxScheduler::choose_from`] and
+    /// [`MuxScheduler::choose`]. `rotated(from)` yields the eligible VCs
+    /// in rotation order starting at VC `from` (wrapping past the last
+    /// VC; `from == vc_count` starts at VC 0).
+    fn select<I>(&self, rotated: impl Fn(usize) -> I) -> Option<usize>
+    where
+        I: Iterator<Item = usize>,
+    {
+        let after = self.rr_cursor + 1;
         match self.kind {
             SchedulerKind::VirtualClock
             | SchedulerKind::Fifo
@@ -262,18 +313,8 @@ impl MuxScheduler {
                 // lowest index (which starves high-index VCs under
                 // saturation). Strict < keeps the first VC in scan order on
                 // a tie, so the result is still fully deterministic.
-                let n = self.vcs.len();
-                let mut best: Option<(f64, usize)> = None;
-                for off in 1..=n {
-                    let vc = (self.rr_cursor + off) % n;
-                    if !eligible[vc] {
-                        continue;
-                    }
+                let best = rotated(after).fold(None, |best: Option<(f64, usize)>, vc| {
                     let state = &self.vcs[vc];
-                    assert!(
-                        !state.stamps.is_empty(),
-                        "eligible VC must have a queued flit"
-                    );
                     let stamp = state.head_stamp;
                     debug_assert_eq!(
                         stamp.to_bits(),
@@ -281,56 +322,24 @@ impl MuxScheduler {
                         "memoized head stamp must track the queue front"
                     );
                     if best.is_none_or(|(s, _)| stamp < s) {
-                        best = Some((stamp, vc));
+                        Some((stamp, vc))
+                    } else {
+                        best
                     }
-                }
+                });
                 best.map(|(_, vc)| vc)
             }
-            SchedulerKind::RoundRobin => {
-                let n = self.vcs.len();
-                for off in 1..=n {
-                    let vc = (self.rr_cursor + off) % n;
-                    if eligible[vc] {
-                        assert!(
-                            !self.vcs[vc].stamps.is_empty(),
-                            "eligible VC must have a queued flit"
-                        );
-                        return Some(vc);
-                    }
-                }
-                None
-            }
-            SchedulerKind::Drr => {
-                let n = self.vcs.len();
-                // Phase 1: the quantum holder (scan from the cursor
-                // itself, not past it) keeps sending while its deficit
-                // covers a flit, then the remaining credit-holders in
-                // rotation order.
-                for off in 0..n {
-                    let vc = (self.rr_cursor + off) % n;
-                    if !eligible[vc] {
-                        continue;
-                    }
-                    assert!(
-                        !self.vcs[vc].stamps.is_empty(),
-                        "eligible VC must have a queued flit"
-                    );
-                    if self.vcs[vc].deficit >= 1.0 {
-                        return Some(vc);
-                    }
-                }
-                // Phase 2: every eligible VC has exhausted its deficit —
-                // open a new round at the next VC in rotation. The refill
-                // itself happens in `on_service`, keeping `choose` pure
-                // (the unmemoized oracle mirrors this scan exactly).
-                for off in 1..=n {
-                    let vc = (self.rr_cursor + off) % n;
-                    if eligible[vc] {
-                        return Some(vc);
-                    }
-                }
-                None
-            }
+            SchedulerKind::RoundRobin => rotated(after).next(),
+            // Phase 1: the quantum holder (scan from the cursor itself,
+            // not past it) keeps sending while its deficit covers a flit,
+            // then the remaining credit-holders in rotation order.
+            // Phase 2: every eligible VC has exhausted its deficit — open
+            // a new round at the next VC in rotation. The refill itself
+            // happens in `on_service`, keeping the choice pure (the
+            // unmemoized oracle mirrors this scan exactly).
+            SchedulerKind::Drr => rotated(self.rr_cursor)
+                .find(|&vc| self.vcs[vc].deficit >= 1.0)
+                .or_else(|| rotated(after).next()),
         }
     }
 
@@ -417,7 +426,8 @@ impl MuxScheduler {
     /// # Errors
     ///
     /// Propagates decoding errors; rejects a snapshot whose discipline or
-    /// VC count disagrees with this scheduler's configuration.
+    /// VC count disagrees with this scheduler's configuration, or whose
+    /// service cursor is not one of its VCs.
     pub fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if r.u8()? != kind_tag(self.kind) {
             return Err(SnapError::BadValue("scheduler kind mismatch"));
@@ -426,6 +436,9 @@ impl MuxScheduler {
             return Err(SnapError::BadValue("scheduler VC count mismatch"));
         }
         self.rr_cursor = r.usize()?;
+        if self.rr_cursor >= self.vcs.len() {
+            return Err(SnapError::BadValue("scheduler cursor out of range"));
+        }
         self.v_time = r.f64()?;
         self.v_cycle = r.u64()?;
         self.v_served = r.f64()?;
@@ -951,6 +964,41 @@ mod tests {
         let _ = s.choose(&[true]);
     }
 
+    #[test]
+    fn restore_rejects_an_out_of_range_cursor() {
+        let mut w = SnapWriter::new();
+        MuxScheduler::new(SchedulerKind::RoundRobin, 3).save(&mut w);
+        let bytes = w.finish();
+        // Re-encode the payload with the cursor (after the kind tag and
+        // the VC count) set to the VC count.
+        const HEADER_LEN: usize = 24;
+        let payload = &bytes[HEADER_LEN..];
+        let mut w = SnapWriter::new();
+        for &b in &payload[..9] {
+            w.u8(b);
+        }
+        w.usize(3);
+        for &b in &payload[17..] {
+            w.u8(b);
+        }
+        let bad = w.finish();
+        let mut r = SnapReader::new(&bad).unwrap();
+        assert_eq!(
+            MuxScheduler::new(SchedulerKind::RoundRobin, 3).load_into(&mut r),
+            Err(SnapError::BadValue("scheduler cursor out of range"))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "queued flit")]
+    fn listed_vc_without_flit_panics() {
+        // Round-robin stops at the first listed VC; the check must still
+        // cover every listed one.
+        let mut s = MuxScheduler::new(SchedulerKind::RoundRobin, 3);
+        s.on_arrival(1, Cycles(0), &flit(FlitKind::Body, 1.0));
+        let _ = s.choose_from(&[1, 2]);
+    }
+
     impl MuxScheduler {
         /// The pre-memoization `choose`: reads each eligible VC's stamp
         /// from the queue front instead of the cached `head_stamp`. The
@@ -1046,9 +1094,15 @@ mod tests {
                 let eligible: Vec<bool> = (0..n)
                     .map(|v| s.pending(v) > 0 && next() % 4 != 0)
                     .collect();
+                let list: Vec<usize> = (0..n).filter(|&v| eligible[v]).collect();
                 let expect = s.choose_unmemoized(&eligible);
-                let got = s.choose(&eligible);
-                assert_eq!(got, expect, "{kind:?} diverged at cycle {cycle}");
+                assert_eq!(
+                    s.choose(&eligible),
+                    expect,
+                    "{kind:?} mask diverged at cycle {cycle}"
+                );
+                let got = s.choose_from(&list);
+                assert_eq!(got, expect, "{kind:?} list diverged at cycle {cycle}");
                 if let Some(vc) = got {
                     s.on_service(vc);
                     choices.push(vc);

@@ -52,6 +52,9 @@ impl PcsCounters {
 #[derive(Debug)]
 struct LinkMux {
     queues: Vec<VecDeque<Flit>>,
+    /// VCs with a non-empty queue, ascending: the list the multiplexer
+    /// picks from.
+    backlogged: Vec<usize>,
     sched: MuxScheduler,
     forwarded: u64,
     conflicts: u64,
@@ -61,6 +64,7 @@ impl LinkMux {
     fn new(vcs: usize) -> LinkMux {
         LinkMux {
             queues: (0..vcs).map(|_| VecDeque::new()).collect(),
+            backlogged: Vec::with_capacity(vcs),
             sched: MuxScheduler::new(SchedulerKind::VirtualClock, vcs),
             forwarded: 0,
             conflicts: 0,
@@ -68,24 +72,24 @@ impl LinkMux {
     }
 
     fn enqueue(&mut self, now: Cycles, vc: usize, flit: Flit) {
+        if self.queues[vc].is_empty() {
+            let pos = self.backlogged.partition_point(|&v| v < vc);
+            self.backlogged.insert(pos, vc);
+        }
         self.queues[vc].push_back(flit);
         self.sched.on_arrival(vc, now, &flit);
     }
 
-    fn transmit(&mut self, scratch: &mut [bool]) -> Option<Flit> {
-        let mut n_eligible = 0u64;
-        for (v, e) in scratch.iter_mut().enumerate() {
-            *e = !self.queues[v].is_empty();
-            n_eligible += u64::from(*e);
-        }
-        if n_eligible == 0 {
-            return None;
-        }
-        let v = self.sched.choose(scratch)?;
+    fn transmit(&mut self) -> Option<Flit> {
+        let v = self.sched.choose_from(&self.backlogged)?;
         let flit = self.queues[v].pop_front().expect("eligible VC has a flit");
         self.sched.on_service(v);
         self.forwarded += 1;
-        self.conflicts += n_eligible - 1;
+        self.conflicts += self.backlogged.len() as u64 - 1;
+        if self.queues[v].is_empty() {
+            let pos = self.backlogged.partition_point(|&b| b < v);
+            self.backlogged.remove(pos);
+        }
         Some(flit)
     }
 
@@ -94,7 +98,7 @@ impl LinkMux {
     }
 
     fn is_empty(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
+        self.backlogged.is_empty()
     }
 }
 
@@ -116,7 +120,6 @@ pub struct PcsNetwork {
     frame_tails: Vec<HashMap<u32, u32>>,
     flits_in_flight: u64,
     delivered_msgs: u64,
-    scratch: Vec<bool>,
     /// Occupancy sampling events taken so far.
     occupancy_samples: u64,
     /// Summed sampled queue occupancy across all links.
@@ -144,7 +147,6 @@ impl PcsNetwork {
             frame_tails: Vec::new(),
             flits_in_flight: 0,
             delivered_msgs: 0,
-            scratch: vec![false; vcs],
             occupancy_samples: 0,
             occupancy_flits: 0,
             in_busy: vec![false; cfg.nodes],
@@ -215,7 +217,7 @@ impl PcsNetwork {
         }
         // Input links → switch pipe.
         for node in 0..self.input_links.len() {
-            let sent = self.input_links[node].transmit(&mut self.scratch);
+            let sent = self.input_links[node].transmit();
             self.in_busy[node] = sent.is_some();
             if let Some(flit) = sent {
                 self.pipe
@@ -224,7 +226,7 @@ impl PcsNetwork {
         }
         // Output links → destination sinks.
         for node in 0..self.output_links.len() {
-            let sent = self.output_links[node].transmit(&mut self.scratch);
+            let sent = self.output_links[node].transmit();
             self.out_busy[node] = sent.is_some();
             if let Some(flit) = sent {
                 self.sink(now, flit);

@@ -33,15 +33,17 @@ require_tests() {
   done
 }
 
-# Bit identity: the fast driver (active sets + horizon jumps) must match
-# the every-cycle full-scan oracle, which runs the same audit and
-# watchdog (counters, stall reports, trace bytes, snapshots), across
-# loads, policing modes and topologies, including a checkpoint taken
+# Bit identity: the fast driver (active sets, blocked-head skips and
+# horizon jumps) must match the every-cycle full-scan oracle, which runs
+# the same audit and watchdog (counters, stall reports, trace bytes,
+# snapshots), across loads up to saturation, policing modes and
+# topologies, including a checkpoint taken
 # inside a skipped span and the deadlocked ring's stall report. The fig. 3
 # horizon grid also gates skip effectiveness: cycles_skipped > 0 at load
 # 0.3, at the shaped points and on the wire-dominated wire64 switch.
 require_tests --test stepping_identity -- \
   fig3_load_grid_is_bit_identical_to_reference \
+  saturated_arbitration_is_bit_identical_to_reference \
   horizon_skipping_matches_exhaustive_on_fig3_grid \
   audited_run_is_bit_identical_to_reference \
   traces_are_bit_identical_to_reference \

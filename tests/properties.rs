@@ -2,7 +2,7 @@
 //! invariants of the reproduction.
 
 use flitnet::{Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, VcPartition};
-use mediaworm::{MuxScheduler, SchedulerKind};
+use mediaworm::{MuxScheduler, SchedulerKind, DRR_QUANTUM};
 use netsim::dist::{Distribution, Normal};
 use netsim::{Calendar, Cycles, RunningStats, SimRng, TimeBase};
 use proptest::prelude::*;
@@ -23,6 +23,49 @@ fn flit(kind: FlitKind, vtick: f64, stream: u32) -> Flit {
         vtick,
         class: TrafficClass::Vbr,
         created_at: Cycles(0),
+    }
+}
+
+const ZOO: [SchedulerKind; 6] = [
+    SchedulerKind::VirtualClock,
+    SchedulerKind::Fifo,
+    SchedulerKind::RoundRobin,
+    SchedulerKind::Wfq,
+    SchedulerKind::Drr,
+    SchedulerKind::Scfq,
+];
+
+/// The multiplexer selection rule as a rotated scan over an eligibility
+/// mask, written out independently of the scheduler. Virtual Clock, FIFO,
+/// WFQ and SCFQ take the lowest stamp, scanning from the VC after the
+/// service cursor so the first VC in scan order wins a tie. Round-robin
+/// takes the first eligible VC after the cursor. DRR takes the first
+/// eligible VC whose deficit covers a flit, scanning from the cursor
+/// itself, and otherwise opens a round the way round-robin picks.
+fn spec_choice(
+    kind: SchedulerKind,
+    cursor: usize,
+    stamps: &[f64],
+    deficits: &[f64],
+    eligible: &[bool],
+) -> Option<usize> {
+    let n = eligible.len();
+    let from = |first: usize| (first..first + n).map(move |i| i % n);
+    let first_after = from(cursor + 1).find(|&v| eligible[v]);
+    match kind {
+        SchedulerKind::RoundRobin => first_after,
+        SchedulerKind::Drr => from(cursor)
+            .find(|&v| eligible[v] && deficits[v] >= 1.0)
+            .or(first_after),
+        _ => {
+            let mut best: Option<(f64, usize)> = None;
+            for v in from(cursor + 1).filter(|&v| eligible[v]) {
+                if best.is_none_or(|(s, _)| stamps[v] < s) {
+                    best = Some((stamps[v], v));
+                }
+            }
+            best.map(|(_, v)| v)
+        }
     }
 }
 
@@ -153,6 +196,65 @@ proptest! {
             s.on_service(vc);
         }
         prop_assert!(queued.iter().all(|&q| q == 0));
+    }
+
+    /// `choose_from` over an ascending eligible list picks exactly what
+    /// the rotated mask scan ([`spec_choice`]) picks, and `choose` over
+    /// the same eligibility as a mask agrees: all six disciplines, 1–24
+    /// VCs, the service cursor parked at a random VC through
+    /// `on_service`, stamps drawn from two Vticks so they tie on purpose,
+    /// and random eligibility over a random backlog.
+    #[test]
+    fn choose_from_matches_the_rotated_mask_scan(
+        n in 1usize..25,
+        cursor_pick in 0usize..1_000,
+        backlog_bits in 0u32..(1 << 24),
+        eligible_bits in 0u32..(1 << 24),
+        tick_bits in 0u32..(1 << 24),
+        at in 1u64..50,
+    ) {
+        const CURSOR_TICK: f64 = 5.0;
+        let cursor = cursor_pick % n;
+        let bit = |bits: u32, v: usize| bits >> v & 1 == 1;
+        let backlogged: Vec<bool> = (0..n).map(|v| bit(backlog_bits, v)).collect();
+        let eligible: Vec<bool> = (0..n).map(|v| backlogged[v] && bit(eligible_bits, v)).collect();
+        let list: Vec<usize> = (0..n).filter(|&v| eligible[v]).collect();
+        let vtick = |v: usize| if bit(tick_bits, v) { 20.0 } else { 10.0 };
+        for kind in ZOO {
+            let mut s = MuxScheduler::new(kind, n);
+            // Park the service cursor: one flit of a stream no VC below
+            // uses goes through VC `cursor` at cycle 0.
+            s.on_arrival(cursor, Cycles(0), &flit(FlitKind::HeadTail, CURSOR_TICK, 1_000));
+            s.on_service(cursor);
+            // One head per backlogged VC at cycle `at`, each a new stream
+            // (so its connection register starts from zero).
+            for v in (0..n).filter(|&v| backlogged[v]) {
+                s.on_arrival(v, Cycles(at), &flit(FlitKind::HeadTail, vtick(v), v as u32));
+            }
+            // The stamps those heads got. WFQ's virtual time snaps to the
+            // wall clock across the idle gap, like Virtual Clock's
+            // max(Clock, auxVC); SCFQ's is the cursor flit's tag.
+            let stamps: Vec<f64> = (0..n)
+                .map(|v| match kind {
+                    SchedulerKind::Fifo => at as f64,
+                    SchedulerKind::VirtualClock | SchedulerKind::Wfq => at as f64 + vtick(v),
+                    SchedulerKind::Scfq => CURSOR_TICK + vtick(v),
+                    SchedulerKind::RoundRobin | SchedulerKind::Drr => 0.0,
+                })
+                .collect();
+            // DRR: serving the cursor flit opened a round, leaving the
+            // cursor VC one flit short of a quantum and the others empty.
+            let deficits: Vec<f64> = (0..n)
+                .map(|v| if v == cursor { DRR_QUANTUM - 1.0 } else { 0.0 })
+                .collect();
+            let expect = spec_choice(kind, cursor, &stamps, &deficits, &eligible);
+            let (from_list, from_mask) = (s.choose_from(&list), s.choose(&eligible));
+            prop_assert!(
+                from_list == expect && from_mask == expect,
+                "{kind:?}: list {list:?}, cursor {cursor}: choose_from {from_list:?}, \
+                 choose {from_mask:?}, spec {expect:?}"
+            );
+        }
     }
 
     /// The rate-aware fair-queueing disciplines (WFQ, SCFQ) share a

@@ -941,6 +941,55 @@ fn horizon_identity_grid_over_topologies_and_drivers() {
     }
 }
 
+/// Runs one network on the fast driver and one on the every-cycle oracle
+/// for `ms` milliseconds of simulated time and requires the same bits.
+fn assert_fast_matches_oracle(
+    what: &str,
+    topology: &Topology,
+    workload: impl Fn() -> Workload,
+    cfg: &RouterConfig,
+    ms: f64,
+) {
+    let mut fast = Network::new(topology, workload(), cfg);
+    let end = fast.timebase().cycles_from_ms(ms);
+    fast.run_until(end);
+    assert!(fast.delivered_msgs() > 0, "{what}: traffic must flow");
+    let mut oracle = Network::new(topology, workload(), cfg);
+    oracle.run_until_reference(end);
+    assert_networks_identical(&fast, &oracle, what);
+}
+
+/// Saturation coverage for the arbitration shortcuts: the O(1) reject
+/// of a head whose class has no free output VC, and the skip of a head
+/// that stays blocked until an output VC is released. At each point
+/// heads find every candidate output VC owned, which the identity grids
+/// at lighter loads rarely reach: the fig. 3 switch at 0.96 with VC
+/// borrowing on (most heads block once the 33 ms VBR phase ramp is
+/// over, so it runs 40 ms), and the 4×4 dateline torus and the 2×2 fat
+/// mesh (two candidate ports per fat hop) at 0.9 on 4 VCs.
+#[test]
+fn saturated_arbitration_is_bit_identical_to_reference() {
+    assert_fast_matches_oracle(
+        "fig3 switch load 0.96 with borrowing",
+        &Topology::single_switch(8),
+        || fig3_workload(0.96, 3),
+        &RouterConfig::default().vc_borrowing(true),
+        40.0,
+    );
+    for (name, topology) in [
+        ("torus 4x4 load 0.9", Topology::torus(4, 4, 1)),
+        ("fat mesh 2x2 load 0.9", Topology::fat_mesh(2, 2, 2, 4)),
+    ] {
+        assert_fast_matches_oracle(
+            name,
+            &topology,
+            || grid_workload(16, 0.9, 3),
+            &RouterConfig::new(4),
+            8.0,
+        );
+    }
+}
+
 /// Skipped spans must record no telemetry: the oracle steps through
 /// every idle cycle, so if idle cycles ever sampled occupancy the
 /// oracle would accumulate samples the jumping driver skips over. Equal
