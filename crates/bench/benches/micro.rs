@@ -262,54 +262,6 @@ fn bench_net_step(c: &mut Criterion) {
     g.finish();
 }
 
-/// A 16x16 mesh (256 nodes, 4 VCs) warmed 1 ms into steady state, for
-/// the threads axis of the `net_step` group.
-fn mesh_network(load: f64) -> Network {
-    let topology = Topology::mesh(16, 16, 1);
-    let wl = WorkloadBuilder::new(topology.node_count(), VcPartition::from_mix(4, 80.0, 20.0))
-        .load(load)
-        .mix(80.0, 20.0)
-        .real_time_class(StreamClass::Vbr)
-        .seed(3)
-        .build();
-    let mut net = Network::new(&topology, wl, &RouterConfig::new(4));
-    let tb = net.timebase();
-    net.run_until(tb.cycles_from_ms(1.0));
-    net
-}
-
-/// Threads axis on a 16x16 mesh: sequential stepping vs. the
-/// deterministic barrier-phased parallel stepper at 2 and 4 workers.
-/// The mesh is where the stepper wins (2.0–2.4x at 2 threads on a
-/// 2-core host); on the paper's at-most-4-router topologies it loses.
-/// On a single-core host the >1-thread points measure the barrier
-/// overhead, not a speedup.
-fn bench_net_step_threads(c: &mut Criterion) {
-    let mut g = c.benchmark_group("net_step");
-    g.sample_size(10);
-    for &threads in &[1usize, 2, 4] {
-        g.bench_function(
-            format!("mesh16x16_load_0.6_threads_{threads}_2k_cycles"),
-            |b| {
-                b.iter_batched(
-                    || mesh_network(0.6),
-                    |mut net| {
-                        let end = net.now() + Cycles(2_000);
-                        if threads <= 1 {
-                            net.run_until(end);
-                        } else {
-                            net.run_until_parallel(end, threads);
-                        }
-                        black_box(net.delivered_flits())
-                    },
-                    BatchSize::SmallInput,
-                );
-            },
-        );
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_scheduler,
@@ -317,7 +269,6 @@ criterion_group!(
     bench_normal,
     bench_router_cycle,
     bench_net_step,
-    bench_net_step_threads,
     bench_telemetry
 );
 criterion_main!(benches);

@@ -3,6 +3,9 @@
 //! writes one `target/bench/BENCH_<name>.json` per experiment (per-point
 //! results plus wall-clock / cycles-per-second throughput).
 //!
+//! The report is rewritten after every section, so a run that panics
+//! part-way (and still exits non-zero) keeps the sections it finished.
+//!
 //! With `--trace PATH`, each experiment's flit-event trace is written to
 //! `PATH.<name>.jsonl` (experiments that produce no trace — pure PCS
 //! sweeps — are skipped).
@@ -54,7 +57,7 @@ fn main() {
             "## {title} (wall time {wall_secs:.1}s)\n\n{}\n",
             run.table
         );
+        std::fs::write("repro_report.txt", &report).expect("write report");
     }
-    std::fs::write("repro_report.txt", &report).expect("write report");
     println!("combined report written to repro_report.txt");
 }

@@ -55,14 +55,8 @@ pub struct RunArgs {
     /// Measurement window in simulated seconds.
     pub measure_secs: f64,
     /// Worker-thread cap for sweeps (`--jobs`); `None` falls back to
-    /// `MEDIAWORM_JOBS`, then to the machine's available parallelism
-    /// divided by the per-point thread count (so jobs × threads stays
-    /// within the core budget).
+    /// `MEDIAWORM_JOBS`, then to the machine's available parallelism.
     pub jobs: Option<usize>,
-    /// Threads stepping each simulated network (`--threads`); `None`
-    /// falls back to `MEDIAWORM_THREADS`, then to 1 (sequential).
-    /// Results are bit-identical at any thread count.
-    pub threads: Option<usize>,
     /// Also write machine-readable results to `BENCH_<name>.json` (under
     /// `target/bench/` unless [`RunArgs::json_path`] places it).
     pub json: bool,
@@ -156,16 +150,6 @@ impl RunArgs {
                         usage("--jobs needs a positive count");
                     }
                     args.jobs = Some(n);
-                }
-                "--threads" => {
-                    let n: usize = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--threads needs a positive count"));
-                    if n == 0 {
-                        usage("--threads needs a positive count");
-                    }
-                    args.threads = Some(n);
                 }
                 "--json" => {
                     args.json = true;
@@ -262,10 +246,7 @@ impl RunArgs {
     }
 
     /// The sweep worker count: `--jobs`, else `MEDIAWORM_JOBS`, else the
-    /// machine's available parallelism divided by
-    /// [`RunArgs::effective_threads`] — the two axes compose, so the
-    /// default keeps jobs × threads within the core count (always at
-    /// least 1 of each).
+    /// machine's available parallelism (always at least 1).
     pub fn effective_jobs(&self) -> usize {
         if let Some(n) = self.jobs {
             return n.max(1);
@@ -277,27 +258,12 @@ impl RunArgs {
         {
             return n;
         }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (cores / self.effective_threads()).max(1)
-    }
-
-    /// Threads stepping each simulated network: `--threads`, else
-    /// `MEDIAWORM_THREADS`, else 1 (the sequential stepper).
-    pub fn effective_threads(&self) -> usize {
-        if let Some(n) = self.threads {
-            return n.max(1);
-        }
-        std::env::var("MEDIAWORM_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
     /// The [`SimOpts`] these args imply: the standard watchdog always,
     /// plus the invariant audit when `--audit` was given and the
-    /// delay-bound audit when `--bounds` was given, on
-    /// [`RunArgs::effective_threads`] stepping threads.
+    /// delay-bound audit when `--bounds` was given.
     pub fn sim_opts(&self) -> SimOpts {
         let mut opts = if self.audit {
             SimOpts::audited()
@@ -307,7 +273,7 @@ impl RunArgs {
         if self.bounds {
             opts = opts.bounds();
         }
-        opts.threads(self.effective_threads())
+        opts
     }
 
     /// The checkpoint cadence in simulated cycles, if points should
@@ -363,7 +329,6 @@ impl Default for RunArgs {
             warmup_secs: 0.1,
             measure_secs: 0.4,
             jobs: None,
-            threads: None,
             json: false,
             json_path: None,
             shard: None,
@@ -399,9 +364,8 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: <experiment> [--quick] [--seed N] [--warmup SECS] [--measure SECS] [--jobs N] \
-         [--threads N] [--json [PATH]] [--shard I/N] [--checkpoint CYCLES] [--resume] \
-         [--audit] [--bounds] [--trace PATH] [--schedulers LIST] [--policing LIST] \
-         [--loads LIST]"
+         [--json [PATH]] [--shard I/N] [--checkpoint CYCLES] [--resume] [--audit] \
+         [--bounds] [--trace PATH] [--schedulers LIST] [--policing LIST] [--loads LIST]"
     );
     std::process::exit(2);
 }

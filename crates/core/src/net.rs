@@ -33,8 +33,6 @@ use crate::counters::{NetCounters, SkipStats};
 use crate::router::{sorted_insert, CreditReturn, Departure, Router};
 use crate::scheduler::MuxScheduler;
 
-mod par;
-
 /// Credits given to endpoint-attached output ports: endpoints consume at
 /// link rate, so they never exert backpressure.
 const ENDPOINT_CREDITS: u32 = 1 << 30;
@@ -543,37 +541,6 @@ impl Network {
     /// [`Network::stall_report`].
     pub fn run_until_with(&mut self, end: Cycles, sink: &mut dyn TelemetrySink) {
         self.run_until_impl(end, sink, false);
-    }
-
-    /// Runs the simulation until cycle `end`, stepping the routers on
-    /// `threads` OS threads.
-    ///
-    /// Bit-identical to [`Network::run_until`] at any thread count: the
-    /// routers are partitioned into contiguous ranges, the pipeline
-    /// phases run between barriers, and all cross-partition traffic
-    /// flows through the link mailboxes, which are drained in fixed
-    /// global link order (see the `par` module for the full argument).
-    pub fn run_until_parallel(&mut self, end: Cycles, threads: usize) {
-        self.run_until_parallel_with(end, threads, &mut NoopSink);
-    }
-
-    /// [`Network::run_until_parallel`], streaming flit events into
-    /// `sink`. The traced byte stream is identical to a sequential
-    /// [`Network::run_until_with`] run.
-    pub fn run_until_parallel_with(
-        &mut self,
-        end: Cycles,
-        threads: usize,
-        sink: &mut dyn TelemetrySink,
-    ) {
-        // Never spin up more workers than there are routers to own.
-        let threads = threads.min(self.routers.len());
-        if threads <= 1 {
-            self.run_until_with(end, sink);
-            return;
-        }
-        self.set_tracing(sink.is_enabled());
-        par::drive(self, end, threads, sink);
     }
 
     /// Folds end-of-run truncation into the latency tracker: every
@@ -1086,9 +1053,7 @@ impl Network {
 
     /// The NI scheduling decision of [`Network::ni_send_one`], minus the
     /// link send: picks (and dequeues) the flit endpoint `ep` injects
-    /// this cycle, if any. Split out so the parallel stepper can run the
-    /// decision on the endpoint's owning thread and do the shared-state
-    /// bookkeeping itself.
+    /// this cycle, if any.
     fn ni_pick(ep: &mut Endpoint) -> Option<Flit> {
         let sendable = |ep: &Endpoint, v: usize| !ep.queues[v].is_empty() && ep.credits[v] > 0;
         let v = match ep.current {
@@ -1347,11 +1312,10 @@ impl Network {
                 }
             }
         }
-        // Mailbox conservation: a link must be on the active list exactly
-        // when it has traffic in flight, and an endpoint exactly when it
-        // has flits queued. Both the sequential stepper and the parallel
-        // one (which freezes these lists as its per-cycle mailboxes) scan
-        // only the listed entries, so a desync silently strands traffic.
+        // Active-set conservation: a link must be on the active list
+        // exactly when it has traffic in flight, and an endpoint exactly
+        // when it has flits queued. The stepper scans only the listed
+        // entries, so a desync silently strands traffic.
         for (l, lp) in self.links.iter().enumerate() {
             let busy = !(lp.flit.is_idle() && lp.credit.is_idle());
             let flagged = self.link_active[l];

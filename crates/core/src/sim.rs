@@ -32,10 +32,6 @@ pub struct SimOpts {
     /// [`crate::net::Network::run_until_reference`]). Slow; only useful
     /// as the oracle in bit-identity tests.
     pub reference: bool,
-    /// Worker threads for in-network parallel stepping (see
-    /// [`crate::net::Network::run_until_parallel`]). `0` and `1` both mean
-    /// sequential; results are bit-identical at any count.
-    pub threads: usize,
     /// Delay-bound audit: compute each real-time stream's analytic
     /// worst-case latency before the run (see [`crate::bounds`]) and
     /// check `observed ≤ bound` at the end, attaching a
@@ -55,7 +51,6 @@ impl SimOpts {
             audit: None,
             watchdog: Some(WatchdogConfig::default()),
             reference: false,
-            threads: 1,
             bounds: false,
         }
     }
@@ -67,7 +62,6 @@ impl SimOpts {
             audit: Some(AuditConfig::default()),
             watchdog: Some(WatchdogConfig::default()),
             reference: false,
-            threads: 1,
             bounds: false,
         }
     }
@@ -83,20 +77,13 @@ impl SimOpts {
 
     /// This configuration on the oracle driver: every cycle stepped with
     /// full scans and no horizon jump, the audit and watchdog as
-    /// configured. Every identity test compares the fast driver (and the
-    /// parallel one) against it.
+    /// configured. Every identity test compares the fast driver against
+    /// it.
     pub fn reference(self) -> SimOpts {
         SimOpts {
             reference: true,
             ..self
         }
-    }
-
-    /// This configuration stepped by `threads` worker threads
-    /// (bit-identical to sequential stepping; incompatible with
-    /// [`SimOpts::reference`], which always runs sequentially).
-    pub fn threads(self, threads: usize) -> SimOpts {
-        SimOpts { threads, ..self }
     }
 }
 
@@ -362,8 +349,6 @@ pub fn run_with(
         };
         if opts.reference {
             net.run_until_reference_with(to, sink);
-        } else if opts.threads > 1 {
-            net.run_until_parallel_with(to, opts.threads, sink);
         } else {
             net.run_until_with(to, sink);
         }

@@ -20,8 +20,6 @@
 //!   sinks that the simulators feed flit lifecycle events into.
 //! * [`audit`] — the [`AuditLog`] of flow-control invariant violations
 //!   that the simulators' audit mode files findings into.
-//! * [`par`] — the raw shared-slice / shared-cell views the deterministic
-//!   parallel stepper partitions its state through.
 //! * [`snap`] — the versioned, checksummed binary codec that deterministic
 //!   checkpoint/restore serialises simulation state through.
 //!
@@ -49,7 +47,6 @@
 pub mod audit;
 pub mod calendar;
 pub mod dist;
-pub mod par;
 pub mod rng;
 pub mod snap;
 pub mod stats;

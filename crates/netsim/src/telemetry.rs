@@ -175,58 +175,6 @@ impl TelemetrySink for JsonlSink {
     }
 }
 
-/// Buffers events in memory for later replay into another sink.
-///
-/// The deterministic parallel stepper gives each worker its own
-/// `BufferSink`; after the phase barrier the coordinator drains the
-/// buffers into the real sink in a fixed participant order, which is what
-/// keeps a traced parallel run byte-identical to the sequential one.
-#[derive(Debug, Clone, Default)]
-pub struct BufferSink {
-    enabled: bool,
-    events: Vec<FlitEvent>,
-}
-
-impl BufferSink {
-    /// Creates an empty buffer; `enabled` mirrors the real sink's
-    /// [`TelemetrySink::is_enabled`] so simulators guard emission the
-    /// same way they would against the real sink.
-    pub fn new(enabled: bool) -> BufferSink {
-        BufferSink {
-            enabled,
-            events: Vec::new(),
-        }
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the buffer holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Replays every buffered event into `sink` in recording order and
-    /// clears the buffer (the backing allocation is kept for reuse).
-    pub fn drain_into(&mut self, sink: &mut dyn TelemetrySink) {
-        for ev in self.events.drain(..) {
-            sink.record(&ev);
-        }
-    }
-}
-
-impl TelemetrySink for BufferSink {
-    fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn record(&mut self, event: &FlitEvent) {
-        self.events.push(*event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,30 +224,6 @@ mod tests {
         let text = String::from_utf8(s.into_bytes()).unwrap();
         assert!(text.contains("\"router\":null"));
         assert!(text.contains("\"class\":\"rt\""));
-    }
-
-    #[test]
-    fn buffer_sink_replays_in_order() {
-        let mut buf = BufferSink::new(true);
-        assert!(buf.is_enabled());
-        assert!(buf.is_empty());
-        buf.record(&event(FlitEventKind::Route));
-        buf.record(&event(FlitEventKind::Arbitrate));
-        assert_eq!(buf.len(), 2);
-        // Replaying into a JsonlSink matches recording the events there
-        // directly.
-        let mut direct = JsonlSink::new();
-        direct.record(&event(FlitEventKind::Route));
-        direct.record(&event(FlitEventKind::Arbitrate));
-        let mut replayed = JsonlSink::new();
-        buf.drain_into(&mut replayed);
-        assert!(buf.is_empty());
-        assert_eq!(replayed.as_bytes(), direct.as_bytes());
-    }
-
-    #[test]
-    fn buffer_sink_mirrors_enabled_flag() {
-        assert!(!BufferSink::new(false).is_enabled());
     }
 
     #[test]

@@ -8,9 +8,10 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 
-# The criterion targets must keep compiling even though full benchmark
-# runs stay out of the gate (they are wall-clock heavy).
-cargo bench --no-run
+# Build the criterion micro-benches (crates/bench/benches/micro.rs) so
+# they keep compiling; running them stays out of the gate (they are
+# wall-clock heavy).
+cargo bench --no-run -p mediaworm-bench
 
 # require_tests CARGO_ARGS... -- NAME...: every NAME must appear in the
 # `--list` output of `cargo test CARGO_ARGS`. The tests themselves ran in
@@ -37,16 +38,19 @@ require_tests() {
 # horizon jumps) must match the every-cycle full-scan oracle, which runs
 # the same audit and watchdog (counters, stall reports, trace bytes,
 # snapshots), across loads up to saturation, policing modes and
-# topologies, including a checkpoint taken
-# inside a skipped span and the deadlocked ring's stall report. The fig. 3
-# horizon grid also gates skip effectiveness: cycles_skipped > 0 at load
-# 0.3, at the shaped points and on the wire-dominated wire64 switch.
+# topologies up to the 8x8 mesh and the audited torus, including a
+# checkpoint taken inside a skipped span and the deadlocked ring's stall
+# report. The fig. 3 horizon grid also gates skip effectiveness:
+# cycles_skipped > 0 at load 0.3, at the shaped points and on the
+# wire-dominated wire64 switch.
 require_tests --test stepping_identity -- \
   fig3_load_grid_is_bit_identical_to_reference \
   saturated_arbitration_is_bit_identical_to_reference \
   horizon_skipping_matches_exhaustive_on_fig3_grid \
   audited_run_is_bit_identical_to_reference \
   traces_are_bit_identical_to_reference \
+  mesh_8x8_is_bit_identical_to_reference \
+  audited_torus_is_bit_identical_to_reference \
   horizon_identity_grid_over_topologies_and_drivers \
   horizon_identity_over_random_runs \
   horizon_jumps_preserve_deadlock_detection \
@@ -55,17 +59,6 @@ require_tests --test properties -- \
   idle_jump_matches_exhaustive_stepping \
   active_set_stepping_matches_full_scan_reference
 require_tests -p mediaworm -- skip
-
-# The deterministic parallel stepper must produce the same bits as the
-# sequential path at every thread count (meshes, fat-mesh, dateline
-# torus, traces, deadlock reports).
-require_tests --test stepping_identity -- \
-  parallel_grid_is_bit_identical_to_sequential \
-  parallel_mesh_matches_the_reference_oracle \
-  parallel_traces_are_bit_identical_to_sequential \
-  parallel_torus_audits_clean \
-  parallel_mesh_identity_over_seeds_and_loads \
-  ring_deadlock_classification_is_identical_under_parallel_stepping
 
 # Audit mode: the flow-control invariant checks must stay clean on healthy
 # runs AND flag an injected credit fault (mutation coverage), and the
@@ -76,7 +69,7 @@ require_tests -p pcs-router -- watchdog
 
 # Resume identity: checkpoint/restore must be bit-identical to an
 # uninterrupted run (stitched traces, end snapshots, stall reports) on
-# every stepping path, and the sharded sweep engine must merge shard
+# every topology, and the sharded sweep engine must merge shard
 # reports byte-stably. Corrupt checkpoints must abort, never silently
 # restart.
 require_tests --test stepping_identity -- \

@@ -7,11 +7,10 @@
 //! iterated in the exact order the full scans visit the same slots and
 //! every skipped cycle is one in which nothing could act, so every
 //! arbitration, every counter increment, every float accumulation and
-//! every trace byte must match. The parallel stepper joins the same
-//! equivalence class. These tests pin that contract over the fig. 3
-//! operating range, multi-hop topologies, both crossbar kinds, and the
-//! deadlock-prone ring (the stall report and its waits-for graph must
-//! classify identically).
+//! every trace byte must match. These tests pin that contract over the
+//! fig. 3 operating range, multi-hop topologies up to the 8x8 mesh, both
+//! crossbar kinds, the audited torus, and the deadlock-prone ring (the
+//! stall report and its waits-for graph must classify identically).
 
 use flitnet::VcPartition;
 use mediaworm::{
@@ -429,7 +428,7 @@ fn audited_run_is_bit_identical_to_reference() {
     assert_outcomes_identical(&fast, &slow, "audited load 0.9");
 }
 
-/// A small multi-hop workload for the parallel-stepping grid: `nodes`
+/// A small multi-hop workload for the multi-router grids: `nodes`
 /// endpoints, 4 VCs split 2+2 (the torus dateline rule needs two VCs
 /// per populated class), 80:20 VBR traffic mix.
 fn grid_workload(nodes: usize, load: f64, seed: u64) -> Workload {
@@ -447,173 +446,50 @@ fn grid_workload_policed(nodes: usize, load: f64, seed: u64, policing: PolicingM
         .build()
 }
 
-/// The parallel-stepping identity grid: every thread count must produce
-/// the same bits as the sequential active-set path on every topology —
-/// the 8x8 mesh, the express-channel fat mesh, and the dateline torus.
-/// Thread counts above the router count clamp (fat mesh has 4 routers,
-/// so 8 threads exercises the clamp).
+/// The largest network the suite steps: the 8x8 mesh (64 routers,
+/// multi-hop XY worms) on the fast driver must match the oracle.
 #[test]
-fn parallel_grid_is_bit_identical_to_sequential() {
-    let cases: [(&str, Topology, usize); 3] = [
-        ("mesh 8x8", Topology::mesh(8, 8, 1), 64),
-        ("fat mesh 2x2", Topology::fat_mesh(2, 2, 2, 4), 16),
-        ("torus 4x4", Topology::torus(4, 4, 1), 16),
-    ];
-    for (name, topology, nodes) in &cases {
-        let cfg = RouterConfig::new(4);
-        let baseline = run_point(
-            topology,
-            grid_workload(*nodes, 0.4, 42),
+fn mesh_8x8_is_bit_identical_to_reference() {
+    let topology = Topology::mesh(8, 8, 1);
+    let cfg = RouterConfig::new(4);
+    let run = |opts| {
+        run_point(
+            &topology,
+            grid_workload(64, 0.4, 7),
             &cfg,
             0.0005,
             0.003,
-            SimOpts::standard(),
-        );
-        assert!(baseline.delivered_msgs > 0, "{name}: traffic must flow");
-        for &threads in &[2usize, 4, 8] {
-            let par = run_point(
-                topology,
-                grid_workload(*nodes, 0.4, 42),
-                &cfg,
-                0.0005,
-                0.003,
-                SimOpts::standard().threads(threads),
-            );
-            assert_outcomes_identical(&par, &baseline, &format!("{name} threads {threads}"));
-        }
-    }
+            opts,
+        )
+    };
+    let fast = run(SimOpts::standard());
+    let slow = run(SimOpts::standard().reference());
+    assert!(fast.delivered_msgs > 0, "traffic must flow");
+    assert_outcomes_identical(&fast, &slow, "mesh 8x8");
 }
 
-/// The full-scan reference oracle must agree with the parallel stepper
-/// too: sequential, reference and 4-thread runs are one equivalence
-/// class, not two pairwise contracts.
+/// The audit's active-set conservation sweep must stay clean on the
+/// dateline torus (wrap links, multi-hop credit loops), and the audited
+/// fast run must match the audited oracle.
 #[test]
-fn parallel_mesh_matches_the_reference_oracle() {
-    let topology = Topology::mesh(8, 8, 1);
-    let cfg = RouterConfig::new(4);
-    let reference = run_point(
-        &topology,
-        grid_workload(64, 0.4, 7),
-        &cfg,
-        0.0005,
-        0.003,
-        SimOpts::standard().reference(),
-    );
-    let par = run_point(
-        &topology,
-        grid_workload(64, 0.4, 7),
-        &cfg,
-        0.0005,
-        0.003,
-        SimOpts::standard().threads(4),
-    );
-    assert!(reference.delivered_msgs > 0, "traffic must flow");
-    assert_outcomes_identical(&par, &reference, "mesh threads 4 vs reference");
-}
-
-/// Trace streams must match byte-for-byte: the parallel stepper's
-/// deferred per-participant flush has to reproduce the sequential event
-/// order exactly.
-#[test]
-fn parallel_traces_are_bit_identical_to_sequential() {
-    let topology = Topology::mesh(8, 8, 1);
-    let cfg = RouterConfig::new(4);
-    let (seq, seq_trace) = run_point_traced(
-        &topology,
-        grid_workload(64, 0.4, 42),
-        &cfg,
-        0.0005,
-        0.002,
-        SimOpts::standard(),
-    );
-    for &threads in &[2usize, 4] {
-        let (par, par_trace) = run_point_traced(
-            &topology,
-            grid_workload(64, 0.4, 42),
-            &cfg,
-            0.0005,
-            0.002,
-            SimOpts::standard().threads(threads),
-        );
-        assert!(!par_trace.is_empty(), "traced run must produce events");
-        assert_eq!(
-            par_trace, seq_trace,
-            "threads {threads}: trace bytes must match"
-        );
-        assert_outcomes_identical(&par, &seq, &format!("traced threads {threads}"));
-    }
-}
-
-/// The mailbox-conservation audit must stay clean under parallel
-/// stepping on the dateline torus (wrap links, split flit/credit
-/// ownership), and the audited outcome must still match sequential.
-#[test]
-fn parallel_torus_audits_clean() {
+fn audited_torus_is_bit_identical_to_reference() {
     let topology = Topology::torus(4, 4, 1);
     let cfg = RouterConfig::new(4);
-    let seq = run_point(
-        &topology,
-        grid_workload(16, 0.4, 23),
-        &cfg,
-        0.0005,
-        0.003,
-        SimOpts::audited(),
-    );
-    let par = run_point(
-        &topology,
-        grid_workload(16, 0.4, 23),
-        &cfg,
-        0.0005,
-        0.003,
-        SimOpts::audited().threads(4),
-    );
-    assert_eq!(
-        par.audit_violations, 0,
-        "parallel stepping must audit clean"
-    );
-    assert!(par.delivered_msgs > 0, "torus traffic must flow");
-    assert_outcomes_identical(&par, &seq, "audited torus threads 4");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Parallel identity holds across seeds and loads, not just the
-    /// hand-picked points above.
-    #[test]
-    fn parallel_mesh_identity_over_seeds_and_loads(
-        seed in 0u64..1000,
-        load in 0.2f64..0.8,
-        threads in 2usize..5,
-    ) {
-        let topology = Topology::mesh(4, 4, 1);
-        let cfg = RouterConfig::new(4);
-        let seq = run_point(
+    let run = |opts| {
+        run_point(
             &topology,
-            grid_workload(16, load, seed),
+            grid_workload(16, 0.4, 23),
             &cfg,
             0.0005,
-            0.002,
-            SimOpts::standard(),
-        );
-        let par = run_point(
-            &topology,
-            grid_workload(16, load, seed),
-            &cfg,
-            0.0005,
-            0.002,
-            SimOpts::standard().threads(threads),
-        );
-        prop_assert_eq!(par.injected_msgs, seq.injected_msgs);
-        prop_assert_eq!(par.delivered_msgs, seq.delivered_msgs);
-        prop_assert_eq!(par.in_flight_at_end, seq.in_flight_at_end);
-        prop_assert_eq!(&par.counters, &seq.counters);
-        prop_assert_eq!(par.jitter.mean_ms.to_bits(), seq.jitter.mean_ms.to_bits());
-        prop_assert_eq!(
-            par.be_mean_latency_us.to_bits(),
-            seq.be_mean_latency_us.to_bits()
-        );
-    }
+            0.003,
+            opts,
+        )
+    };
+    let fast = run(SimOpts::audited());
+    let slow = run(SimOpts::audited().reference());
+    assert_eq!(fast.audit_violations, 0, "torus must audit clean");
+    assert!(fast.delivered_msgs > 0, "torus traffic must flow");
+    assert_outcomes_identical(&fast, &slow, "audited torus");
 }
 
 /// The deadlock-prone 1-VC clockwise ring with a stall watchdog armed.
@@ -658,28 +534,9 @@ fn ring_deadlock_classification_is_identical_to_reference() {
     assert_eq!(fast.counters(), slow.counters());
 }
 
-/// Steps `net` to `to` on the path `threads` selects (1 = sequential
-/// active-set, >1 = parallel), recording trace events into `sink`.
-fn step_traced(net: &mut Network, to: Cycles, threads: usize, sink: &mut JsonlSink) {
-    if threads > 1 {
-        net.run_until_parallel_with(to, threads, sink);
-    } else {
-        net.run_until_with(to, sink);
-    }
-}
-
-/// Untraced [`step_traced`].
-fn step_plain(net: &mut Network, to: Cycles, threads: usize) {
-    if threads > 1 {
-        net.run_until_parallel(to, threads);
-    } else {
-        net.run_until(to);
-    }
-}
-
-/// The checkpoint/restore identity grid: on every topology and stepping
-/// path, a run snapshotted at `mid`, restored into a freshly built
-/// network and stepped to `end` must be bit-identical — counters, metric
+/// The checkpoint/restore identity grid: on every topology, a run
+/// snapshotted at `mid`, restored into a freshly built network and
+/// stepped to `end` must be bit-identical — counters, metric
 /// accumulators, the stitched trace bytes, and the end-of-run snapshot
 /// image itself — to the uninterrupted run.
 #[test]
@@ -689,54 +546,50 @@ fn checkpoint_restore_grid_is_bit_identical() {
         ("fat mesh 2x2", Topology::fat_mesh(2, 2, 2, 4), 16),
         ("torus 4x4", Topology::torus(4, 4, 1), 16),
     ];
-    for (name, topology, nodes) in &cases {
+    for (what, topology, nodes) in &cases {
         let cfg = RouterConfig::new(4);
-        for &threads in &[1usize, 2, 4] {
-            let what = format!("{name} threads {threads}");
+        let mut full = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
+        let tb = full.timebase();
+        let warmup = tb.cycles_from_secs(0.0005);
+        let mid = tb.cycles_from_secs(0.0015);
+        let end = tb.cycles_from_secs(0.0035);
+        full.set_warmup_end(warmup);
+        let mut full_sink = JsonlSink::new();
+        full.run_until_with(end, &mut full_sink);
+        assert!(full.delivered_msgs() > 0, "{what}: traffic must flow");
 
-            let mut full = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
-            let tb = full.timebase();
-            let warmup = tb.cycles_from_secs(0.0005);
-            let mid = tb.cycles_from_secs(0.0015);
-            let end = tb.cycles_from_secs(0.0035);
-            full.set_warmup_end(warmup);
-            let mut full_sink = JsonlSink::new();
-            step_traced(&mut full, end, threads, &mut full_sink);
-            assert!(full.delivered_msgs() > 0, "{what}: traffic must flow");
+        let mut pre = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
+        pre.set_warmup_end(warmup);
+        let mut pre_sink = JsonlSink::new();
+        pre.run_until_with(mid, &mut pre_sink);
+        let bytes = pre.snapshot();
 
-            let mut pre = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
-            pre.set_warmup_end(warmup);
-            let mut pre_sink = JsonlSink::new();
-            step_traced(&mut pre, mid, threads, &mut pre_sink);
-            let bytes = pre.snapshot();
+        let mut post = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
+        post.restore(&bytes).expect("restore");
+        let mut post_sink = JsonlSink::new();
+        post.run_until_with(end, &mut post_sink);
 
-            let mut post = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
-            post.restore(&bytes).expect("restore");
-            let mut post_sink = JsonlSink::new();
-            step_traced(&mut post, end, threads, &mut post_sink);
-
-            assert_eq!(
-                full.injected_msgs(),
-                post.injected_msgs(),
-                "{what}: injected"
-            );
-            assert_eq!(
-                full.delivered_flits(),
-                post.delivered_flits(),
-                "{what}: delivered flits"
-            );
-            assert_eq!(full.counters(), post.counters(), "{what}: counters");
-            let mut stitched = pre_sink.into_bytes();
-            stitched.extend_from_slice(&post_sink.into_bytes());
-            assert!(
-                stitched == full_sink.into_bytes(),
-                "{what}: stitched pre+post trace differs from the uninterrupted trace"
-            );
-            assert!(
-                full.snapshot() == post.snapshot(),
-                "{what}: end-of-run snapshots differ"
-            );
-        }
+        assert_eq!(
+            full.injected_msgs(),
+            post.injected_msgs(),
+            "{what}: injected"
+        );
+        assert_eq!(
+            full.delivered_flits(),
+            post.delivered_flits(),
+            "{what}: delivered flits"
+        );
+        assert_eq!(full.counters(), post.counters(), "{what}: counters");
+        let mut stitched = pre_sink.into_bytes();
+        stitched.extend_from_slice(&post_sink.into_bytes());
+        assert!(
+            stitched == full_sink.into_bytes(),
+            "{what}: stitched pre+post trace differs from the uninterrupted trace"
+        );
+        assert!(
+            full.snapshot() == post.snapshot(),
+            "{what}: end-of-run snapshots differ"
+        );
     }
 }
 
@@ -774,15 +627,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Snapshot round-trip identity holds at random seeds, loads,
-    /// checkpoint cycles, thread counts, topologies, scheduler
-    /// disciplines and policing modes — not just the hand-picked grids
+    /// checkpoint cycles, topologies, scheduler disciplines and policing
+    /// modes — not just the hand-picked grids
     /// above.
     #[test]
     fn snapshot_round_trip_over_random_runs(
         seed in 0u64..1000,
         load in 0.2f64..0.8,
         frac in 0.1f64..0.9,
-        threads in 1usize..5,
         topo_idx in 0usize..3,
         kind_idx in 0usize..6,
         pol_idx in 0usize..3,
@@ -800,38 +652,18 @@ proptest! {
         let end = tb.cycles_from_secs(0.0025);
         a.set_warmup_end(tb.cycles_from_secs(0.0005));
         let mid = Cycles((end.get() as f64 * frac) as u64);
-        step_plain(&mut a, mid, threads);
+        a.run_until(mid);
         let bytes = a.snapshot();
 
         let mut b = Network::new(&topology, wl(seed), &cfg);
         b.restore(&bytes).expect("restore");
-        step_plain(&mut a, end, threads);
-        step_plain(&mut b, end, threads);
+        a.run_until(end);
+        b.run_until(end);
         prop_assert_eq!(a.injected_msgs(), b.injected_msgs());
         prop_assert_eq!(a.delivered_flits(), b.delivered_flits());
         prop_assert_eq!(&a.counters(), &b.counters());
         prop_assert!(a.snapshot() == b.snapshot(), "end snapshots differ");
     }
-}
-
-#[test]
-fn ring_deadlock_classification_is_identical_under_parallel_stepping() {
-    // The parallel stepper must detect the same deadlock at the same
-    // cycle with a byte-equal stall report (the 3-router ring clamps the
-    // pool to 3, so 2 threads is the interesting split).
-    let mut par = deadlock_ring();
-    let mut seq = deadlock_ring();
-    let end = par.timebase().cycles_from_ms(500.0);
-    par.run_until_parallel(end, 2);
-    seq.run_until(end);
-    let par_stall = par.stall_report().expect("parallel ring must deadlock");
-    let seq_stall = seq.stall_report().expect("sequential ring must deadlock");
-    assert_eq!(par_stall, seq_stall, "stall reports must be identical");
-    assert_eq!(par.now(), seq.now(), "both stop at the detection cycle");
-    assert_eq!(par.injected_msgs(), seq.injected_msgs());
-    assert_eq!(par.delivered_flits(), seq.delivered_flits());
-    assert_eq!(par.flits_in_flight(), seq.flits_in_flight());
-    assert_eq!(par.counters(), seq.counters());
 }
 
 // ---------------------------------------------------------------------------
@@ -902,11 +734,9 @@ fn assert_networks_identical(fast: &Network, slow: &Network, what: &str) {
     );
 }
 
-/// One equivalence class across the three drivers — horizon-skipping
-/// active, the every-cycle full-scan oracle and the 4-thread parallel
-/// stepper — over multi-hop topologies and every policing mode. The
-/// parallel driver shares the horizon engine, so this also pins that
-/// jumping composes with barrier phases.
+/// The horizon-skipping fast driver and the every-cycle full-scan
+/// oracle are one equivalence class over multi-hop topologies and every
+/// policing mode.
 #[test]
 fn horizon_identity_grid_over_topologies_and_drivers() {
     let cases: [(&str, Topology, usize); 3] = [
@@ -927,16 +757,7 @@ fn horizon_identity_grid_over_topologies_and_drivers() {
 
             let mut oracle = build();
             oracle.run_until_reference(end);
-            assert_networks_identical(&jumped, &oracle, &format!("{what} vs oracle"));
-
-            let mut par = build();
-            par.run_until_parallel(end, 4);
-            assert_networks_identical(&jumped, &par, &format!("{what} vs 4 threads"));
-            assert_eq!(
-                jumped.skip_stats(),
-                par.skip_stats(),
-                "{what}: sequential and parallel drivers must take the same jumps"
-            );
+            assert_networks_identical(&jumped, &oracle, &what);
         }
     }
 }
