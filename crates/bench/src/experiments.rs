@@ -53,14 +53,14 @@ struct Sweep {
 }
 
 impl Sweep {
-    fn collect(results: Vec<Option<(SimOutcome, Vec<u8>)>>) -> Sweep {
+    fn collect(results: Vec<Option<SimOutcome>>) -> Sweep {
         let mut cycles = 0u64;
         let mut trace = Vec::new();
         let mut outs = Vec::with_capacity(results.len());
         for slot in results {
-            outs.push(slot.map(|(out, t)| {
+            outs.push(slot.map(|mut out| {
                 cycles += out.cycles;
-                trace.extend_from_slice(&t);
+                trace.append(&mut out.trace);
                 out
             }));
         }
@@ -428,7 +428,7 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
     let loads = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
     /// Per-task result: either a MediaWorm or a PCS point.
     enum Half {
-        Worm(Box<SimOutcome>, Vec<u8>),
+        Worm(Box<SimOutcome>),
         Pcs(PcsOutcome),
     }
     // Task 2i runs MediaWorm at loads[i]; task 2i+1 runs PCS at loads[i].
@@ -439,8 +439,7 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
             let mut p = Point::new(load, 100.0, 0.0);
             p.router = RouterConfig::new(24);
             p.spec = WorkloadSpec::paper_100mbps();
-            let (out, trace) = run_single_switch_seeded(&p, args, task.seed);
-            Half::Worm(Box::new(out), trace)
+            Half::Worm(Box::new(run_single_switch_seeded(&p, args, task.seed)))
         } else {
             let (w, m) = args.windows();
             Half::Pcs(pcs_router::sim::run(
@@ -455,23 +454,23 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
     let mut records = Vec::new();
     let mut cycles = 0u64;
     let mut trace = Vec::new();
-    for (i, half) in halves.iter().enumerate() {
+    for (i, half) in halves.into_iter().enumerate() {
         let Some(half) = half else { continue };
         let load = format!("{:.2}", loads[i / 2]);
         let (router, mean, std) = match half {
-            Half::Worm(out, t) => {
+            Half::Worm(mut out) => {
                 cycles += out.cycles;
-                trace.extend_from_slice(t);
+                trace.append(&mut out.trace);
                 records.push(point_json(
                     i,
                     &[("load", &load), ("router", "MediaWorm")],
-                    out,
+                    &out,
                 ));
                 ("MediaWorm", out.jitter.mean_ms, out.jitter.std_ms)
             }
             Half::Pcs(out) => {
                 cycles += out.cycles;
-                records.push(pcs_json(i, &[("load", &load), ("router", "PCS")], out));
+                records.push(pcs_json(i, &[("load", &load), ("router", "PCS")], &out));
                 ("PCS", out.jitter.mean_ms, out.jitter.std_ms)
             }
         };
@@ -1025,7 +1024,7 @@ mod tests {
         args.loads = Some(vec![0.7]);
         let run = bounds(&args);
         assert_eq!(run.points.len(), 4);
-        let doc = run.to_json(1.0).to_string();
+        let doc = run.to_json(1.0, None).to_string();
         assert!(doc.contains("\"bounds_summary\""));
         assert!(doc.contains("\"tightness\""));
         // The CBR/Off point carries provable envelopes and the sweep
@@ -1038,7 +1037,7 @@ mod tests {
     #[test]
     fn json_document_is_nan_free() {
         let run = fig3(&quick());
-        let doc = run.to_json(1.5).to_string();
+        let doc = run.to_json(1.5, None).to_string();
         assert!(doc.starts_with("{\"experiment\":\"fig3\""));
         assert!(doc.contains("\"throughput\":{\"wall_secs\":1.5"));
         assert!(!doc.contains("NaN"), "NaN leaked into JSON: {doc}");

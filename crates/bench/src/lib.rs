@@ -4,8 +4,8 @@
 //! builds the right workload/topology/router configuration, runs the
 //! simulation, and prints the same rows or series the paper reports. This
 //! library holds what they share: the command-line knobs ([`RunArgs`]),
-//! the single-point runners ([`run_single_switch`], [`run_fat_mesh`]), and
-//! formatting helpers.
+//! the single-point runners ([`run_single_switch_seeded`],
+//! [`run_fat_mesh_seeded`]), and formatting helpers.
 //!
 //! # Conventions
 //!
@@ -39,7 +39,6 @@ use std::path::{Path, PathBuf};
 use flitnet::VcPartition;
 use mediaworm::{sim, RouterConfig, SchedulerKind, SimOpts, SimOutcome};
 use metrics::{Json, Table};
-use netsim::{JsonlSink, NoopSink, TelemetrySink};
 use topo::Topology;
 use traffic::{PolicingMode, StreamClass, WorkloadBuilder, WorkloadSpec};
 
@@ -77,7 +76,9 @@ pub struct RunArgs {
     /// to uninterrupted ones.
     pub resume: bool,
     /// Record a JSONL flit-event trace of every simulated point to this
-    /// path. Traces are large; combine with `--quick`.
+    /// path. Every crossbar crossing is a line and the whole sweep's trace
+    /// is held in memory until it is written, so keep the windows to a few
+    /// simulated milliseconds (`--warmup`, `--measure`).
     pub trace: Option<PathBuf>,
     /// Run every point with the flow-control invariant audit enabled
     /// (`--audit`); violation counts land in the per-point JSON records.
@@ -262,8 +263,9 @@ impl RunArgs {
     }
 
     /// The [`SimOpts`] these args imply: the standard watchdog always,
-    /// plus the invariant audit when `--audit` was given and the
-    /// delay-bound audit when `--bounds` was given.
+    /// plus the invariant audit when `--audit` was given, the delay-bound
+    /// audit when `--bounds` was given and the flit-event trace when
+    /// `--trace` was given.
     pub fn sim_opts(&self) -> SimOpts {
         let mut opts = if self.audit {
             SimOpts::audited()
@@ -273,6 +275,7 @@ impl RunArgs {
         if self.bounds {
             opts = opts.bounds();
         }
+        opts.trace = self.trace.is_some();
         opts
     }
 
@@ -413,15 +416,10 @@ impl Point {
         }
     }
 
-    /// Runs this point over `topology` with the args' base seed.
-    pub fn run_on(&self, topology: &Topology, args: &RunArgs) -> SimOutcome {
-        self.run_on_seeded(topology, args, args.seed).0
-    }
-
     /// Runs this point over `topology` with an explicit workload seed
-    /// (sweeps derive one per task; see [`sweep`]), returning the outcome
-    /// and — when the args ask for `--trace` — the point's JSONL
-    /// flit-event trace (empty otherwise).
+    /// (sweeps derive one per task; see [`sweep`]). When the args ask for
+    /// `--trace`, the outcome carries the point's JSONL flit-event trace
+    /// in [`SimOutcome::trace`].
     ///
     /// When the args ask for checkpointing ([`RunArgs::checkpoint_cycles`]),
     /// the run snapshots periodically to a point-specific file under
@@ -434,21 +432,11 @@ impl Point {
     /// Panics with the [`sim::SimError`] when the point cannot run:
     /// checkpoint I/O fails, or `--bounds` meets a topology without a
     /// delay bound (a torus).
-    pub fn run_on_seeded(
-        &self,
-        topology: &Topology,
-        args: &RunArgs,
-        seed: u64,
-    ) -> (SimOutcome, Vec<u8>) {
+    pub fn run_on_seeded(&self, topology: &Topology, args: &RunArgs, seed: u64) -> SimOutcome {
         let workload = self.workload(topology, seed);
         let (w, m) = args.windows();
         let ckpt = self.checkpoint_opts(topology, args, seed);
-        let mut trace = args.trace.is_some().then(JsonlSink::new);
-        let sink: &mut dyn TelemetrySink = match &mut trace {
-            Some(t) => t,
-            None => &mut NoopSink,
-        };
-        let out = sim::run_with(
+        sim::run_with(
             topology,
             workload,
             &self.router,
@@ -456,10 +444,8 @@ impl Point {
             m,
             args.sim_opts(),
             ckpt.as_ref(),
-            sink,
         )
-        .unwrap_or_else(|e| panic!("{e}"));
-        (out, trace.map_or_else(Vec::new, JsonlSink::into_bytes))
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The checkpoint configuration these args imply for this point, if
@@ -516,26 +502,16 @@ impl Point {
     }
 }
 
-/// Runs one point on the paper's 8-port single switch.
-pub fn run_single_switch(point: &Point, args: &RunArgs) -> SimOutcome {
-    point.run_on(&Topology::single_switch(8), args)
-}
-
-/// [`run_single_switch`] with an explicit workload seed; see
-/// [`Point::run_on_seeded`] for the trace bytes.
-pub fn run_single_switch_seeded(point: &Point, args: &RunArgs, seed: u64) -> (SimOutcome, Vec<u8>) {
+/// Runs one point on the paper's 8-port single switch with workload seed
+/// `seed`; see [`Point::run_on_seeded`].
+pub fn run_single_switch_seeded(point: &Point, args: &RunArgs, seed: u64) -> SimOutcome {
     point.run_on_seeded(&Topology::single_switch(8), args, seed)
 }
 
 /// Runs one point on the paper's 2×2 fat-mesh (two parallel links per
-/// neighbour pair, 4 endpoints per switch).
-pub fn run_fat_mesh(point: &Point, args: &RunArgs) -> SimOutcome {
-    point.run_on(&Topology::fat_mesh(2, 2, 2, 4), args)
-}
-
-/// [`run_fat_mesh`] with an explicit workload seed; see
-/// [`Point::run_on_seeded`] for the trace bytes.
-pub fn run_fat_mesh_seeded(point: &Point, args: &RunArgs, seed: u64) -> (SimOutcome, Vec<u8>) {
+/// neighbour pair, 4 endpoints per switch) with workload seed `seed`; see
+/// [`Point::run_on_seeded`].
+pub fn run_fat_mesh_seeded(point: &Point, args: &RunArgs, seed: u64) -> SimOutcome {
     point.run_on_seeded(&Topology::fat_mesh(2, 2, 2, 4), args, seed)
 }
 
@@ -560,49 +536,32 @@ pub struct ExperimentRun {
 
 impl ExperimentRun {
     /// The machine-readable document `--json` writes: experiment name,
-    /// per-point results, and throughput (wall-clock seconds, simulated
-    /// cycles, cycles per second).
-    pub fn to_json(&self, wall_secs: f64) -> Json {
-        let cycles_per_sec = (wall_secs > 0.0).then(|| self.sim_cycles as f64 / wall_secs);
-        Json::obj([
-            ("experiment", Json::str(self.name)),
-            ("results", Json::arr(self.points.iter().cloned())),
-            (
-                "throughput",
-                Json::obj([
-                    ("wall_secs", Json::num(wall_secs)),
-                    ("sim_cycles", Json::Uint(self.sim_cycles)),
-                    ("cycles_per_sec", Json::opt_num(cycles_per_sec)),
-                ]),
-            ),
-        ])
-    }
-
-    /// The shard variant of [`ExperimentRun::to_json`]: the same
-    /// per-point records (each tagged with its global task index by the
-    /// experiment), plus the shard coordinates [`merge_shards`] needs to
-    /// recombine the reports.
-    pub fn to_shard_json(&self, wall_secs: f64, shard: (usize, usize)) -> Json {
-        let cycles_per_sec = (wall_secs > 0.0).then(|| self.sim_cycles as f64 / wall_secs);
-        Json::obj([
-            ("experiment", Json::str(self.name)),
-            (
+    /// per-point results (each tagged with its global task index by the
+    /// experiment), and throughput (wall-clock seconds, simulated cycles,
+    /// cycles per second). A shard's document also carries the `shard`
+    /// coordinates [`merge_shards`] needs to recombine the reports.
+    pub fn to_json(&self, wall_secs: f64, shard: Option<(usize, usize)>) -> Json {
+        let mut doc = Json::obj([("experiment", Json::str(self.name))]);
+        if let Some((index, count)) = shard {
+            doc.push(
                 "shard",
                 Json::obj([
-                    ("index", Json::Uint(shard.0 as u64)),
-                    ("count", Json::Uint(shard.1 as u64)),
+                    ("index", Json::Uint(index as u64)),
+                    ("count", Json::Uint(count as u64)),
                 ]),
-            ),
-            ("results", Json::arr(self.points.iter().cloned())),
-            (
-                "throughput",
-                Json::obj([
-                    ("wall_secs", Json::num(wall_secs)),
-                    ("sim_cycles", Json::Uint(self.sim_cycles)),
-                    ("cycles_per_sec", Json::opt_num(cycles_per_sec)),
-                ]),
-            ),
-        ])
+            );
+        }
+        doc.push("results", Json::arr(self.points.iter().cloned()));
+        let cycles_per_sec = (wall_secs > 0.0).then(|| self.sim_cycles as f64 / wall_secs);
+        doc.push(
+            "throughput",
+            Json::obj([
+                ("wall_secs", Json::num(wall_secs)),
+                ("sim_cycles", Json::Uint(self.sim_cycles)),
+                ("cycles_per_sec", Json::opt_num(cycles_per_sec)),
+            ]),
+        );
+        doc
     }
 }
 
@@ -640,10 +599,7 @@ pub fn write_json_results(
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
     }
-    let doc = match args.shard {
-        Some(shard) => run.to_shard_json(wall_secs, shard),
-        None => run.to_json(wall_secs),
-    };
+    let doc = run.to_json(wall_secs, args.shard);
     std::fs::write(&path, format!("{doc}\n"))?;
     Ok(path)
 }
@@ -658,11 +614,17 @@ pub fn write_json_results(
 /// Merging the same sweep split into any number of shards therefore
 /// yields identical bytes.
 ///
-/// Errors with [`io::ErrorKind::InvalidData`] if a shard file names the
-/// wrong experiment or shard, lacks its results, or the shards' records
-/// do not cover every task index exactly once.
+/// Errors with [`io::ErrorKind::InvalidInput`] if `count` is zero, and
+/// with [`io::ErrorKind::InvalidData`] if a shard file names the wrong
+/// experiment or shard, lacks its results, or the shards' records do not
+/// cover every task index exactly once.
 pub fn merge_shards(name: &str, dir: &Path, count: usize) -> io::Result<PathBuf> {
-    assert!(count >= 1, "a merge needs at least one shard");
+    if count == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a merge needs at least one shard",
+        ));
+    }
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut records: Vec<(u64, String)> = Vec::new();
     let mut sim_cycles: u64 = 0;
@@ -826,8 +788,9 @@ mod tests {
             jobs: Some(1),
             ..RunArgs::default()
         };
-        let out = run_single_switch(&Point::new(0.4, 100.0, 0.0), &args);
+        let out = run_single_switch_seeded(&Point::new(0.4, 100.0, 0.0), &args, args.seed);
         assert!(out.jitter.intervals > 0);
+        assert!(out.trace.is_empty(), "untraced runs carry no trace");
     }
 
     #[test]
@@ -963,6 +926,12 @@ mod tests {
     }
 
     #[test]
+    fn merge_of_zero_shards_is_invalid_input() {
+        let err = merge_shards("unit", Path::new("."), 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
     fn merge_rejects_incomplete_shard_sets() {
         let dir = std::env::temp_dir().join("mediaworm-merge-incomplete-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1018,8 +987,13 @@ mod tests {
             sim_cycles: 100,
             trace: Vec::new(),
         };
-        let doc = run.to_json(0.0).to_string();
+        let doc = run.to_json(0.0, None).to_string();
         assert!(doc.contains("\"cycles_per_sec\":null"));
         assert!(!doc.contains("NaN"));
+        assert!(!doc.contains("shard"));
+        let shard = run.to_json(0.0, Some((1, 4))).to_string();
+        assert!(shard.starts_with(
+            "{\"experiment\":\"unit\",\"shard\":{\"index\":1,\"count\":4},\"results\":[]"
+        ));
     }
 }

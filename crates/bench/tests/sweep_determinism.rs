@@ -2,7 +2,7 @@
 //! seeds derive from the task index alone, results are slotted by index,
 //! and replica statistics merge in a fixed order. The telemetry layer must
 //! obey the same contract — counters and JSONL traces are assembled in
-//! task order, and a disabled (no-op) sink must not change any number.
+//! task order, and tracing must not change any number.
 
 use mediaworm_bench::sweep::SweepRunner;
 use mediaworm_bench::{experiments, run_single_switch_seeded, Point, RunArgs};
@@ -19,8 +19,8 @@ fn args_with_jobs(jobs: usize) -> RunArgs {
     }
 }
 
-/// [`args_with_jobs`] with `--trace` set, so the runners return each
-/// point's JSONL trace (the path itself is only written by binaries).
+/// [`args_with_jobs`] with `--trace` set, so each point's outcome carries
+/// its JSONL trace (the path itself is only written by binaries).
 fn traced_args_with_jobs(jobs: usize) -> RunArgs {
     RunArgs {
         trace: Some("trace.jsonl".into()),
@@ -41,7 +41,7 @@ fn merged_stats(jobs: usize) -> Vec<RunningStats> {
     let args = args_with_jobs(jobs);
     let points = test_points();
     SweepRunner::from_args(&args).run_stats(points.len(), 2, |p, _replica, seed| {
-        let (out, _) = run_single_switch_seeded(&points[p], &args, seed);
+        let out = run_single_switch_seeded(&points[p], &args, seed);
         let mut s = RunningStats::new();
         s.push(out.jitter.mean_ms);
         s.push(out.jitter.std_ms);
@@ -96,9 +96,7 @@ fn counters_are_identical_at_any_job_count() {
     let collect = |jobs: usize| {
         let args = args_with_jobs(jobs);
         SweepRunner::from_args(&args).map(points.len(), |task| {
-            run_single_switch_seeded(&points[task.index], &args, task.seed)
-                .0
-                .counters
+            run_single_switch_seeded(&points[task.index], &args, task.seed).counters
         })
     };
     assert_eq!(collect(1), collect(8));
@@ -110,7 +108,7 @@ fn traces_are_bit_identical_at_any_job_count() {
     let collect = |jobs: usize| {
         let args = traced_args_with_jobs(jobs);
         let per_point = SweepRunner::from_args(&args).map(points.len(), |task| {
-            run_single_switch_seeded(&points[task.index], &args, task.seed).1
+            run_single_switch_seeded(&points[task.index], &args, task.seed).trace
         });
         // Concatenated in task order, exactly as the experiments do.
         per_point.concat()
@@ -124,10 +122,13 @@ fn traces_are_bit_identical_at_any_job_count() {
 fn tracing_does_not_change_results() {
     let args = args_with_jobs(2);
     for point in &test_points() {
-        let (plain, no_trace) = run_single_switch_seeded(point, &args, 7);
-        let (traced, trace) = run_single_switch_seeded(point, &traced_args_with_jobs(2), 7);
-        assert!(no_trace.is_empty(), "untraced runs return no trace bytes");
-        assert!(!trace.is_empty());
+        let plain = run_single_switch_seeded(point, &args, 7);
+        let traced = run_single_switch_seeded(point, &traced_args_with_jobs(2), 7);
+        assert!(
+            plain.trace.is_empty(),
+            "untraced runs return no trace bytes"
+        );
+        assert!(!traced.trace.is_empty());
         assert_eq!(plain.delivered_msgs, traced.delivered_msgs);
         assert_eq!(plain.injected_msgs, traced.injected_msgs);
         assert_eq!(plain.counters, traced.counters);

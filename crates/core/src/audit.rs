@@ -369,7 +369,6 @@ mod tests {
         Flit, FlitKind, FrameId, MsgId, NodeId, RouterId, StreamId, TrafficClass, VcPartition,
         VcSel,
     };
-    use netsim::telemetry::NoopSink;
     use netsim::Cycles;
 
     use crate::config::RouterConfig;
@@ -461,8 +460,6 @@ mod tests {
             r.init_credits(PortId(0), VcId(0), 4);
             r.init_credits(PortId(1), VcId(0), 1_000_000);
         }
-        let mut sink = NoopSink;
-
         // Worm A arrives at router 0 (from its endpoint via port 1) and is
         // granted output port 0 (toward router 1). Worm B mirrors it.
         const TO_NEIGHBOUR: [PortId; 1] = [PortId(0)];
@@ -473,8 +470,8 @@ mod tests {
             r1.receive_flit(Cycles(i as u64), PortId(1), f);
         }
         for t in 0..10u64 {
-            r0.arbitrate(Cycles(t), |_| (&TO_NEIGHBOUR[..], VcSel::Any), &mut sink);
-            r1.arbitrate(Cycles(t), |_| (&TO_NEIGHBOUR[..], VcSel::Any), &mut sink);
+            r0.arbitrate(Cycles(t), |_| (&TO_NEIGHBOUR[..], VcSel::Any), None);
+            r1.arbitrate(Cycles(t), |_| (&TO_NEIGHBOUR[..], VcSel::Any), None);
         }
         assert_eq!(r0.output_owner(PortId(0), VcId(0)), Some(MsgId(1)));
         assert_eq!(r1.output_owner(PortId(0), VcId(0)), Some(MsgId(2)));
@@ -520,13 +517,12 @@ mod tests {
         let r1 = Router::new(RouterId(1), 2, &cfg, part);
         r0.init_credits(PortId(0), VcId(0), 4);
         r0.init_credits(PortId(1), VcId(0), 1_000_000);
-        let mut sink = NoopSink;
         const TO_NEIGHBOUR: [PortId; 1] = [PortId(0)];
         for (i, f) in worm(1, 16, 3).into_iter().take(4).enumerate() {
             r0.receive_flit(Cycles(i as u64), PortId(1), f);
         }
         for t in 0..10u64 {
-            r0.arbitrate(Cycles(t), |_| (&TO_NEIGHBOUR[..], VcSel::Any), &mut sink);
+            r0.arbitrate(Cycles(t), |_| (&TO_NEIGHBOUR[..], VcSel::Any), None);
         }
         let routers = [r0, r1];
         let downstream = |r: usize, p: PortId| -> Option<(usize, PortId)> {

@@ -38,7 +38,8 @@
 //!   [`metrics::JitterSummary`] / best-effort latency.
 //! * [`sim`] — the experiment driver used by the `mediaworm-bench`
 //!   binaries: [`sim::run`] for a plain run, [`sim::run_with`] for
-//!   explicit [`SimOpts`], a checkpoint and a flit-event sink.
+//!   explicit [`SimOpts`] (safety layers, driver, flit-event trace) and a
+//!   checkpoint.
 //! * [`counters`] — always-on per-router/per-port telemetry counters
 //!   (flits per class, mux conflicts, credit stalls, sampled occupancy).
 //! * [`admission`] — a bandwidth-accounting admission controller (the

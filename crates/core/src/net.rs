@@ -22,7 +22,7 @@ use flitnet::{CreditLink, Flit, Link, NodeId, PortId, RouterId, VcId};
 use metrics::{DeliveryTracker, LatencyTracker};
 use netsim::audit::AuditLog;
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
-use netsim::telemetry::{FlitEvent, FlitEventKind, NoopSink, TelemetrySink};
+use netsim::telemetry::{FlitEvent, FlitEventKind, JsonlSink};
 use netsim::{Calendar, Cycles, RunningStats, TimeBase};
 use topo::{PortTarget, Topology};
 use traffic::{ScheduledMessage, Workload};
@@ -185,10 +185,6 @@ pub struct Network {
     /// Start of the current link-statistics window (see
     /// [`Network::reset_link_stats`]).
     stats_start: Cycles,
-    /// Whether endpoint inject/deliver events go to the telemetry sink.
-    /// Mirrors the per-router flag; set from the sink at the start of
-    /// [`Network::run_until_with`].
-    trace: bool,
     /// Downstream input-buffer depth per VC (the audit's conservation
     /// checks need the capacity the credits were initialised from).
     buf_flits: u32,
@@ -200,6 +196,10 @@ pub struct Network {
     audit: Option<AuditState>,
     /// Progress watchdog; `None` (the default) costs nothing.
     watchdog: Option<WatchdogState>,
+    /// Flit-event trace; `None` (the default) costs one predicted branch
+    /// per emission site. Never serialised: a snapshot holds simulation
+    /// state, not the record of how it got there.
+    trace: Option<JsonlSink>,
     /// The stall report, once the watchdog has tripped.
     stall: Option<StallReport>,
     /// Skip-effectiveness counters (driver diagnostics; never
@@ -365,11 +365,11 @@ impl Network {
             ep_active: vec![false; node_count],
             link_sent: vec![0; link_count],
             stats_start: Cycles::ZERO,
-            trace: false,
             buf_flits: cfg.buf_flits_value(),
             total_link_sends: 0,
             audit: None,
             watchdog: None,
+            trace: None,
             stall: None,
             skip: SkipStats::default(),
         }
@@ -523,24 +523,16 @@ impl Network {
     }
 
     /// Runs the simulation until cycle `end`.
-    pub fn run_until(&mut self, end: Cycles) {
-        self.run_until_with(end, &mut NoopSink);
-    }
-
-    /// Runs the simulation until cycle `end`, streaming flit events into
-    /// `sink`.
     ///
-    /// Tracing is armed from `sink.is_enabled()` once, up front, so a
-    /// [`NoopSink`] run executes the exact same instruction stream as
-    /// [`Network::run_until`] — the per-flit guard is a cached boolean,
-    /// not a virtual call.
     /// When the audit or the watchdog is enabled (see
     /// [`Network::enable_audit`] / [`Network::enable_watchdog`]), each
     /// cycle additionally runs the safety checks; a detected stall stops
     /// the run early with a [`StallReport`] available from
-    /// [`Network::stall_report`].
-    pub fn run_until_with(&mut self, end: Cycles, sink: &mut dyn TelemetrySink) {
-        self.run_until_impl(end, sink, false);
+    /// [`Network::stall_report`]. When tracing is enabled (see
+    /// [`Network::enable_trace`]), flit events accumulate for
+    /// [`Network::take_trace`].
+    pub fn run_until(&mut self, end: Cycles) {
+        self.run_until_impl(end, false);
     }
 
     /// Folds end-of-run truncation into the latency tracker: every
@@ -561,30 +553,23 @@ impl Network {
     /// Runs the simulation until cycle `end` on the *oracle* driver: every
     /// cycle is stepped (no horizon jump) and every phase scans every
     /// slot, as the code did before the occupancy-driven active sets
-    /// existed. The audit and watchdog run exactly as under
+    /// existed. The audit, watchdog and trace run exactly as under
     /// [`Network::run_until`]. Kept for the bit-identity tests: a run here
     /// must produce exactly the same counters, stall reports, snapshots
     /// and trace bytes as the fast driver.
     pub fn run_until_reference(&mut self, end: Cycles) {
-        self.run_until_reference_with(end, &mut NoopSink);
-    }
-
-    /// [`Network::run_until_reference`], streaming flit events into
-    /// `sink`.
-    pub fn run_until_reference_with(&mut self, end: Cycles, sink: &mut dyn TelemetrySink) {
-        self.run_until_impl(end, sink, true);
+        self.run_until_impl(end, true);
     }
 
     /// The sequential driver loop; `oracle` selects full scans with every
     /// cycle stepped, otherwise active-set scans with horizon jumps.
-    fn run_until_impl(&mut self, end: Cycles, sink: &mut dyn TelemetrySink, oracle: bool) {
-        self.set_tracing(sink.is_enabled());
+    fn run_until_impl(&mut self, end: Cycles, oracle: bool) {
         let checked = self.audit.is_some() || self.watchdog.is_some();
         while self.now < end {
             if !oracle && self.try_horizon_jump(end) {
                 continue;
             }
-            self.step_impl(sink, oracle);
+            self.step_impl(oracle);
             if checked {
                 self.safety_check();
                 if self.stall.is_some() {
@@ -702,27 +687,18 @@ impl Network {
         self.skip = SkipStats::default();
     }
 
-    /// Arms or disarms flit-event tracing on the endpoints and every
-    /// router.
-    fn set_tracing(&mut self, on: bool) {
-        self.trace = on;
-        for r in &mut self.routers {
-            r.set_tracing(on);
-        }
-    }
-
     /// Executes one cycle at the current time; `reference` selects the
     /// full-scan phases.
-    fn step_impl(&mut self, sink: &mut dyn TelemetrySink, reference: bool) {
+    fn step_impl(&mut self, reference: bool) {
         let now = self.now;
-        self.inject(now, sink);
+        self.inject(now);
         if reference {
-            self.deliver_reference(now, sink);
+            self.deliver_reference(now);
         } else {
-            self.deliver(now, sink);
+            self.deliver(now);
         }
-        self.route_and_arbitrate(now, sink, reference);
-        self.crossbar(now, sink, reference);
+        self.route_and_arbitrate(now, reference);
+        self.crossbar(now, reference);
         self.output(now, reference);
         if reference {
             self.ni_send_reference(now);
@@ -732,7 +708,7 @@ impl Network {
     }
 
     /// Phase 1: fire due injections into the NI queues.
-    fn inject(&mut self, now: Cycles, sink: &mut dyn TelemetrySink) {
+    fn inject(&mut self, now: Cycles) {
         while let Some((_, i)) = self.calendar.pop_due(now) {
             let msg = self.staged[i].take().expect("staged message present");
             let ep = &mut self.endpoints[msg.src.index()];
@@ -743,7 +719,7 @@ impl Network {
             }
             ep.queued += msg.flits.len() as u64;
             Self::activate_ep(&mut self.ep_active, &mut self.active_eps, msg.src.index());
-            if self.trace {
+            if let Some(sink) = &mut self.trace {
                 // One event per message; `port` holds the source node id
                 // (there is no router at the injection point).
                 let head = &msg.flits[0];
@@ -780,11 +756,11 @@ impl Network {
     /// Only links on the active list are scanned; a link leaves the list
     /// once both its flit and credit channels have drained and rejoins it
     /// on the next send.
-    fn deliver(&mut self, now: Cycles, sink: &mut dyn TelemetrySink) {
+    fn deliver(&mut self, now: Cycles) {
         let mut i = 0;
         while i < self.active_links.len() {
             let l = self.active_links[i];
-            if self.deliver_link(l, now, sink) {
+            if self.deliver_link(l, now) {
                 self.link_active[l] = false;
                 // Order-preserving removal keeps the list sorted.
                 self.active_links.remove(i);
@@ -797,9 +773,9 @@ impl Network {
     /// Phase 2, reference mode: scan *every* link in index order (the
     /// order the sorted active list reproduces), then prune the active
     /// list exactly as the optimized scan would have.
-    fn deliver_reference(&mut self, now: Cycles, sink: &mut dyn TelemetrySink) {
+    fn deliver_reference(&mut self, now: Cycles) {
         for l in 0..self.links.len() {
-            let drained = self.deliver_link(l, now, sink);
+            let drained = self.deliver_link(l, now);
             debug_assert!(
                 drained || self.link_active[l],
                 "a busy link must be on the active list"
@@ -819,7 +795,7 @@ impl Network {
 
     /// Drains everything due on link `l` this cycle; returns whether the
     /// link is now fully idle (nothing left in flight either way).
-    fn deliver_link(&mut self, l: usize, now: Cycles, sink: &mut dyn TelemetrySink) -> bool {
+    fn deliver_link(&mut self, l: usize, now: Cycles) -> bool {
         let lp = &mut self.links[l];
         while let Some(flit) = lp.flit.recv(now) {
             match lp.rx {
@@ -832,8 +808,7 @@ impl Network {
                         &mut self.flits_in_flight,
                         now,
                         flit,
-                        self.trace,
-                        sink,
+                        self.trace.as_mut(),
                     );
                 }
             }
@@ -856,18 +831,17 @@ impl Network {
         in_flight: &mut u64,
         now: Cycles,
         flit: Flit,
-        trace: bool,
-        tsink: &mut dyn TelemetrySink,
+        trace: Option<&mut JsonlSink>,
     ) {
         *in_flight -= 1;
         sinks.delivered_flits += 1;
         if !flit.kind.is_tail() {
             return;
         }
-        if trace {
+        if let Some(trace) = trace {
             // One event per message, on its tail flit; `port` holds the
             // destination node id.
-            tsink.record(&FlitEvent {
+            trace.record(&FlitEvent {
                 cycle: now.get(),
                 kind: FlitEventKind::Deliver,
                 router: None,
@@ -921,7 +895,7 @@ impl Network {
     }
 
     /// Phase 3: stages 2–3 on every router.
-    fn route_and_arbitrate(&mut self, now: Cycles, sink: &mut dyn TelemetrySink, reference: bool) {
+    fn route_and_arbitrate(&mut self, now: Cycles, reference: bool) {
         let topology = &self.topology;
         for (r, router) in self.routers.iter_mut().enumerate() {
             if !router.has_work() {
@@ -929,15 +903,23 @@ impl Network {
             }
             let rid = RouterId(r as u32);
             if reference {
-                router.arbitrate_reference(now, |flit| topology.route_sel(rid, flit.dest), sink);
+                router.arbitrate_reference(
+                    now,
+                    |flit| topology.route_sel(rid, flit.dest),
+                    self.trace.as_mut(),
+                );
             } else {
-                router.arbitrate(now, |flit| topology.route_sel(rid, flit.dest), sink);
+                router.arbitrate(
+                    now,
+                    |flit| topology.route_sel(rid, flit.dest),
+                    self.trace.as_mut(),
+                );
             }
         }
     }
 
     /// Phase 4: crossbars; send freed-slot credits back upstream.
-    fn crossbar(&mut self, now: Cycles, sink: &mut dyn TelemetrySink, reference: bool) {
+    fn crossbar(&mut self, now: Cycles, reference: bool) {
         let mut credits = std::mem::take(&mut self.credit_buf);
         for r in 0..self.routers.len() {
             if !self.routers[r].has_work() {
@@ -945,9 +927,9 @@ impl Network {
             }
             credits.clear();
             if reference {
-                self.routers[r].crossbar_reference(now, &mut credits, sink);
+                self.routers[r].crossbar_reference(now, &mut credits, self.trace.as_mut());
             } else {
-                self.routers[r].crossbar(now, &mut credits, sink);
+                self.routers[r].crossbar(now, &mut credits, self.trace.as_mut());
             }
             for c in &credits {
                 let feeder = self.feed_link[r][c.port.index()];
@@ -1075,7 +1057,7 @@ impl Network {
         Some(flit)
     }
 
-    // ---- audit + watchdog ------------------------------------------------
+    // ---- audit + watchdog + trace ----------------------------------------
 
     /// Enables the invariant audit sweep. Violations accumulate in the
     /// log returned by [`Network::audit_log`]. Off by default: a run
@@ -1091,7 +1073,7 @@ impl Network {
 
     /// Enables the progress watchdog. When flits are in flight but no
     /// forwarding progress happens for `cfg.stall_cycles` cycles,
-    /// [`Network::run_until_with`] stops early and
+    /// [`Network::run_until`] stops early and
     /// [`Network::stall_report`] describes the stall.
     pub fn enable_watchdog(&mut self, cfg: WatchdogConfig) {
         self.watchdog = Some(WatchdogState {
@@ -1100,6 +1082,24 @@ impl Network {
             last_signature: DRAINED,
             last_progress_at: self.now,
         });
+    }
+
+    /// Enables flit-event tracing: from now on every inject, route grant,
+    /// crossbar crossing and delivery is recorded as one JSONL line (see
+    /// [`netsim::telemetry`]) until [`Network::take_trace`] drains it.
+    /// Off by default. Tracing only observes, so a traced run simulates
+    /// the same bits as an untraced one; the buffer lives in memory, so
+    /// keep traced runs to a few simulated milliseconds.
+    pub fn enable_trace(&mut self) {
+        self.trace.get_or_insert_with(JsonlSink::new);
+    }
+
+    /// The JSONL bytes recorded since tracing was enabled or last
+    /// drained; tracing stays on. Empty when tracing is off.
+    pub fn take_trace(&mut self) -> Vec<u8> {
+        self.trace
+            .as_mut()
+            .map_or_else(Vec::new, |t| std::mem::take(t).into_bytes())
     }
 
     /// The audit log, if auditing is enabled.
@@ -1867,14 +1867,13 @@ mod tests {
 
     #[test]
     fn traced_run_emits_inject_and_deliver_events() {
-        use netsim::JsonlSink;
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let mut net = Network::new(&topology, small_workload(0.3, 8), &cfg);
         let tb = net.timebase();
-        let mut sink = JsonlSink::new();
-        net.run_until_with(tb.cycles_from_ms(5.0), &mut sink);
-        let text = String::from_utf8(sink.into_bytes()).expect("utf8");
+        net.enable_trace();
+        net.run_until(tb.cycles_from_ms(5.0));
+        let text = String::from_utf8(net.take_trace()).expect("utf8");
         let injects = text.matches("\"event\":\"inject\"").count() as u64;
         let delivers = text.matches("\"event\":\"deliver\"").count() as u64;
         assert_eq!(injects, net.injected_msgs());
@@ -1884,18 +1883,27 @@ mod tests {
     }
 
     #[test]
-    fn noop_sink_run_matches_plain_run() {
+    fn traced_run_matches_plain_run() {
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let mut plain = Network::new(&topology, small_workload(0.4, 11), &cfg);
-        let mut wired = Network::new(&topology, small_workload(0.4, 11), &cfg);
+        let mut traced = Network::new(&topology, small_workload(0.4, 11), &cfg);
+        traced.enable_trace();
         let tb = plain.timebase();
         let end = tb.cycles_from_ms(25.0);
         plain.run_until(end);
-        wired.run_until_with(end, &mut NoopSink);
-        assert_eq!(plain.delivered_flits(), wired.delivered_flits());
-        assert_eq!(plain.injected_msgs(), wired.injected_msgs());
-        assert_eq!(plain.counters(), wired.counters());
+        traced.run_until(end);
+        assert_eq!(plain.delivered_flits(), traced.delivered_flits());
+        assert_eq!(plain.injected_msgs(), traced.injected_msgs());
+        assert_eq!(plain.counters(), traced.counters());
+        // Trace state stays out of snapshots.
+        assert_eq!(plain.snapshot(), traced.snapshot());
+        assert!(!traced.take_trace().is_empty());
+        assert!(traced.take_trace().is_empty(), "take_trace drains");
+        assert!(
+            plain.take_trace().is_empty(),
+            "untraced runs record nothing"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! returning credits is the [`crate::net::Network`]'s job.
 
 use flitnet::{Flit, MsgId, PortId, RouterId, VcBuffer, VcId, VcPartition, VcSel};
-use netsim::telemetry::{FlitEvent, FlitEventKind, TelemetrySink};
+use netsim::telemetry::{FlitEvent, FlitEventKind, JsonlSink};
 use netsim::Cycles;
 
 use crate::config::{CrossbarKind, RouterConfig, SchedPoint, SchedulerKind};
@@ -204,9 +204,6 @@ pub struct Router {
     diag: (u64, u64, u64),
     /// Per-port/per-VC telemetry counters (always on: plain integer adds).
     counters: RouterCounters,
-    /// Cached `sink.is_enabled()`: flit-event emission is guarded by this
-    /// plain bool so a disabled sink costs nothing on the hot path.
-    trace: bool,
 }
 
 impl Router {
@@ -282,15 +279,7 @@ impl Router {
             flits_crossed: 0,
             diag: (0, 0, 0),
             counters: RouterCounters::new(n_ports, m),
-            trace: false,
         }
-    }
-
-    /// Enables or disables flit-event emission to the telemetry sink
-    /// passed to [`Router::arbitrate`] / [`Router::crossbar`]. The driver
-    /// sets this once per run from `sink.is_enabled()`.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace = on;
     }
 
     /// The router's telemetry counters.
@@ -358,15 +347,15 @@ impl Router {
     /// message-granularity output arbitration. On dateline-free
     /// topologies the restriction is [`VcSel::Any`] and changes nothing.
     ///
-    /// Each successful grant emits a `Route` event to `sink` when tracing
-    /// is enabled (see [`Router::set_tracing`]).
+    /// Each successful grant records a `Route` event into `sink`, if one
+    /// is given (`None` when the network is untraced).
     ///
     /// A head that found every candidate output VC owned is not visited
     /// again until some output VC is released: ownership only grows in
     /// between, so it would fail the same way. `candidates` must
     /// therefore be the same function of the flit on every call (the
     /// network passes its fixed routing table).
-    pub fn arbitrate<'t, F>(&mut self, now: Cycles, candidates: F, sink: &mut dyn TelemetrySink)
+    pub fn arbitrate<'t, F>(&mut self, now: Cycles, candidates: F, mut sink: Option<&mut JsonlSink>)
     where
         F: Fn(&Flit) -> (&'t [PortId], VcSel),
     {
@@ -387,7 +376,7 @@ impl Router {
                 .filter(|&&i| blocked_at[i] != releases),
         );
         for &idx in &scan {
-            self.try_route_slot(idx, now, &candidates, sink);
+            self.try_route_slot(idx, now, &candidates, sink.as_deref_mut());
         }
         self.scratch_idx = scan;
     }
@@ -412,7 +401,7 @@ impl Router {
         &mut self,
         now: Cycles,
         candidates: F,
-        sink: &mut dyn TelemetrySink,
+        mut sink: Option<&mut JsonlSink>,
     ) where
         F: Fn(&Flit) -> (&'t [PortId], VcSel),
     {
@@ -432,7 +421,7 @@ impl Router {
                 self.pending_mask[idx],
                 "ungranted non-empty slot {idx} missing from the pending list"
             );
-            self.try_route_slot(idx, now, &candidates, sink);
+            self.try_route_slot(idx, now, &candidates, sink.as_deref_mut());
         }
     }
 
@@ -446,7 +435,7 @@ impl Router {
         idx: usize,
         now: Cycles,
         candidates: &F,
-        sink: &mut dyn TelemetrySink,
+        sink: Option<&mut JsonlSink>,
     ) where
         F: Fn(&Flit) -> (&'t [PortId], VcSel),
     {
@@ -545,7 +534,7 @@ impl Router {
         self.pending_mask[idx] = false;
         sorted_remove(&mut self.pending, idx);
         sorted_insert(&mut self.inputs[p].granted, v);
-        if self.trace {
+        if let Some(sink) = sink {
             sink.record(&FlitEvent {
                 cycle: now.get(),
                 kind: FlitEventKind::Route,
@@ -587,7 +576,7 @@ impl Router {
         v: usize,
         now: Cycles,
         credits: &mut Vec<CreditReturn>,
-        sink: &mut dyn TelemetrySink,
+        sink: Option<&mut JsonlSink>,
     ) {
         let grant = self.inputs[p].vcs[v]
             .grant
@@ -610,7 +599,7 @@ impl Router {
             sorted_insert(&mut out.staged, grant.out_vc);
         }
         self.flits_crossed += 1;
-        if self.trace {
+        if let Some(sink) = sink {
             sink.record(&FlitEvent {
                 cycle: now.get(),
                 kind: FlitEventKind::Arbitrate,
@@ -660,8 +649,8 @@ impl Router {
     /// Full crossbar: every granted VC moves — each output VC has its own
     /// crossbar port.
     ///
-    /// Each flit that crosses emits an `Arbitrate` event to `sink` when
-    /// tracing is enabled. On a multiplexed crossbar, eligible VCs that
+    /// Each flit that crosses records an `Arbitrate` event into `sink`, if
+    /// one is given. On a multiplexed crossbar, eligible VCs that
     /// lose their cycle are counted as mux conflicts; every
     /// [`OCCUPANCY_SAMPLE_PERIOD`] cycles the input-buffer occupancy is
     /// sampled into the counters.
@@ -669,7 +658,7 @@ impl Router {
         &mut self,
         now: Cycles,
         credits: &mut Vec<CreditReturn>,
-        sink: &mut dyn TelemetrySink,
+        sink: Option<&mut JsonlSink>,
     ) {
         self.crossbar_impl(now, credits, sink, false);
     }
@@ -681,7 +670,7 @@ impl Router {
         &mut self,
         now: Cycles,
         credits: &mut Vec<CreditReturn>,
-        sink: &mut dyn TelemetrySink,
+        sink: Option<&mut JsonlSink>,
     ) {
         self.crossbar_impl(now, credits, sink, true);
     }
@@ -690,7 +679,7 @@ impl Router {
         &mut self,
         now: Cycles,
         credits: &mut Vec<CreditReturn>,
-        sink: &mut dyn TelemetrySink,
+        mut sink: Option<&mut JsonlSink>,
         reference: bool,
     ) {
         let n = self.inputs.len();
@@ -738,7 +727,7 @@ impl Router {
                     // cycle to the input multiplexer: a mux conflict.
                     self.counters.ports[p].mux_conflicts += n_eligible.saturating_sub(1);
                     if let Some(v) = self.inputs[p].sched.choose_from(&eligible) {
-                        self.xbar_move(p, v, now, credits, sink);
+                        self.xbar_move(p, v, now, credits, sink.as_deref_mut());
                     } else if n_eligible > 0 {
                         self.diag.1 += 1;
                     } else {
@@ -752,7 +741,7 @@ impl Router {
                     for p in 0..n {
                         for v in 0..m {
                             if self.xbar_eligible(p, v, now) {
-                                self.xbar_move(p, v, now, credits, sink);
+                                self.xbar_move(p, v, now, credits, sink.as_deref_mut());
                             }
                         }
                     }
@@ -765,7 +754,7 @@ impl Router {
                         scan.extend_from_slice(&self.inputs[p].granted);
                         for &v in &scan {
                             if self.xbar_eligible(p, v, now) {
-                                self.xbar_move(p, v, now, credits, sink);
+                                self.xbar_move(p, v, now, credits, sink.as_deref_mut());
                             }
                         }
                     }
@@ -1266,14 +1255,13 @@ mod tests {
     fn drive(router: &mut Router, now: Cycles) -> (Vec<CreditReturn>, Vec<Departure>) {
         // Route straight to the port matching the destination id.
         const PORTS: [PortId; 4] = [PortId(0), PortId(1), PortId(2), PortId(3)];
-        let mut sink = netsim::telemetry::NoopSink;
         router.arbitrate(
             now,
             |f| (std::slice::from_ref(&PORTS[f.dest.index()]), VcSel::Any),
-            &mut sink,
+            None,
         );
         let mut credits = Vec::new();
-        router.crossbar(now, &mut credits, &mut sink);
+        router.crossbar(now, &mut credits, None);
         let mut departs = Vec::new();
         router.output_stage(now, &mut departs);
         (credits, departs)
@@ -1670,16 +1658,15 @@ mod tests {
             r.receive_flit(Cycles(0), PortId(0), f);
         }
         let mut per_cycle_max = 0usize;
-        let mut sink = netsim::telemetry::NoopSink;
         for t in 0..40u64 {
             const PORTS: [PortId; 4] = [PortId(0), PortId(1), PortId(2), PortId(3)];
             r.arbitrate(
                 Cycles(t),
                 |f| (std::slice::from_ref(&PORTS[f.dest.index()]), VcSel::Any),
-                &mut sink,
+                None,
             );
             let mut credits = Vec::new();
-            r.crossbar(Cycles(t), &mut credits, &mut sink);
+            r.crossbar(Cycles(t), &mut credits, None);
             per_cycle_max = per_cycle_max.max(credits.len());
             let mut departs = Vec::new();
             r.output_stage(Cycles(t), &mut departs);
@@ -1699,16 +1686,15 @@ mod tests {
         for f in msg_flits(2, 10, 2, 1, 100.0) {
             r.receive_flit(Cycles(0), PortId(0), f);
         }
-        let mut sink = netsim::telemetry::NoopSink;
         for t in 0..60u64 {
             const PORTS: [PortId; 4] = [PortId(0), PortId(1), PortId(2), PortId(3)];
             r.arbitrate(
                 Cycles(t),
                 |f| (std::slice::from_ref(&PORTS[f.dest.index()]), VcSel::Any),
-                &mut sink,
+                None,
             );
             let mut credits = Vec::new();
-            r.crossbar(Cycles(t), &mut credits, &mut sink);
+            r.crossbar(Cycles(t), &mut credits, None);
             assert!(
                 credits.len() <= 1,
                 "muxed crossbar: one flit per input port"
@@ -1730,12 +1716,11 @@ mod tests {
             r.receive_flit(Cycles(0), PortId(1), f);
         }
         let mut used_ports = std::collections::HashSet::new();
-        let mut sink = netsim::telemetry::NoopSink;
         for t in 0..100u64 {
             const FAT: [PortId; 2] = [PortId(2), PortId(3)];
-            r.arbitrate(Cycles(t), |_| (&FAT[..], VcSel::Any), &mut sink);
+            r.arbitrate(Cycles(t), |_| (&FAT[..], VcSel::Any), None);
             let mut credits = Vec::new();
-            r.crossbar(Cycles(t), &mut credits, &mut sink);
+            r.crossbar(Cycles(t), &mut credits, None);
             let mut departs = Vec::new();
             r.output_stage(Cycles(t), &mut departs);
             for d in departs {
@@ -1798,9 +1783,7 @@ mod tests {
 
     #[test]
     fn tracing_emits_route_and_arbitrate_events() {
-        use netsim::telemetry::{JsonlSink, TelemetrySink as _};
         let mut r = new_router(&cfg());
-        r.set_tracing(true);
         let mut sink = JsonlSink::new();
         for f in msg_flits(1, 3, 2, 0, 100.0) {
             r.receive_flit(Cycles(0), PortId(0), f);
@@ -1811,14 +1794,13 @@ mod tests {
             r.arbitrate(
                 now,
                 |f| (std::slice::from_ref(&PORTS[f.dest.index()]), VcSel::Any),
-                &mut sink,
+                Some(&mut sink),
             );
             let mut credits = Vec::new();
-            r.crossbar(now, &mut credits, &mut sink);
+            r.crossbar(now, &mut credits, Some(&mut sink));
             let mut departs = Vec::new();
             r.output_stage(now, &mut departs);
         }
-        assert!(sink.is_enabled());
         let text = String::from_utf8(sink.into_bytes()).expect("utf8");
         // One route grant for the message, one arbitrate event per flit.
         assert_eq!(text.matches("\"event\":\"route\"").count(), 1);
@@ -1827,28 +1809,40 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracing_emits_nothing() {
-        use netsim::telemetry::JsonlSink;
-        let mut r = new_router(&cfg());
-        // Tracing defaults to off even with an enabled sink wired in.
-        let mut sink = JsonlSink::new();
-        for f in msg_flits(1, 3, 2, 0, 100.0) {
-            r.receive_flit(Cycles(0), PortId(0), f);
-        }
+    fn traced_router_moves_the_same_flits_as_untraced() {
+        // A sink only observes: the router fed `Some(sink)` and its twin
+        // fed `None` must return the same credits and departures.
         const PORTS: [PortId; 4] = [PortId(0), PortId(1), PortId(2), PortId(3)];
-        for t in 0..30u64 {
-            let now = Cycles(t);
-            r.arbitrate(
-                now,
-                |f| (std::slice::from_ref(&PORTS[f.dest.index()]), VcSel::Any),
-                &mut sink,
-            );
-            let mut credits = Vec::new();
-            r.crossbar(now, &mut credits, &mut sink);
-            let mut departs = Vec::new();
-            r.output_stage(now, &mut departs);
-        }
-        assert_eq!(sink.events(), 0);
+        let run = |mut sink: Option<&mut JsonlSink>| {
+            let mut r = new_router(&cfg());
+            for f in msg_flits(1, 3, 2, 0, 100.0) {
+                r.receive_flit(Cycles(0), PortId(0), f);
+            }
+            for f in msg_flits(2, 4, 2, 1, 100.0) {
+                r.receive_flit(Cycles(0), PortId(1), f);
+            }
+            let mut moved = Vec::new();
+            for t in 0..40u64 {
+                let now = Cycles(t);
+                r.arbitrate(
+                    now,
+                    |f| (std::slice::from_ref(&PORTS[f.dest.index()]), VcSel::Any),
+                    sink.as_deref_mut(),
+                );
+                let mut credits = Vec::new();
+                r.crossbar(now, &mut credits, sink.as_deref_mut());
+                let mut departs = Vec::new();
+                r.output_stage(now, &mut departs);
+                moved.extend(credits.iter().map(|c| (t, c.port, c.vc)));
+                moved.extend(departs.iter().map(|d| (t, d.port, d.flit.vc)));
+            }
+            moved
+        };
+        let mut sink = JsonlSink::new();
+        let traced = run(Some(&mut sink));
+        assert_eq!(traced, run(None));
+        assert_eq!(traced.len(), 14, "7 credits and 7 departures");
+        assert_eq!(sink.events(), 2 + 7, "two route grants, seven crossings");
     }
 
     #[test]
@@ -1898,7 +1892,6 @@ mod tests {
             for f in msg_flits(2, 6, 3, 0, 100.0) {
                 r.receive_flit(Cycles(0), PortId(1), f);
             }
-            let mut sink = netsim::telemetry::NoopSink;
             let (mut granted_at, mut skipped_cycles) = (None, 0);
             let mut departed = Vec::new();
             for t in 0..60u64 {
@@ -1907,12 +1900,12 @@ mod tests {
                 skipped_cycles += u64::from(r.blocked_at[1] == r.releases);
                 let (mut credits, mut departs) = (Vec::new(), Vec::new());
                 if reference {
-                    r.arbitrate_reference(now, route, &mut sink);
-                    r.crossbar_reference(now, &mut credits, &mut sink);
+                    r.arbitrate_reference(now, route, None);
+                    r.crossbar_reference(now, &mut credits, None);
                     r.output_stage_reference(now, &mut departs);
                 } else {
-                    r.arbitrate(now, route, &mut sink);
-                    r.crossbar(now, &mut credits, &mut sink);
+                    r.arbitrate(now, route, None);
+                    r.crossbar(now, &mut credits, None);
                     r.output_stage(now, &mut departs);
                 }
                 if granted_at.is_none() && r.grant_of(PortId(1), VcId(0)).is_some() {
@@ -1942,14 +1935,13 @@ mod tests {
     /// Drives one router whose route closure pins every hop to `sel`.
     fn drive_sel(r: &mut Router, now: Cycles, sel: VcSel) -> Vec<Departure> {
         const PORTS: [PortId; 4] = [PortId(0), PortId(1), PortId(2), PortId(3)];
-        let mut sink = netsim::telemetry::NoopSink;
         r.arbitrate(
             now,
             move |f| (std::slice::from_ref(&PORTS[f.dest.index()]), sel),
-            &mut sink,
+            None,
         );
         let mut credits = Vec::new();
-        r.crossbar(now, &mut credits, &mut sink);
+        r.crossbar(now, &mut credits, None);
         let mut departs = Vec::new();
         r.output_stage(now, &mut departs);
         departs

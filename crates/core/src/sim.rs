@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 use calculus::BoundError;
 use metrics::JitterSummary;
-use netsim::telemetry::{NoopSink, TelemetrySink};
 use netsim::Cycles;
 use topo::Topology;
 use traffic::Workload;
@@ -20,7 +19,7 @@ use crate::config::RouterConfig;
 use crate::counters::{NetCounters, SkipStats};
 use crate::net::Network;
 
-/// Opt-in safety layers for a run (see [`crate::audit`]).
+/// Opt-in safety layers and instruments for a run (see [`crate::audit`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimOpts {
     /// Invariant audit sweep; `None` is off.
@@ -40,6 +39,11 @@ pub struct SimOpts {
     /// not feedforward (tori, cyclic ring traffic) — those have no
     /// network-calculus bound.
     pub bounds: bool,
+    /// Record a JSONL flit-event trace into [`SimOutcome::trace`] (see
+    /// [`crate::net::Network::enable_trace`]). The trace buffers in memory
+    /// and every crossbar crossing is an event, so keep traced runs to a
+    /// few simulated milliseconds.
+    pub trace: bool,
 }
 
 impl SimOpts {
@@ -52,6 +56,7 @@ impl SimOpts {
             watchdog: Some(WatchdogConfig::default()),
             reference: false,
             bounds: false,
+            trace: false,
         }
     }
 
@@ -63,6 +68,7 @@ impl SimOpts {
             watchdog: Some(WatchdogConfig::default()),
             reference: false,
             bounds: false,
+            trace: false,
         }
     }
 
@@ -165,6 +171,10 @@ pub struct SimOutcome {
     /// per-stream analytic worst case vs. observed maximum latency, with
     /// any `observed > bound` violations pulled out.
     pub bounds: Option<BoundsReport>,
+    /// The JSONL flit-event trace; empty unless [`SimOpts::trace`] was on.
+    /// A resumed run's trace covers only the segment after its restore
+    /// point.
+    pub trace: Vec<u8>,
 }
 
 impl SimOutcome {
@@ -227,7 +237,6 @@ pub fn run(
         measure_secs,
         SimOpts::standard(),
         None,
-        &mut NoopSink,
     )
     .expect("a standard run without checkpoint or bounds cannot fail")
 }
@@ -269,12 +278,8 @@ impl From<io::Error> for SimError {
 }
 
 /// Runs `workload` over `topology` like [`run`], with every knob
-/// explicit: the safety layers and driver (`opts`), an optional on-disk
-/// checkpoint (`ckpt`) and a flit-event sink (`sink`; pass a
-/// [`JsonlSink`](netsim::JsonlSink) and call `into_bytes()` for a JSONL
-/// trace, or [`NoopSink`] for none). A `JsonlSink` buffers in memory and
-/// every flit movement through a crossbar is an event, so keep traced
-/// runs to a few simulated milliseconds.
+/// explicit: the safety layers, driver and trace (`opts`) and an optional
+/// on-disk checkpoint (`ckpt`).
 ///
 /// With `ckpt`, the run writes a snapshot every `interval_cycles` and —
 /// when `resume` is set and the file exists — picks the run up from it
@@ -297,7 +302,6 @@ impl From<io::Error> for SimError {
 /// # Panics
 ///
 /// Panics if either duration is not positive.
-#[allow(clippy::too_many_arguments)]
 pub fn run_with(
     topology: &Topology,
     workload: Workload,
@@ -306,7 +310,6 @@ pub fn run_with(
     measure_secs: f64,
     opts: SimOpts,
     ckpt: Option<&CheckpointOpts>,
-    sink: &mut dyn TelemetrySink,
 ) -> Result<SimOutcome, SimError> {
     assert!(warmup_secs > 0.0, "warm-up must be positive");
     assert!(measure_secs > 0.0, "measurement window must be positive");
@@ -323,6 +326,9 @@ pub fn run_with(
     }
     if let Some(w) = opts.watchdog {
         net.enable_watchdog(w);
+    }
+    if opts.trace {
+        net.enable_trace();
     }
     let tb = net.timebase();
     let warmup = tb.cycles_from_secs(warmup_secs);
@@ -348,9 +354,9 @@ pub fn run_with(
             end.min(net.now() + Cycles(interval))
         };
         if opts.reference {
-            net.run_until_reference_with(to, sink);
+            net.run_until_reference(to);
         } else {
-            net.run_until_with(to, sink);
+            net.run_until(to);
         }
         if let Some(ckpt) = ckpt {
             if net.now() < end && net.stall_report().is_none() {
@@ -383,6 +389,7 @@ pub fn run_with(
         audit_violations: net.audit_log().map_or(0, |l| l.total()),
         skip: net.skip_stats(),
         bounds,
+        trace: net.take_trace(),
     })
 }
 
@@ -405,7 +412,6 @@ mod tests {
     use super::*;
     use crate::config::SchedulerKind;
     use flitnet::VcPartition;
-    use netsim::JsonlSink;
     use traffic::{StreamClass, WorkloadBuilder};
 
     fn workload(load: f64, x: f64, y: f64, seed: u64) -> Workload {
@@ -459,19 +465,21 @@ mod tests {
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let plain = run(&topology, workload(0.4, 100.0, 0.0, 5), &cfg, 0.01, 0.02);
-        let mut sink = JsonlSink::new();
         let traced = run_with(
             &topology,
             workload(0.4, 100.0, 0.0, 5),
             &cfg,
             0.01,
             0.02,
-            SimOpts::standard(),
+            SimOpts {
+                trace: true,
+                ..SimOpts::standard()
+            },
             None,
-            &mut sink,
         )
         .expect("traced run");
-        let trace = sink.into_bytes();
+        let trace = traced.trace;
+        assert!(plain.trace.is_empty(), "untraced runs carry no trace");
         assert_eq!(plain.delivered_msgs, traced.delivered_msgs);
         assert_eq!(plain.counters, traced.counters);
         assert_eq!(plain.cycles, traced.cycles);
@@ -525,7 +533,6 @@ mod tests {
             0.02,
             SimOpts::audited(),
             None,
-            &mut NoopSink,
         )
         .expect("audited run");
         assert_eq!(out.audit_violations, 0);
@@ -594,7 +601,6 @@ mod tests {
             0.03,
             SimOpts::standard(),
             Some(&CheckpointOpts::resumable(path.clone(), 20_000)),
-            &mut NoopSink,
         )
         .expect("checkpointed run");
         assert_eq!(plain.delivered_msgs, out.delivered_msgs);
@@ -633,7 +639,6 @@ mod tests {
             0.03,
             SimOpts::standard(),
             Some(&CheckpointOpts::resumable(path.clone(), 0)),
-            &mut NoopSink,
         )
         .expect("resumed run");
         assert_eq!(plain.delivered_msgs, out.delivered_msgs);
@@ -662,7 +667,6 @@ mod tests {
             0.02,
             SimOpts::standard(),
             Some(&CheckpointOpts::resumable(path.clone(), 0)),
-            &mut NoopSink,
         )
         .expect_err("garbage checkpoint must be rejected");
         assert!(
@@ -692,7 +696,6 @@ mod tests {
             0.001,
             SimOpts::standard().bounds(),
             None,
-            &mut NoopSink,
         )
         .expect_err("a torus has no delay bound");
         assert!(

@@ -16,8 +16,8 @@
 //!   of `rand` alone.
 //! * [`stats`] — online mean/variance (Welford), histograms and percentile
 //!   helpers used to compute the paper's d̄ / σ_d metrics.
-//! * [`telemetry`] — the [`TelemetrySink`] trait plus the no-op and JSONL
-//!   sinks that the simulators feed flit lifecycle events into.
+//! * [`telemetry`] — the [`FlitEvent`] line schema and the [`JsonlSink`]
+//!   that traced simulators record flit lifecycle events into.
 //! * [`audit`] — the [`AuditLog`] of flow-control invariant violations
 //!   that the simulators' audit mode files findings into.
 //! * [`snap`] — the versioned, checksummed binary codec that deterministic
@@ -58,5 +58,5 @@ pub use calendar::Calendar;
 pub use rng::SimRng;
 pub use snap::{SnapError, SnapReader, SnapWriter};
 pub use stats::{Histogram, RunningStats};
-pub use telemetry::{FlitEvent, FlitEventKind, JsonlSink, NoopSink, TelemetrySink};
+pub use telemetry::{FlitEvent, FlitEventKind, JsonlSink};
 pub use time::{Cycles, TimeBase};

@@ -1,13 +1,11 @@
-//! Telemetry sinks: an observability hook shared by every simulator.
+//! Flit-event tracing: the JSONL line schema and its in-memory writer.
 //!
-//! A [`TelemetrySink`] receives [`FlitEvent`]s — one per flit lifecycle
-//! step (inject / route / arbitrate / deliver) — from any simulator that
-//! supports tracing. The default [`NoopSink`] reports
-//! [`TelemetrySink::is_enabled`] `false`; simulators cache that flag and
-//! guard every event emission behind a plain branch, so a disabled sink
-//! costs nothing on the hot path. [`JsonlSink`] buffers one JSON object
-//! per line (JSONL), suitable for offline analysis of arbitration
-//! decisions.
+//! A [`JsonlSink`] records [`FlitEvent`]s — one per flit lifecycle step
+//! (inject / route / arbitrate / deliver) — as one JSON object per line
+//! (JSONL), suitable for offline analysis of arbitration decisions. A
+//! simulator that traces owns its sink as opt-in state (an
+//! `Option<JsonlSink>`), so an untraced run pays one predicted branch per
+//! emission site and nothing else.
 //!
 //! This crate sits below the network-type crates, so events carry raw
 //! integer identifiers rather than typed ids.
@@ -15,10 +13,9 @@
 //! # Example
 //!
 //! ```
-//! use netsim::telemetry::{FlitEvent, FlitEventKind, JsonlSink, TelemetrySink};
+//! use netsim::telemetry::{FlitEvent, FlitEventKind, JsonlSink};
 //!
 //! let mut sink = JsonlSink::new();
-//! assert!(sink.is_enabled());
 //! sink.record(&FlitEvent {
 //!     cycle: 7,
 //!     kind: FlitEventKind::Inject,
@@ -84,29 +81,6 @@ pub struct FlitEvent {
     pub real_time: bool,
 }
 
-/// Receiver of flit lifecycle events.
-///
-/// Simulators cache [`TelemetrySink::is_enabled`] once per run and emit
-/// events only when it is `true`, so sinks never see a partial stream and
-/// a disabled sink adds no per-flit work.
-pub trait TelemetrySink {
-    /// Whether the simulator should generate events at all.
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Receives one event. The default implementation discards it.
-    fn record(&mut self, event: &FlitEvent) {
-        let _ = event;
-    }
-}
-
-/// The default sink: disabled, discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TelemetrySink for NoopSink {}
-
 /// Buffers events as JSON Lines (one compact JSON object per line).
 ///
 /// All fields are integers, strings or booleans, so the output is always
@@ -135,18 +109,8 @@ impl JsonlSink {
         self.buf
     }
 
-    /// A view of the buffered JSONL bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl TelemetrySink for JsonlSink {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, ev: &FlitEvent) {
+    /// Appends `ev` as one JSONL line.
+    pub fn record(&mut self, ev: &FlitEvent) {
         use std::io::Write as _;
         self.events += 1;
         let _ = write!(
@@ -190,13 +154,6 @@ mod tests {
             msg: 5,
             real_time: false,
         }
-    }
-
-    #[test]
-    fn noop_sink_is_disabled_and_discards() {
-        let mut s = NoopSink;
-        assert!(!s.is_enabled());
-        s.record(&event(FlitEventKind::Route)); // must not panic
     }
 
     #[test]

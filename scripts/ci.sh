@@ -89,6 +89,16 @@ require_tests --test delay_bounds -- \
   credit_starvation_trips_the_oracle
 require_tests -p mediaworm -- bounds_on_a_torus_is_a_typed_error_not_a_panic
 
+# Trace coverage: tracing must only observe (traced runs match untraced
+# ones, snapshots exclude the trace), emit every event kind, and stay
+# bit-identical at any --jobs count.
+require_tests -p mediaworm -- \
+  traced_run_matches_plain_run \
+  traced_run_emits_inject_and_deliver_events \
+  tracing_emits_route_and_arbitrate_events \
+  traced_run_matches_untraced_numbers
+require_tests -p mediaworm-bench -- traces_are_bit_identical_at_any_job_count
+
 # Bounds smoke: one Virtual Clock slice of the bounds matrix must bound
 # every stream, observe no violations, and audit the provable (CBR,
 # policing-off) envelopes clean.

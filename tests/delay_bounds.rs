@@ -9,7 +9,6 @@
 
 use flitnet::VcPartition;
 use mediaworm::{sim, BoundsOracle, Network, RouterConfig, SchedulerKind, SimOpts, SimOutcome};
-use netsim::NoopSink;
 use topo::Topology;
 use traffic::{PolicingMode, StreamClass, Workload, WorkloadBuilder};
 
@@ -53,7 +52,6 @@ fn run_bounded(workload: Workload, cfg: &RouterConfig) -> SimOutcome {
         0.015,
         SimOpts::standard().bounds(),
         None,
-        &mut NoopSink,
     )
     .expect("the single switch is feedforward")
 }

@@ -16,7 +16,7 @@ use flitnet::VcPartition;
 use mediaworm::{
     sim, CrossbarKind, Network, RouterConfig, SchedulerKind, SimOpts, SimOutcome, WatchdogConfig,
 };
-use netsim::{Cycles, JsonlSink, NoopSink};
+use netsim::Cycles;
 use proptest::prelude::*;
 use topo::Topology;
 use traffic::{PolicingMode, StreamClass, Workload, WorkloadBuilder, WorkloadSpec};
@@ -49,7 +49,7 @@ fn fig3_workload(load: f64, seed: u64) -> Workload {
     fig3_policed(load, seed, PolicingMode::Off)
 }
 
-/// One `sim::run_with` run with no checkpoint and no trace.
+/// One `sim::run_with` run with no checkpoint.
 fn run_point(
     topology: &Topology,
     workload: Workload,
@@ -66,33 +66,16 @@ fn run_point(
         measure_secs,
         opts,
         None,
-        &mut NoopSink,
     )
     .expect("run")
 }
 
-/// [`run_point`] recording a JSONL flit-event trace.
-fn run_point_traced(
-    topology: &Topology,
-    workload: Workload,
-    cfg: &RouterConfig,
-    warmup_secs: f64,
-    measure_secs: f64,
-    opts: SimOpts,
-) -> (SimOutcome, Vec<u8>) {
-    let mut sink = JsonlSink::new();
-    let out = sim::run_with(
-        topology,
-        workload,
-        cfg,
-        warmup_secs,
-        measure_secs,
-        opts,
-        None,
-        &mut sink,
-    )
-    .expect("traced run");
-    (out, sink.into_bytes())
+/// `opts` with the JSONL flit-event trace on.
+fn traced(opts: SimOpts) -> SimOpts {
+    SimOpts {
+        trace: true,
+        ..opts
+    }
 }
 
 /// Every observable of the two outcomes must match, floats bit-for-bit.
@@ -373,25 +356,25 @@ fn traces_are_bit_identical_to_reference() {
     let topology = Topology::single_switch(8);
     let cfg = RouterConfig::default();
     for &load in &[0.6, 0.96] {
-        let (fast, fast_trace) = run_point_traced(
+        let fast = run_point(
             &topology,
             fig3_workload(load, 42),
             &cfg,
             0.005,
             0.01,
-            SimOpts::standard(),
+            traced(SimOpts::standard()),
         );
-        let (slow, slow_trace) = run_point_traced(
+        let slow = run_point(
             &topology,
             fig3_workload(load, 42),
             &cfg,
             0.005,
             0.01,
-            SimOpts::standard().reference(),
+            traced(SimOpts::standard().reference()),
         );
-        assert!(!fast_trace.is_empty(), "traced run must produce events");
+        assert!(!fast.trace.is_empty(), "traced run must produce events");
         assert_eq!(
-            fast_trace, slow_trace,
+            fast.trace, slow.trace,
             "load {load}: trace bytes must match"
         );
         assert_outcomes_identical(&fast, &slow, &format!("traced load {load}"));
@@ -554,20 +537,20 @@ fn checkpoint_restore_grid_is_bit_identical() {
         let mid = tb.cycles_from_secs(0.0015);
         let end = tb.cycles_from_secs(0.0035);
         full.set_warmup_end(warmup);
-        let mut full_sink = JsonlSink::new();
-        full.run_until_with(end, &mut full_sink);
+        full.enable_trace();
+        full.run_until(end);
         assert!(full.delivered_msgs() > 0, "{what}: traffic must flow");
 
         let mut pre = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
         pre.set_warmup_end(warmup);
-        let mut pre_sink = JsonlSink::new();
-        pre.run_until_with(mid, &mut pre_sink);
+        pre.enable_trace();
+        pre.run_until(mid);
         let bytes = pre.snapshot();
 
         let mut post = Network::new(topology, grid_workload(*nodes, 0.4, 42), &cfg);
         post.restore(&bytes).expect("restore");
-        let mut post_sink = JsonlSink::new();
-        post.run_until_with(end, &mut post_sink);
+        post.enable_trace();
+        post.run_until(end);
 
         assert_eq!(
             full.injected_msgs(),
@@ -580,10 +563,10 @@ fn checkpoint_restore_grid_is_bit_identical() {
             "{what}: delivered flits"
         );
         assert_eq!(full.counters(), post.counters(), "{what}: counters");
-        let mut stitched = pre_sink.into_bytes();
-        stitched.extend_from_slice(&post_sink.into_bytes());
+        let mut stitched = pre.take_trace();
+        stitched.extend_from_slice(&post.take_trace());
         assert!(
-            stitched == full_sink.into_bytes(),
+            stitched == full.take_trace(),
             "{what}: stitched pre+post trace differs from the uninterrupted trace"
         );
         assert!(
