@@ -1,4 +1,4 @@
-//! Reproduces the paper's ablation_borrowing. See EXPERIMENTS.md.
+//! Runs the dynamic VC borrowing ablation (beyond the paper). See EXPERIMENTS.md.
 
 fn main() {
     let args = mediaworm_bench::RunArgs::from_env();

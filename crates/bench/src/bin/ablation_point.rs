@@ -1,4 +1,5 @@
-//! Reproduces the paper's ablation_point. See EXPERIMENTS.md.
+//! Runs the QoS scheduling-point ablation, point A vs point C (beyond the paper). See
+//! EXPERIMENTS.md.
 
 fn main() {
     let args = mediaworm_bench::RunArgs::from_env();

@@ -1,4 +1,4 @@
-//! Reproduces the paper's ablation_sched. See EXPERIMENTS.md.
+//! Runs the scheduler x NI policing ablation (beyond the paper). See EXPERIMENTS.md.
 
 fn main() {
     let args = mediaworm_bench::RunArgs::from_env();

@@ -1,4 +1,4 @@
-//! Reproduces the paper's gop_sensitivity. See EXPERIMENTS.md.
+//! Runs the GOP frame-model extension (beyond the paper). See EXPERIMENTS.md.
 
 fn main() {
     let args = mediaworm_bench::RunArgs::from_env();

@@ -1,32 +1,40 @@
-//! One function per table/figure of the paper's evaluation (§5).
+//! One function per table/figure of the paper's evaluation (§5), plus
+//! the ablations and extensions beyond it.
 //!
 //! Every function prints its result table and returns an
 //! [`ExperimentRun`]: the table, one machine-readable JSON record per
-//! simulated point, the total simulated cycles (for throughput
-//! accounting), and — when `--trace` is active — the concatenated JSONL
-//! flit-event trace. `repro-all` collects everything into one report and
+//! simulated point and the total simulated cycles (for throughput
+//! accounting). `repro-all` collects everything into one report and
 //! `--json` serializes each run to `BENCH_<name>.json`. Parameter values
 //! mirror the paper exactly; see EXPERIMENTS.md for paper-vs-measured
 //! notes.
 //!
-//! Each experiment is a sweep: it builds its full point list up front,
-//! fans the points across a [`SweepRunner`] (capped by `--jobs` /
-//! `MEDIAWORM_JOBS`), and assembles the table rows from the ordered
-//! results — so the printed output, the JSON records and the trace bytes
-//! are bit-identical at any job count.
+//! Each experiment is a sweep: it builds its full point list up front and
+//! hands it to the one runner, `sweep`, which fans the points across a
+//! [`SweepRunner`] (capped by `--jobs` / `MEDIAWORM_JOBS`) and takes the
+//! results back in task order — so the printed output, the JSON records
+//! and the trace file are bit-identical at any job count. Under
+//! `--trace` the runner streams each point's flit-event trace to the file
+//! as soon as every earlier point's is written; no experiment holds the
+//! whole sweep's trace. Most experiments are a `Grid`: label columns,
+//! then d̄ and σ_d, optionally best-effort latency.
 //!
 //! Under `--shard i/n` only the tasks the shard owns are simulated; the
 //! table shows that shard's rows and every JSON record carries its global
 //! task `index`, which is how [`crate::merge_shards`] later reassembles
 //! the monolithic report in order.
 
+use std::fs::File;
+use std::io::Write as _;
+
 use mediaworm::{BoundsReport, CrossbarKind, RouterConfig, SchedPoint, SchedulerKind, SimOutcome};
 use metrics::{Json, Table};
 use pcs_router::{PcsConfig, PcsOutcome};
+use topo::Topology;
 use traffic::{FrameModel, PolicingMode, StreamClass, WorkloadSpec};
 
-use crate::sweep::SweepRunner;
-use crate::{banner, run_fat_mesh_seeded, run_single_switch_seeded, ExperimentRun, Point, RunArgs};
+use crate::sweep::{SweepRunner, SweepTask};
+use crate::{banner, ExperimentRun, Point, RunArgs};
 
 /// The load axis used by the single-switch sweeps (Figs. 3–6).
 pub const LOADS: [f64; 5] = [0.6, 0.7, 0.8, 0.9, 0.96];
@@ -43,73 +51,107 @@ fn be_cell(us: f64) -> String {
     }
 }
 
-/// The ordered results of one sweep: outcomes in task-order slots
-/// (`None` where another shard owns the task), simulated cycles summed,
-/// and the trace bytes concatenated in point order.
-struct Sweep {
-    outs: Vec<Option<SimOutcome>>,
-    cycles: u64,
-    trace: Vec<u8>,
+/// The one sweep runner: runs the `count` tasks this shard owns across
+/// the sweep workers (`run` maps a task to its result) and returns the
+/// results in task-order slots, `None` where a foreign shard owns the
+/// task. Under `--trace`, each result's trace bytes (`trace` takes them
+/// out) are appended to the trace file in task order as soon as every
+/// earlier owned task's are, then dropped: only results that finished
+/// ahead of an earlier task hold trace bytes in memory. The file is
+/// created at the first non-empty trace, so a sweep that traces nothing
+/// (PCS points only) leaves no file behind.
+fn sweep<T: Send>(
+    args: &RunArgs,
+    count: usize,
+    run: impl Fn(SweepTask) -> T + Sync,
+    trace: impl Fn(&mut T) -> Vec<u8>,
+) -> Vec<Option<T>> {
+    let mut file: Option<File> = None;
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    SweepRunner::from_args(args).for_each_in_order(count, run, |index, mut value| {
+        let bytes = trace(&mut value);
+        if let Some(path) = args.trace.as_ref().filter(|_| !bytes.is_empty()) {
+            let file = file.get_or_insert_with(|| File::create(path).expect("create flit trace"));
+            file.write_all(&bytes).expect("write flit trace");
+        }
+        slots[index] = Some(value);
+    });
+    slots
 }
 
-impl Sweep {
-    fn collect(results: Vec<Option<SimOutcome>>) -> Sweep {
-        let mut cycles = 0u64;
-        let mut trace = Vec::new();
-        let mut outs = Vec::with_capacity(results.len());
-        for slot in results {
-            outs.push(slot.map(|mut out| {
-                cycles += out.cycles;
-                trace.append(&mut out.trace);
-                out
-            }));
-        }
-        Sweep {
-            outs,
-            cycles,
-            trace,
-        }
-    }
-
-    /// The outcome of task `index`, if this shard computed it.
-    fn get(&self, index: usize) -> Option<&SimOutcome> {
-        self.outs.get(index).and_then(Option::as_ref)
-    }
-
-    /// Iterates the computed points as `(task index, cell, outcome)`.
-    /// Under `--shard` the foreign tasks simply don't appear: the table
-    /// shows this shard's rows and each JSON record carries its global
-    /// index for the merge step.
-    fn zip<'a, C>(
-        &'a self,
-        cells: &'a [C],
-    ) -> impl Iterator<Item = (usize, &'a C, &'a SimOutcome)> {
-        cells
-            .iter()
-            .zip(&self.outs)
-            .enumerate()
-            .filter_map(|(i, (cell, out))| out.as_ref().map(|o| (i, cell, o)))
-    }
-}
-
-/// Fans `points` across the sweep workers on the single switch; results
-/// come back in point order (the tasks a foreign shard owns stay `None`).
-/// Tracing follows `args.trace`.
-fn sweep_single_switch(points: &[Point], args: &RunArgs) -> Sweep {
-    Sweep::collect(
-        SweepRunner::from_args(args).map_sharded(points.len(), |task| {
-            run_single_switch_seeded(&points[task.index], args, task.seed)
-        }),
+/// [`sweep`] over `points` on `topology`.
+fn run_points(points: &[Point], topology: &Topology, args: &RunArgs) -> Vec<Option<SimOutcome>> {
+    sweep(
+        args,
+        points.len(),
+        |task| points[task.index].run_on_seeded(topology, args, task.seed),
+        |out| std::mem::take(&mut out.trace),
     )
 }
 
-/// [`sweep_single_switch`] on the 2×2 fat-mesh.
-fn sweep_fat_mesh(points: &[Point], args: &RunArgs) -> Sweep {
-    Sweep::collect(
-        SweepRunner::from_args(args).map_sharded(points.len(), |task| {
-            run_fat_mesh_seeded(&points[task.index], args, task.seed)
-        }),
-    )
+/// Total simulated cycles over a sweep's computed points.
+fn sim_cycles(outs: &[Option<SimOutcome>]) -> u64 {
+    outs.iter().flatten().map(|out| out.cycles).sum()
+}
+
+/// The fixed parts of a grid experiment: a sweep whose table has label
+/// columns, then d̄ and σ_d, then optionally best-effort latency.
+struct Grid<const N: usize> {
+    name: &'static str,
+    banner: &'static str,
+    title: &'static str,
+    /// `(table header, JSON key)` of each label column.
+    labels: [(&'static str, &'static str); N],
+    /// Whether a `BE lat (us)` column follows d̄ and σ_d.
+    be_latency: bool,
+}
+
+impl<const N: usize> Grid<N> {
+    /// Prints the banner, runs `rows` (each point with its label cells) on
+    /// `topology`, prints the table and returns the run. Under `--shard`
+    /// the table shows this shard's rows and each JSON record carries its
+    /// global task index for the merge step.
+    fn run(
+        self,
+        rows: Vec<([String; N], Point)>,
+        topology: &Topology,
+        args: &RunArgs,
+    ) -> ExperimentRun {
+        banner(self.banner, args);
+        let (cells, points): (Vec<[String; N]>, Vec<Point>) = rows.into_iter().unzip();
+        let mut headers: Vec<&str> = self.labels.iter().map(|&(header, _)| header).collect();
+        headers.extend(["d (ms)", "sigma_d (ms)"]);
+        if self.be_latency {
+            headers.push("BE lat (us)");
+        }
+        let mut table = Table::new(headers).with_title(self.title);
+        let outs = run_points(&points, topology, args);
+        let mut records = Vec::new();
+        for (i, (cells, out)) in cells.iter().zip(&outs).enumerate() {
+            let Some(out) = out else { continue };
+            let mut row = cells.to_vec();
+            row.push(format!("{:.2}", out.jitter.mean_ms));
+            row.push(format!("{:.2}", out.jitter.std_ms));
+            if self.be_latency {
+                row.push(be_cell(out.be_mean_latency_us));
+            }
+            table.row(row);
+            let labels: Vec<(&str, &str)> = self
+                .labels
+                .iter()
+                .zip(cells)
+                .map(|(&(_, key), cell)| (key, cell.as_str()))
+                .collect();
+            records.push(point_json(i, &labels, out));
+        }
+        println!("{table}");
+        ExperimentRun {
+            name: self.name,
+            table,
+            points: records,
+            sim_cycles: sim_cycles(&outs),
+        }
+    }
 }
 
 /// One point's machine-readable record: its global task index, the sweep
@@ -176,74 +218,42 @@ fn pcs_json(index: usize, labels: &[(&str, &str)], out: &PcsOutcome) -> Json {
 
 /// Fig. 3 — Virtual Clock vs FIFO (16 VCs, 80:20 mix): d̄ and σ_d vs load.
 pub fn fig3(args: &RunArgs) -> ExperimentRun {
-    banner("Fig 3: Virtual Clock vs FIFO (16 VCs, mix 80:20)", args);
-    let mut t = Table::new(["load", "scheduler", "d (ms)", "sigma_d (ms)"])
-        .with_title("Fig 3 — mean delivery interval and deviation, VBR 80:20");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &load in &LOADS {
         for kind in [SchedulerKind::VirtualClock, SchedulerKind::Fifo] {
             let mut p = Point::new(load, 80.0, 20.0);
             p.router = RouterConfig::default().scheduler(kind);
-            cells.push([format!("{load:.2}"), format!("{kind:?}")]);
-            points.push(p);
+            rows.push(([format!("{load:.2}"), format!("{kind:?}")], p));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [load, kind], out) in sw.zip(&cells) {
-        t.row([
-            load.clone(),
-            kind.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-        ]);
-        records.push(point_json(i, &[("load", load), ("scheduler", kind)], out));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "fig3",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Fig 3: Virtual Clock vs FIFO (16 VCs, mix 80:20)",
+        title: "Fig 3 — mean delivery interval and deviation, VBR 80:20",
+        labels: [("load", "load"), ("scheduler", "scheduler")],
+        be_latency: false,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// Fig. 4 — CBR-only vs VBR-only traffic (16 VCs, 400 Mbps).
 pub fn fig4(args: &RunArgs) -> ExperimentRun {
-    banner("Fig 4: CBR vs VBR traffic (16 VCs, 400 Mbps)", args);
-    let mut t = Table::new(["load", "class", "d (ms)", "sigma_d (ms)"])
-        .with_title("Fig 4 — pure real-time traffic, no best-effort");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &load in &LOADS {
         for class in [StreamClass::Cbr, StreamClass::Vbr] {
             let mut p = Point::new(load, 100.0, 0.0);
             p.class = class;
-            cells.push([format!("{load:.2}"), format!("{class:?}")]);
-            points.push(p);
+            rows.push(([format!("{load:.2}"), format!("{class:?}")], p));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [load, class], out) in sw.zip(&cells) {
-        t.row([
-            load.clone(),
-            class.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-        ]);
-        records.push(point_json(i, &[("load", load), ("class", class)], out));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "fig4",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Fig 4: CBR vs VBR traffic (16 VCs, 400 Mbps)",
+        title: "Fig 4 — pure real-time traffic, no best-effort",
+        labels: [("load", "load"), ("class", "class")],
+        be_latency: false,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// The paper's traffic mixes for Fig. 5 / Table 2.
@@ -257,36 +267,23 @@ pub const MIXES: [(f64, f64); 5] = [
 
 /// Fig. 5 — mixed traffic: d̄ and σ_d over mix × load (16 VCs).
 pub fn fig5(args: &RunArgs) -> ExperimentRun {
-    banner("Fig 5: mixed VBR/best-effort traffic (16 VCs)", args);
-    let mut t = Table::new(["mix (x:y)", "load", "d (ms)", "sigma_d (ms)"])
-        .with_title("Fig 5 — jitter across traffic mixes");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &(x, y) in &MIXES {
         for &load in &LOADS {
-            cells.push([format!("{x:.0}:{y:.0}"), format!("{load:.2}")]);
-            points.push(Point::new(load, x, y));
+            rows.push((
+                [format!("{x:.0}:{y:.0}"), format!("{load:.2}")],
+                Point::new(load, x, y),
+            ));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [mix, load], out) in sw.zip(&cells) {
-        t.row([
-            mix.clone(),
-            load.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-        ]);
-        records.push(point_json(i, &[("mix", mix), ("load", load)], out));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "fig5",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Fig 5: mixed VBR/best-effort traffic (16 VCs)",
+        title: "Fig 5 — jitter across traffic mixes",
+        labels: [("mix (x:y)", "mix"), ("load", "load")],
+        be_latency: false,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// Table 2 — average best-effort latency (µs) over mix × load.
@@ -304,7 +301,7 @@ pub fn table2(args: &RunArgs) -> ExperimentRun {
             points.push(Point::new(load, x, y));
         }
     }
-    let sw = sweep_single_switch(&points, args);
+    let outs = run_points(&points, &Topology::single_switch(8), args);
     let mut records = Vec::new();
     for (row, &(x, y)) in mixes.iter().enumerate() {
         let mix = format!("{x:.0}:{y:.0}");
@@ -313,7 +310,7 @@ pub fn table2(args: &RunArgs) -> ExperimentRun {
             let index = row * LOADS.len() + col;
             // Cells a foreign shard owns print as "-" in this shard's
             // table; the merged JSON still covers the full grid.
-            let Some(out) = sw.get(index) else {
+            let Some(out) = &outs[index] else {
                 cells.push("-".to_string());
                 continue;
             };
@@ -328,17 +325,12 @@ pub fn table2(args: &RunArgs) -> ExperimentRun {
         name: "table2",
         table: t,
         points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        sim_cycles: sim_cycles(&outs),
     }
 }
 
 /// Fig. 6 — impact of VC count and crossbar style (100:0 VBR).
 pub fn fig6(args: &RunArgs) -> ExperimentRun {
-    banner(
-        "Fig 6: VCs and crossbar capabilities (400 Mbps, 100:0)",
-        args,
-    );
     let configs: [(&str, RouterConfig); 4] = [
         ("16 VC muxed", RouterConfig::new(16)),
         ("8 VC muxed", RouterConfig::new(8)),
@@ -348,46 +340,27 @@ pub fn fig6(args: &RunArgs) -> ExperimentRun {
             RouterConfig::new(4).crossbar(CrossbarKind::Full),
         ),
     ];
-    let mut t = Table::new(["config", "load", "d (ms)", "sigma_d (ms)"])
-        .with_title("Fig 6 — jitter vs VC count / crossbar style");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for (name, cfg) in &configs {
         for &load in &[0.5, 0.6, 0.7, 0.8, 0.9, 0.96] {
             let mut p = Point::new(load, 100.0, 0.0);
             p.router = cfg.clone();
-            cells.push([(*name).to_string(), format!("{load:.2}")]);
-            points.push(p);
+            rows.push(([(*name).to_string(), format!("{load:.2}")], p));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [name, load], out) in sw.zip(&cells) {
-        t.row([
-            name.clone(),
-            load.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-        ]);
-        records.push(point_json(i, &[("config", name), ("load", load)], out));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "fig6",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Fig 6: VCs and crossbar capabilities (400 Mbps, 100:0)",
+        title: "Fig 6 — jitter vs VC count / crossbar style",
+        labels: [("config", "config"), ("load", "load")],
+        be_latency: false,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// Fig. 7 — effect of message size on jitter (16 VCs).
 pub fn fig7(args: &RunArgs) -> ExperimentRun {
-    banner("Fig 7: message size vs jitter (16 VCs)", args);
-    let mut t = Table::new(["msg (flits)", "load", "d (ms)", "sigma_d (ms)"])
-        .with_title("Fig 7 — jitter vs message size");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &size in &[20u32, 40, 80, 160, 2560] {
         for &load in &[0.64, 0.80] {
             let mut p = Point::new(load, 100.0, 0.0);
@@ -395,29 +368,17 @@ pub fn fig7(args: &RunArgs) -> ExperimentRun {
                 msg_flits: size,
                 ..WorkloadSpec::paper_default()
             };
-            cells.push([format!("{size}"), format!("{load:.2}")]);
-            points.push(p);
+            rows.push(([format!("{size}"), format!("{load:.2}")], p));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [size, load], out) in sw.zip(&cells) {
-        t.row([
-            size.clone(),
-            load.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-        ]);
-        records.push(point_json(i, &[("msg_flits", size), ("load", load)], out));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "fig7",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Fig 7: message size vs jitter (16 VCs)",
+        title: "Fig 7 — jitter vs message size",
+        labels: [("msg (flits)", "msg_flits"), ("load", "load")],
+        be_latency: false,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// Fig. 8 — MediaWorm vs the PCS router (8×8, 100 Mbps, 24 VCs).
@@ -431,36 +392,43 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
         Worm(Box<SimOutcome>),
         Pcs(PcsOutcome),
     }
+    let switch = Topology::single_switch(8);
     // Task 2i runs MediaWorm at loads[i]; task 2i+1 runs PCS at loads[i].
-    let halves = SweepRunner::from_args(args).map_sharded(loads.len() * 2, |task| {
-        let load = loads[task.index / 2];
-        if task.index % 2 == 0 {
-            // MediaWorm at 100 Mbps with 24 VCs.
-            let mut p = Point::new(load, 100.0, 0.0);
-            p.router = RouterConfig::new(24);
-            p.spec = WorkloadSpec::paper_100mbps();
-            Half::Worm(Box::new(run_single_switch_seeded(&p, args, task.seed)))
-        } else {
-            let (w, m) = args.windows();
-            Half::Pcs(pcs_router::sim::run(
-                load,
-                &PcsConfig::paper_default(),
-                w,
-                m,
-                task.seed,
-            ))
-        }
-    });
+    let halves = sweep(
+        args,
+        loads.len() * 2,
+        |task| {
+            let load = loads[task.index / 2];
+            if task.index % 2 == 0 {
+                // MediaWorm at 100 Mbps with 24 VCs.
+                let mut p = Point::new(load, 100.0, 0.0);
+                p.router = RouterConfig::new(24);
+                p.spec = WorkloadSpec::paper_100mbps();
+                Half::Worm(Box::new(p.run_on_seeded(&switch, args, task.seed)))
+            } else {
+                let (w, m) = args.windows();
+                Half::Pcs(pcs_router::sim::run(
+                    load,
+                    &PcsConfig::paper_default(),
+                    w,
+                    m,
+                    task.seed,
+                ))
+            }
+        },
+        |half| match half {
+            Half::Worm(out) => std::mem::take(&mut out.trace),
+            Half::Pcs(_) => Vec::new(),
+        },
+    );
     let mut records = Vec::new();
     let mut cycles = 0u64;
-    let mut trace = Vec::new();
     for (i, half) in halves.into_iter().enumerate() {
         let Some(half) = half else { continue };
         let load = format!("{:.2}", loads[i / 2]);
         let (router, mean, std) = match half {
-            Half::Worm(mut out) => {
+            Half::Worm(out) => {
                 cycles += out.cycles;
-                trace.append(&mut out.trace);
                 records.push(point_json(
                     i,
                     &[("load", &load), ("router", "MediaWorm")],
@@ -487,7 +455,6 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
         table: t,
         points: records,
         sim_cycles: cycles,
-        trace,
     }
 }
 
@@ -500,16 +467,21 @@ pub fn table3(args: &RunArgs) -> ExperimentRun {
     let mut t = Table::new(["load", "offered", "attempts", "established", "dropped"])
         .with_title("Table 3 — attempted, established and dropped connections");
     let loads = [0.37, 0.42, 0.64, 0.67, 0.74, 0.80, 0.87, 0.91];
-    let outs = SweepRunner::from_args(args).map_sharded(loads.len(), |task| {
-        let (w, m) = args.windows();
-        pcs_router::sim::run(
-            loads[task.index],
-            &PcsConfig::paper_default(),
-            w,
-            m,
-            task.seed,
-        )
-    });
+    let (w, m) = args.windows();
+    let outs = sweep(
+        args,
+        loads.len(),
+        |task| {
+            pcs_router::sim::run(
+                loads[task.index],
+                &PcsConfig::paper_default(),
+                w,
+                m,
+                task.seed,
+            )
+        },
+        |_| Vec::new(),
+    );
     let mut records = Vec::new();
     let mut cycles = 0u64;
     for (i, (&load, out)) in loads.iter().zip(&outs).enumerate() {
@@ -531,44 +503,29 @@ pub fn table3(args: &RunArgs) -> ExperimentRun {
         table: t,
         points: records,
         sim_cycles: cycles,
-        trace: Vec::new(),
     }
 }
 
-/// Fig. 9 — the 2×2 fat-mesh: jitter and best-effort latency over
-/// mix × load.
+/// Fig. 9 — the 2×2 fat-mesh (two links per neighbour pair, 4 endpoints
+/// per switch): jitter and best-effort latency over mix × load.
 pub fn fig9(args: &RunArgs) -> ExperimentRun {
-    banner("Fig 9: 2x2 fat-mesh (two links per neighbour pair)", args);
-    let mut t = Table::new(["mix (x:y)", "load", "d (ms)", "sigma_d (ms)", "BE lat (us)"])
-        .with_title("Fig 9 — fat-mesh jitter and best-effort latency");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &(x, y) in &[(40.0, 60.0), (60.0, 40.0), (80.0, 20.0)] {
         for &load in &[0.7, 0.8, 0.9] {
-            cells.push([format!("{x:.0}:{y:.0}"), format!("{load:.2}")]);
-            points.push(Point::new(load, x, y));
+            rows.push((
+                [format!("{x:.0}:{y:.0}"), format!("{load:.2}")],
+                Point::new(load, x, y),
+            ));
         }
     }
-    let sw = sweep_fat_mesh(&points, args);
-    let mut records = Vec::new();
-    for (i, [mix, load], out) in sw.zip(&cells) {
-        t.row([
-            mix.clone(),
-            load.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-            be_cell(out.be_mean_latency_us),
-        ]);
-        records.push(point_json(i, &[("mix", mix), ("load", load)], out));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "fig9",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Fig 9: 2x2 fat-mesh (two links per neighbour pair)",
+        title: "Fig 9 — fat-mesh jitter and best-effort latency",
+        labels: [("mix (x:y)", "mix"), ("load", "load")],
+        be_latency: true,
     }
+    .run(rows, &Topology::fat_mesh(2, 2, 2, 4), args)
 }
 
 /// The full scheduler zoo, in matrix order.
@@ -581,6 +538,30 @@ pub const ALL_SCHEDULERS: [SchedulerKind; 6] = [
     SchedulerKind::Scfq,
 ];
 
+/// The load × scheduler × NI policing matrix over the Fig. 3 mix (80:20,
+/// 16-VC router), in task order, with each point's `load`, `scheduler`
+/// and `policing` label cells. `--loads`, `--schedulers` and `--policing`
+/// restrict it; by default it runs `loads` × every scheduler × every
+/// policing mode.
+fn matrix(args: &RunArgs, loads: &[f64]) -> Vec<([String; 3], Point)> {
+    let loads = args.loads.as_deref().unwrap_or(loads);
+    let kinds = args.schedulers.as_deref().unwrap_or(&ALL_SCHEDULERS);
+    let modes = args.policing.as_deref().unwrap_or(&PolicingMode::ALL);
+    let mut rows = Vec::new();
+    for &load in loads {
+        for &kind in kinds {
+            for &mode in modes {
+                let mut p = Point::new(load, 80.0, 20.0);
+                p.router = RouterConfig::default().scheduler(kind);
+                p.policing = mode;
+                let cells = [format!("{load:.2}"), format!("{kind:?}"), mode.to_string()];
+                rows.push((cells, p));
+            }
+        }
+    }
+    rows
+}
+
 /// Ablation — the scheduler-discipline zoo crossed with NI policing over
 /// the Fig. 3 mix: Virtual Clock, FIFO and round-robin (the paper's
 /// §3.3/§6 axis) plus WFQ, DRR and SCFQ, each with policing off, shaping
@@ -588,69 +569,19 @@ pub const ALL_SCHEDULERS: [SchedulerKind; 6] = [
 /// grid (CI smoke runs a tiny slice); the defaults run the full
 /// load × 6 × 3 matrix.
 pub fn ablation_sched(args: &RunArgs) -> ExperimentRun {
-    banner(
-        "Ablation: scheduler x policing matrix (16 VCs, mix 80:20)",
-        args,
-    );
-    let mut t = Table::new([
-        "load",
-        "scheduler",
-        "policing",
-        "d (ms)",
-        "sigma_d (ms)",
-        "BE lat (us)",
-    ])
-    .with_title("Ablation — scheduler discipline x NI policing");
-    let loads: Vec<f64> = args
-        .loads
-        .clone()
-        .unwrap_or_else(|| vec![0.7, 0.8, 0.9, 0.96]);
-    let kinds: Vec<SchedulerKind> = args
-        .schedulers
-        .clone()
-        .unwrap_or_else(|| ALL_SCHEDULERS.to_vec());
-    let modes: Vec<PolicingMode> = args
-        .policing
-        .clone()
-        .unwrap_or_else(|| PolicingMode::ALL.to_vec());
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
-    for &load in &loads {
-        for &kind in &kinds {
-            for &mode in &modes {
-                let mut p = Point::new(load, 80.0, 20.0);
-                p.router = RouterConfig::default().scheduler(kind);
-                p.policing = mode;
-                cells.push([format!("{load:.2}"), format!("{kind:?}"), mode.to_string()]);
-                points.push(p);
-            }
-        }
-    }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [load, kind, mode], out) in sw.zip(&cells) {
-        t.row([
-            load.clone(),
-            kind.clone(),
-            mode.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-            be_cell(out.be_mean_latency_us),
-        ]);
-        records.push(point_json(
-            i,
-            &[("load", load), ("scheduler", kind), ("policing", mode)],
-            out,
-        ));
-    }
-    println!("{t}");
-    ExperimentRun {
+    let rows = matrix(args, &[0.7, 0.8, 0.9, 0.96]);
+    Grid {
         name: "ablation_sched",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Ablation: scheduler x policing matrix (16 VCs, mix 80:20)",
+        title: "Ablation — scheduler discipline x NI policing",
+        labels: [
+            ("load", "load"),
+            ("scheduler", "scheduler"),
+            ("policing", "policing"),
+        ],
+        be_latency: true,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// Compact roll-up of one point's [`BoundsReport`] for the table row and
@@ -738,43 +669,29 @@ pub fn bounds(args: &RunArgs) -> ExperimentRun {
         "viol",
     ])
     .with_title("Delay bounds — network calculus vs simulation");
-    let loads: Vec<f64> = args.loads.clone().unwrap_or_else(|| vec![0.7, 0.9]);
-    let kinds: Vec<SchedulerKind> = args
-        .schedulers
-        .clone()
-        .unwrap_or_else(|| ALL_SCHEDULERS.to_vec());
-    let modes: Vec<PolicingMode> = args
-        .policing
-        .clone()
-        .unwrap_or_else(|| PolicingMode::ALL.to_vec());
     // The audit *is* the experiment: force it on whether or not the
     // caller passed `--bounds`.
     let mut bargs = args.clone();
     bargs.bounds = true;
     let mut cells = Vec::new();
     let mut points = Vec::new();
-    for &load in &loads {
-        for &kind in &kinds {
-            for &mode in &modes {
-                for class in [StreamClass::Cbr, StreamClass::Vbr] {
-                    let mut p = Point::new(load, 80.0, 20.0);
-                    p.router = RouterConfig::default().scheduler(kind);
-                    p.policing = mode;
-                    p.class = class;
-                    cells.push([
-                        format!("{load:.2}"),
-                        format!("{kind:?}"),
-                        mode.to_string(),
-                        format!("{class:?}"),
-                    ]);
-                    points.push(p);
-                }
-            }
+    for ([load, kind, mode], p) in matrix(args, &[0.7, 0.9]) {
+        for class in [StreamClass::Cbr, StreamClass::Vbr] {
+            let mut p = p.clone();
+            p.class = class;
+            cells.push([
+                load.clone(),
+                kind.clone(),
+                mode.clone(),
+                format!("{class:?}"),
+            ]);
+            points.push(p);
         }
     }
-    let sw = sweep_single_switch(&points, &bargs);
+    let outs = run_points(&points, &Topology::single_switch(8), &bargs);
     let mut records = Vec::new();
-    for (i, [load, kind, mode, class], out) in sw.zip(&cells) {
+    for (i, ([load, kind, mode, class], out)) in cells.iter().zip(&outs).enumerate() {
+        let Some(out) = out else { continue };
         let report = out.bounds.as_ref().expect("bounds audit enabled");
         let s = BoundsSummary::of(report);
         assert_eq!(
@@ -814,8 +731,7 @@ pub fn bounds(args: &RunArgs) -> ExperimentRun {
         name: "bounds",
         table: t,
         points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        sim_cycles: sim_cycles(&outs),
     }
 }
 
@@ -823,14 +739,7 @@ pub fn bounds(args: &RunArgs) -> ExperimentRun {
 /// (the paper's point A) vs at the VC output multiplexer (point C), both
 /// on the multiplexed crossbar. Quantifies the paper's §3.3 argument.
 pub fn ablation_point(args: &RunArgs) -> ExperimentRun {
-    banner(
-        "Ablation: Virtual Clock at point A vs point C (muxed xbar)",
-        args,
-    );
-    let mut t = Table::new(["load", "point", "d (ms)", "sigma_d (ms)"])
-        .with_title("Ablation — QoS scheduling point");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &load in &[0.7, 0.8, 0.9, 0.96] {
         for (name, point) in [
             ("A (xbar input)", SchedPoint::CrossbarInput),
@@ -838,29 +747,17 @@ pub fn ablation_point(args: &RunArgs) -> ExperimentRun {
         ] {
             let mut p = Point::new(load, 80.0, 20.0);
             p.router = RouterConfig::default().sched_point(point);
-            cells.push([format!("{load:.2}"), name.to_string()]);
-            points.push(p);
+            rows.push(([format!("{load:.2}"), name.to_string()], p));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [load, name], out) in sw.zip(&cells) {
-        t.row([
-            load.clone(),
-            name.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-        ]);
-        records.push(point_json(i, &[("load", load), ("sched_point", name)], out));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "ablation_point",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Ablation: Virtual Clock at point A vs point C (muxed xbar)",
+        title: "Ablation — QoS scheduling point",
+        labels: [("load", "load"), ("point", "sched_point")],
+        be_latency: false,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// Ablation — dynamic VC borrowing (the paper's §6 "dynamically
@@ -869,46 +766,23 @@ pub fn ablation_point(args: &RunArgs) -> ExperimentRun {
 /// interesting question is whether best-effort improves without hurting
 /// the real-time class (Virtual Clock still outranks it at point A).
 pub fn ablation_borrowing(args: &RunArgs) -> ExperimentRun {
-    banner("Ablation: dynamic VC borrowing (mix 90:10)", args);
-    let mut t = Table::new(["load", "borrowing", "d (ms)", "sigma_d (ms)", "BE lat (us)"])
-        .with_title("Ablation — static partition vs VC borrowing");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &load in &[0.6, 0.7, 0.8, 0.9] {
         for borrowing in [false, true] {
             let mut p = Point::new(load, 90.0, 10.0);
             p.router = RouterConfig::default().vc_borrowing(borrowing);
-            cells.push([
-                format!("{load:.2}"),
-                if borrowing { "on" } else { "off" }.to_string(),
-            ]);
-            points.push(p);
+            let cell = if borrowing { "on" } else { "off" };
+            rows.push(([format!("{load:.2}"), cell.to_string()], p));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [load, borrowing], out) in sw.zip(&cells) {
-        t.row([
-            load.clone(),
-            borrowing.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-            be_cell(out.be_mean_latency_us),
-        ]);
-        records.push(point_json(
-            i,
-            &[("load", load), ("borrowing", borrowing)],
-            out,
-        ));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "ablation_borrowing",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Ablation: dynamic VC borrowing (mix 90:10)",
+        title: "Ablation — static partition vs VC borrowing",
+        labels: [("load", "load"), ("borrowing", "borrowing")],
+        be_latency: true,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 /// Extension — GOP-structured VBR vs the paper's normal frame model.
@@ -916,11 +790,7 @@ pub fn ablation_borrowing(args: &RunArgs) -> ExperimentRun {
 /// mean rate the bursts are harder on the router. This experiment asks
 /// how much of the jitter-free region that structure costs.
 pub fn gop_sensitivity(args: &RunArgs) -> ExperimentRun {
-    banner("Extension: GOP-structured VBR vs normal frame sizes", args);
-    let mut t = Table::new(["load", "frame model", "d (ms)", "sigma_d (ms)"])
-        .with_title("Extension — frame-size model sensitivity (100:0 VBR)");
-    let mut cells = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &load in &[0.6, 0.7, 0.8, 0.9] {
         for model in [FrameModel::Normal, FrameModel::Gop] {
             let mut p = Point::new(load, 100.0, 0.0);
@@ -928,37 +798,23 @@ pub fn gop_sensitivity(args: &RunArgs) -> ExperimentRun {
                 frame_model: model,
                 ..WorkloadSpec::paper_default()
             };
-            cells.push([format!("{load:.2}"), format!("{model:?}")]);
-            points.push(p);
+            rows.push(([format!("{load:.2}"), format!("{model:?}")], p));
         }
     }
-    let sw = sweep_single_switch(&points, args);
-    let mut records = Vec::new();
-    for (i, [load, model], out) in sw.zip(&cells) {
-        t.row([
-            load.clone(),
-            model.clone(),
-            format!("{:.2}", out.jitter.mean_ms),
-            format!("{:.2}", out.jitter.std_ms),
-        ]);
-        records.push(point_json(
-            i,
-            &[("load", load), ("frame_model", model)],
-            out,
-        ));
-    }
-    println!("{t}");
-    ExperimentRun {
+    Grid {
         name: "gop_sensitivity",
-        table: t,
-        points: records,
-        sim_cycles: sw.cycles,
-        trace: sw.trace,
+        banner: "Extension: GOP-structured VBR vs normal frame sizes",
+        title: "Extension — frame-size model sensitivity (100:0 VBR)",
+        labels: [("load", "load"), ("frame model", "frame_model")],
+        be_latency: false,
     }
+    .run(rows, &Topology::single_switch(8), args)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Condvar, Mutex};
+
     use super::*;
 
     fn quick() -> RunArgs {
@@ -977,6 +833,45 @@ mod tests {
         assert_eq!(be_cell(50.0), "50.0");
         assert_eq!(be_cell(1e6), "Sat.");
         assert_eq!(be_cell(f64::NAN), "Sat.");
+    }
+
+    #[test]
+    fn sweep_writes_owned_traces_in_task_order_when_tasks_finish_in_reverse() {
+        let path = std::env::temp_dir().join(format!(
+            "mediaworm-sweep-order-{}.jsonl",
+            std::process::id()
+        ));
+        // Shard 1 of 2 owns tasks 1, 3, 5 and 7, one per worker; each
+        // waits until every later owned task has finished, so they finish
+        // in reverse task order.
+        let args = RunArgs {
+            jobs: Some(4),
+            shard: Some((1, 2)),
+            trace: Some(path.clone()),
+            ..RunArgs::default()
+        };
+        let finished = Mutex::new(Vec::new());
+        let turn = Condvar::new();
+        let slots = sweep(
+            &args,
+            8,
+            |task| {
+                let mut done = finished.lock().unwrap();
+                while done.len() < (7 - task.index) / 2 {
+                    done = turn.wait(done).unwrap();
+                }
+                done.push(task.index);
+                turn.notify_all();
+                format!("task {}\n", task.index).into_bytes()
+            },
+            std::mem::take,
+        );
+        assert_eq!(*finished.lock().unwrap(), [7, 5, 3, 1]);
+        let owned: Vec<bool> = slots.iter().map(Option::is_some).collect();
+        assert_eq!(owned, [false, true, false, true, false, true, false, true]);
+        let file = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(file, "task 1\ntask 3\ntask 5\ntask 7\n");
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! builds the right workload/topology/router configuration, runs the
-//! simulation, and prints the same rows or series the paper reports. This
+//! simulation, and prints the same rows or series the paper reports; the
+//! ablations and extensions beyond the paper have binaries too. This
 //! library holds what they share: the command-line knobs ([`RunArgs`]),
-//! the single-point runners ([`run_single_switch_seeded`],
-//! [`run_fat_mesh_seeded`]), and formatting helpers.
+//! the simulation point ([`Point::run_on_seeded`]), the experiments'
+//! result ([`ExperimentRun`]) and the standard `main` body
+//! ([`run_experiment`]).
 //!
 //! # Conventions
 //!
@@ -25,6 +27,8 @@
 //! * `--json` writes machine-readable results to
 //!   `target/bench/BENCH_<name>.json` by default; `--json PATH` places
 //!   the file explicitly.
+//! * `--trace PATH` writes the sweep's JSONL flit-event trace to `PATH`,
+//!   point by point in task order as the points finish.
 //! * Results print as plain-text tables; `EXPERIMENTS.md` records the
 //!   paper-vs-measured comparison.
 
@@ -76,9 +80,12 @@ pub struct RunArgs {
     /// to uninterrupted ones.
     pub resume: bool,
     /// Record a JSONL flit-event trace of every simulated point to this
-    /// path. Every crossbar crossing is a line and the whole sweep's trace
-    /// is held in memory until it is written, so keep the windows to a few
-    /// simulated milliseconds (`--warmup`, `--measure`).
+    /// path. Each point's trace is appended in task order once every
+    /// earlier point's is written, so only points that finished out of
+    /// order wait in memory. Every crossbar crossing is a line, so keep the
+    /// windows to a few simulated milliseconds (`--warmup`, `--measure`).
+    /// Cannot be combined with `--resume`: a resumed point's trace would
+    /// cover only the segment after its restore point.
     pub trace: Option<PathBuf>,
     /// Run every point with the flow-control invariant audit enabled
     /// (`--audit`); violation counts land in the per-point JSON records.
@@ -114,7 +121,9 @@ impl RunArgs {
     }
 
     /// Parses an explicit argument list (no binary name). Invalid flags
-    /// abort with a usage message, exactly like [`RunArgs::from_env`].
+    /// abort with a usage message and exit status 2, exactly like
+    /// [`RunArgs::from_env`]: unknown flags, windows that are not finite
+    /// and positive, and `--trace` together with `--resume`.
     pub fn from_argv(argv: impl IntoIterator<Item = String>) -> RunArgs {
         let mut args = RunArgs::default();
         let mut it = argv.into_iter().peekable();
@@ -131,15 +140,15 @@ impl RunArgs {
                 "--warmup" => {
                     args.warmup_secs = it
                         .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--warmup needs seconds"));
+                        .and_then(|v| parse_window(&v))
+                        .unwrap_or_else(|| usage("--warmup needs positive seconds"));
                     explicit_windows = true;
                 }
                 "--measure" => {
                     args.measure_secs = it
                         .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--measure needs seconds"));
+                        .and_then(|v| parse_window(&v))
+                        .unwrap_or_else(|| usage("--measure needs positive seconds"));
                     explicit_windows = true;
                 }
                 "--jobs" => {
@@ -175,55 +184,21 @@ impl RunArgs {
                 "--audit" => args.audit = true,
                 "--bounds" => args.bounds = true,
                 "--schedulers" => {
-                    let list = it
-                        .next()
-                        .unwrap_or_else(|| usage("--schedulers needs a list"));
-                    let kinds: Vec<SchedulerKind> = list
-                        .split(',')
-                        .map(|s| {
-                            parse_scheduler_kind(s).unwrap_or_else(|| {
-                                usage(&format!(
-                                    "unknown scheduler {s:?} (vc|fifo|rr|wfq|drr|scfq)"
-                                ))
-                            })
+                    args.schedulers = Some(parse_list(&a, it.next(), |s| {
+                        parse_scheduler_kind(s).ok_or_else(|| {
+                            format!("unknown scheduler {s:?} (vc|fifo|rr|wfq|drr|scfq)")
                         })
-                        .collect();
-                    if kinds.is_empty() {
-                        usage("--schedulers needs a non-empty list");
-                    }
-                    args.schedulers = Some(kinds);
+                    }));
                 }
-                "--policing" => {
-                    let list = it
-                        .next()
-                        .unwrap_or_else(|| usage("--policing needs a list"));
-                    let modes: Vec<PolicingMode> = list
-                        .split(',')
-                        .map(|s| s.parse().unwrap_or_else(|e: String| usage(&e)))
-                        .collect();
-                    if modes.is_empty() {
-                        usage("--policing needs a non-empty list");
-                    }
-                    args.policing = Some(modes);
-                }
+                "--policing" => args.policing = Some(parse_list(&a, it.next(), str::parse)),
                 "--loads" => {
-                    let list = it.next().unwrap_or_else(|| usage("--loads needs a list"));
-                    let loads: Vec<f64> = list
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .ok()
-                                .filter(|&l: &f64| l > 0.0 && l <= 1.5)
-                                .unwrap_or_else(|| {
-                                    usage(&format!("bad load {s:?} (fraction in (0, 1.5])"))
-                                })
-                        })
-                        .collect();
-                    if loads.is_empty() {
-                        usage("--loads needs a non-empty list");
-                    }
-                    args.loads = Some(loads);
+                    args.loads = Some(parse_list(&a, it.next(), |s| {
+                        s.trim()
+                            .parse()
+                            .ok()
+                            .filter(|&l: &f64| l > 0.0 && l <= 1.5)
+                            .ok_or_else(|| format!("bad load {s:?} (fraction in (0, 1.5])"))
+                    }));
                 }
                 "--trace" => {
                     args.trace = Some(PathBuf::from(
@@ -233,6 +208,12 @@ impl RunArgs {
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other}")),
             }
+        }
+        if args.trace.is_some() && args.resume {
+            usage(
+                "--trace cannot be combined with --resume: a resumed point's trace \
+                 covers only the segment after its restore point",
+            );
         }
         if args.quick && !explicit_windows {
             args.warmup_secs = 0.05;
@@ -314,6 +295,27 @@ fn shard_file_name(name: &str, shard: Option<(usize, usize)>) -> String {
         Some((i, n)) => format!("BENCH_{name}.shard{i}of{n}.json"),
         None => format!("BENCH_{name}.json"),
     }
+}
+
+/// Parses the comma-separated `list` after `flag` item by item (`item`
+/// returns the error message); aborts with a usage message on the first
+/// bad item or a missing list. `split` yields at least one item, so the
+/// list is never empty.
+fn parse_list<T>(
+    flag: &str,
+    list: Option<String>,
+    item: impl Fn(&str) -> Result<T, String>,
+) -> Vec<T> {
+    let list = list.unwrap_or_else(|| usage(&format!("{flag} needs a list")));
+    list.split(',')
+        .map(|s| item(s).unwrap_or_else(|e| usage(&e)))
+        .collect()
+}
+
+/// Parses a `--warmup` / `--measure` window; `None` unless finite and
+/// positive.
+fn parse_window(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
 }
 
 /// Parses the `i/n` of `--shard i/n`; `None` if malformed or `i >= n`.
@@ -419,7 +421,7 @@ impl Point {
     /// Runs this point over `topology` with an explicit workload seed
     /// (sweeps derive one per task; see [`sweep`]). When the args ask for
     /// `--trace`, the outcome carries the point's JSONL flit-event trace
-    /// in [`SimOutcome::trace`].
+    /// in [`SimOutcome::trace`]; writing it is the caller's job.
     ///
     /// When the args ask for checkpointing ([`RunArgs::checkpoint_cycles`]),
     /// the run snapshots periodically to a point-specific file under
@@ -435,7 +437,16 @@ impl Point {
     pub fn run_on_seeded(&self, topology: &Topology, args: &RunArgs, seed: u64) -> SimOutcome {
         let workload = self.workload(topology, seed);
         let (w, m) = args.windows();
-        let ckpt = self.checkpoint_opts(topology, args, seed);
+        // The snapshot file name hashes everything that defines the run,
+        // so a resumed sweep finds exactly the snapshots its own
+        // interrupted points wrote.
+        let ckpt = args
+            .checkpoint_cycles()
+            .map(|interval_cycles| sim::CheckpointOpts {
+                interval_cycles,
+                path: self.state_path(topology, args, seed),
+                resume: args.resume,
+            });
         sim::run_with(
             topology,
             workload,
@@ -448,27 +459,10 @@ impl Point {
         .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The checkpoint configuration these args imply for this point, if
-    /// any. The snapshot file name hashes everything that defines the
-    /// run — topology, point parameters, seed and windows — so distinct
-    /// points never share state and a resumed sweep finds exactly the
-    /// snapshots its own interrupted points wrote.
-    fn checkpoint_opts(
-        &self,
-        topology: &Topology,
-        args: &RunArgs,
-        seed: u64,
-    ) -> Option<sim::CheckpointOpts> {
-        let interval_cycles = args.checkpoint_cycles()?;
-        Some(sim::CheckpointOpts {
-            interval_cycles,
-            path: self.state_path(topology, args, seed),
-            resume: args.resume,
-        })
-    }
-
     /// `target/bench/state/point-<hash>.snap` for this (point, seed) run:
-    /// where a checkpointed run keeps its snapshot until it completes.
+    /// where a checkpointed run keeps its snapshot until it completes. The
+    /// hash covers topology, point parameters, seed and windows, so
+    /// distinct points never share state.
     pub fn state_path(&self, topology: &Topology, args: &RunArgs, seed: u64) -> PathBuf {
         let key = format!(
             "{:?}|{:?}|{seed}|{}|{}",
@@ -502,22 +496,8 @@ impl Point {
     }
 }
 
-/// Runs one point on the paper's 8-port single switch with workload seed
-/// `seed`; see [`Point::run_on_seeded`].
-pub fn run_single_switch_seeded(point: &Point, args: &RunArgs, seed: u64) -> SimOutcome {
-    point.run_on_seeded(&Topology::single_switch(8), args, seed)
-}
-
-/// Runs one point on the paper's 2×2 fat-mesh (two parallel links per
-/// neighbour pair, 4 endpoints per switch) with workload seed `seed`; see
-/// [`Point::run_on_seeded`].
-pub fn run_fat_mesh_seeded(point: &Point, args: &RunArgs, seed: u64) -> SimOutcome {
-    point.run_on_seeded(&Topology::fat_mesh(2, 2, 2, 4), args, seed)
-}
-
 /// The full result of one experiment: the printed table plus the
-/// machine-readable per-point records, simulated-cycle accounting and
-/// (when tracing was requested) the concatenated flit-event trace.
+/// machine-readable per-point records and simulated-cycle accounting.
 #[derive(Debug, Clone)]
 pub struct ExperimentRun {
     /// Short machine-friendly name (`fig3`, `table2`, ...); names the
@@ -529,9 +509,6 @@ pub struct ExperimentRun {
     pub points: Vec<Json>,
     /// Total simulated cycles across every point of the sweep.
     pub sim_cycles: u64,
-    /// Concatenated JSONL flit-event trace, point order; empty unless
-    /// `--trace` was given (PCS points do not produce trace events).
-    pub trace: Vec<u8>,
 }
 
 impl ExperimentRun {
@@ -565,10 +542,15 @@ impl ExperimentRun {
     }
 }
 
-/// Runs one experiment and handles its `--json` / `--trace` outputs: the
-/// standard `main` body of every experiment binary. Returns the run so
-/// callers (`repro-all`) can collect the tables.
+/// Runs one experiment and reports its `--json` / `--trace` outputs: the
+/// standard `main` body of every experiment binary. The experiment's sweep
+/// writes the trace file itself; it is created empty up front, so an
+/// unwritable path fails before any simulation and a sweep with nothing
+/// to trace (PCS points only) still leaves the file.
 pub fn run_experiment(args: &RunArgs, f: fn(&RunArgs) -> ExperimentRun) -> ExperimentRun {
+    if let Some(path) = &args.trace {
+        std::fs::File::create(path).expect("create flit trace");
+    }
     let started = std::time::Instant::now();
     let run = f(args);
     let wall_secs = started.elapsed().as_secs_f64();
@@ -577,12 +559,8 @@ pub fn run_experiment(args: &RunArgs, f: fn(&RunArgs) -> ExperimentRun) -> Exper
         println!("json results written to {}", path.display());
     }
     if let Some(path) = &args.trace {
-        std::fs::write(path, &run.trace).expect("write flit trace");
-        println!(
-            "flit trace ({} bytes) written to {}",
-            run.trace.len(),
-            path.display()
-        );
+        let bytes = std::fs::metadata(path).expect("stat flit trace").len();
+        println!("flit trace ({bytes} bytes) written to {}", path.display());
     }
     run
 }
@@ -738,14 +716,6 @@ fn json_uint(doc: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Formats a jitter pair `(d̄, σ_d)` in milliseconds.
-pub fn fmt_jitter(outcome: &SimOutcome) -> (String, String) {
-    (
-        format!("{:.2}", outcome.jitter.mean_ms),
-        format!("{:.2}", outcome.jitter.std_ms),
-    )
-}
-
 /// Prints the standard experiment header.
 pub fn banner(title: &str, args: &RunArgs) {
     println!("== {title} ==");
@@ -788,7 +758,11 @@ mod tests {
             jobs: Some(1),
             ..RunArgs::default()
         };
-        let out = run_single_switch_seeded(&Point::new(0.4, 100.0, 0.0), &args, args.seed);
+        let out = Point::new(0.4, 100.0, 0.0).run_on_seeded(
+            &Topology::single_switch(8),
+            &args,
+            args.seed,
+        );
         assert!(out.jitter.intervals > 0);
         assert!(out.trace.is_empty(), "untraced runs carry no trace");
     }
@@ -985,7 +959,6 @@ mod tests {
             table: Table::new(["a"]),
             points: Vec::new(),
             sim_cycles: 100,
-            trace: Vec::new(),
         };
         let doc = run.to_json(0.0, None).to_string();
         assert!(doc.contains("\"cycles_per_sec\":null"));

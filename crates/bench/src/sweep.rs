@@ -12,8 +12,9 @@
 //!
 //! * each task's RNG seed is derived from `(base_seed, task_index)` alone
 //!   via [`derive_seed`] — never from which worker ran it or when;
-//! * results land in a slot indexed by the task, so output order equals
-//!   input order regardless of completion order;
+//! * results come back in task order regardless of completion order
+//!   ([`SweepRunner::for_each_in_order`] holds back only those that
+//!   finished ahead of an earlier task);
 //! * replicated runs reduce through [`RunningStats::merge`] in replica
 //!   index order (parallel Welford is deterministic for a fixed merge
 //!   order, not for an arbitrary one).
@@ -28,8 +29,9 @@
 //! back into the byte-identical monolithic report (see
 //! [`crate::merge_shards`]).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 use netsim::RunningStats;
 
@@ -128,29 +130,15 @@ impl SweepRunner {
         SweepRunner { shard, ..self }
     }
 
-    /// The worker-thread cap.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The base seed task seeds are derived from.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
     /// Whether this runner's shard owns task `index`.
     pub fn owns(&self, index: usize) -> bool {
         index % self.shard.1 == self.shard.0
     }
 
     /// Runs every one of `count` tasks through `f` — ignoring the shard —
-    /// and returns the results in task order.
-    ///
-    /// Workers self-schedule off a shared atomic counter, so an expensive
-    /// point does not hold up the queue behind it. `f` must not rely on
-    /// execution order — only on its [`SweepTask`]. Shard-aware sweeps go
-    /// through [`SweepRunner::map_sharded`]; this is the unsharded path
-    /// (replica statistics, callers that need every result present).
+    /// and returns the results in task order. Shard-aware sweeps go
+    /// through [`SweepRunner::for_each_in_order`]; this is the unsharded
+    /// path (replica statistics, callers that need every result present).
     pub fn map<T, F>(&self, count: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -160,53 +148,67 @@ impl SweepRunner {
             shard: (0, 1),
             ..*self
         };
-        full.map_sharded(count, f)
-            .into_iter()
-            .map(|slot| slot.expect("every sweep task stores its result"))
-            .collect()
+        let mut out = Vec::with_capacity(count);
+        full.for_each_in_order(count, f, |_, value| out.push(value));
+        out
     }
 
-    /// Runs the tasks this runner's shard owns through `f` and returns a
-    /// `count`-length vector with the owned results in their global task
-    /// slots and `None` everywhere else.
+    /// Runs the tasks this runner's shard owns through `f` and hands each
+    /// result to `done` with its task index, in task order: a result is
+    /// handed over as soon as every earlier owned task's has been, so only
+    /// results that finished ahead of an unfinished earlier task wait in
+    /// memory. `done` runs on the calling thread.
     ///
-    /// Seeds and slot positions are the monolithic sweep's — a task
-    /// computes identical bits no matter how many shards the sweep was
-    /// split into.
-    pub fn map_sharded<T, F>(&self, count: usize, f: F) -> Vec<Option<T>>
+    /// Workers self-schedule off a shared atomic counter, so an expensive
+    /// point does not hold up the queue behind it. `f` must not rely on
+    /// execution order — only on its [`SweepTask`]. Seeds are the
+    /// monolithic sweep's: a task computes identical bits no matter how
+    /// many shards the sweep was split into.
+    pub fn for_each_in_order<T, F, D>(&self, count: usize, f: F, mut done: D)
     where
         T: Send,
         F: Fn(SweepTask) -> T + Sync,
+        D: FnMut(usize, T),
     {
         let task = |index: usize| SweepTask {
             index,
             seed: derive_seed(self.base_seed, index as u64),
         };
         let owned: Vec<usize> = (0..count).filter(|&i| self.owns(i)).collect();
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
         let workers = self.jobs.min(owned.len());
         if workers <= 1 {
             for &i in &owned {
-                slots[i] = Some(f(task(i)));
+                done(i, f(task(i)));
             }
-            return slots;
+            return;
         }
-        let slots = Mutex::new(slots);
         let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
+                let (tx, f, task, owned, next) = (tx.clone(), &f, &task, &owned, &next);
+                scope.spawn(move || loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     if k >= owned.len() {
                         break;
                     }
-                    let i = owned[k];
-                    let value = f(task(i));
-                    slots.lock().expect("sweep slots poisoned")[i] = Some(value);
+                    // A send fails only after `done` panicked and dropped
+                    // the receiver; the scope rethrows that panic.
+                    let _ = tx.send((k, f(task(owned[k]))));
                 });
             }
+            drop(tx);
+            // Results that finished out of order, keyed by owned position.
+            let mut early = BTreeMap::new();
+            let mut head = 0;
+            for (k, value) in rx {
+                early.insert(k, value);
+                while let Some(value) = early.remove(&head) {
+                    done(owned[head], value);
+                    head += 1;
+                }
+            }
         });
-        slots.into_inner().expect("sweep slots poisoned")
     }
 
     /// Runs `points × replicas` tasks through `f` and merges each point's
@@ -332,6 +334,17 @@ mod tests {
         let _ = SweepRunner::new(0, 0);
     }
 
+    /// The `count`-length task-slot vector of `r`'s owned results.
+    fn slots<T: Send>(
+        r: SweepRunner,
+        count: usize,
+        f: impl Fn(SweepTask) -> T + Sync,
+    ) -> Vec<Option<T>> {
+        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+        r.for_each_in_order(count, f, |i, v| slots[i] = Some(v));
+        slots
+    }
+
     #[test]
     fn shards_partition_the_task_list_exactly() {
         let n = 3;
@@ -339,7 +352,7 @@ mod tests {
         let mut seen = vec![0usize; count];
         for i in 0..n {
             let r = SweepRunner::new(2, 42).with_shard((i, n));
-            for (idx, slot) in r.map_sharded(count, |t| t.index).into_iter().enumerate() {
+            for (idx, slot) in slots(r, count, |t| t.index).into_iter().enumerate() {
                 match slot {
                     Some(v) => {
                         assert_eq!(v, idx);
@@ -359,7 +372,7 @@ mod tests {
         let mono = SweepRunner::new(1, 42).map(12, |t| t.seed);
         for i in 0..4 {
             let shard = SweepRunner::new(4, 42).with_shard((i, 4));
-            for (idx, slot) in shard.map_sharded(12, |t| t.seed).into_iter().enumerate() {
+            for (idx, slot) in slots(shard, 12, |t| t.seed).into_iter().enumerate() {
                 if let Some(seed) = slot {
                     assert_eq!(seed, mono[idx], "task {idx} on shard {i}/4");
                 }
@@ -378,7 +391,7 @@ mod tests {
     #[test]
     fn shard_owning_no_tasks_returns_all_none() {
         let r = SweepRunner::new(4, 0).with_shard((5, 8));
-        let out = r.map_sharded(3, |t| t.index);
+        let out = slots(r, 3, |t| t.index);
         assert_eq!(out, vec![None, None, None]);
     }
 

@@ -1,12 +1,15 @@
 //! The sweep harness must produce bit-identical results at any job count:
 //! seeds derive from the task index alone, results are slotted by index,
 //! and replica statistics merge in a fixed order. The telemetry layer must
-//! obey the same contract — counters and JSONL traces are assembled in
-//! task order, and tracing must not change any number.
+//! obey the same contract — counters and the JSONL trace file are
+//! assembled in task order, and tracing must not change any number.
 
+use mediaworm::{SchedulerKind, SimOutcome};
 use mediaworm_bench::sweep::SweepRunner;
-use mediaworm_bench::{experiments, run_single_switch_seeded, Point, RunArgs};
+use mediaworm_bench::{experiments, Point, RunArgs};
 use netsim::RunningStats;
+use topo::Topology;
+use traffic::PolicingMode;
 
 fn args_with_jobs(jobs: usize) -> RunArgs {
     RunArgs {
@@ -20,12 +23,16 @@ fn args_with_jobs(jobs: usize) -> RunArgs {
 }
 
 /// [`args_with_jobs`] with `--trace` set, so each point's outcome carries
-/// its JSONL trace (the path itself is only written by binaries).
+/// its JSONL trace (a lone point never writes the path).
 fn traced_args_with_jobs(jobs: usize) -> RunArgs {
     RunArgs {
         trace: Some("trace.jsonl".into()),
         ..args_with_jobs(jobs)
     }
+}
+
+fn run_on_switch(point: &Point, args: &RunArgs, seed: u64) -> SimOutcome {
+    point.run_on_seeded(&Topology::single_switch(8), args, seed)
 }
 
 fn test_points() -> [Point; 3] {
@@ -41,7 +48,7 @@ fn merged_stats(jobs: usize) -> Vec<RunningStats> {
     let args = args_with_jobs(jobs);
     let points = test_points();
     SweepRunner::from_args(&args).run_stats(points.len(), 2, |p, _replica, seed| {
-        let out = run_single_switch_seeded(&points[p], &args, seed);
+        let out = run_on_switch(&points[p], &args, seed);
         let mut s = RunningStats::new();
         s.push(out.jitter.mean_ms);
         s.push(out.jitter.std_ms);
@@ -96,7 +103,7 @@ fn counters_are_identical_at_any_job_count() {
     let collect = |jobs: usize| {
         let args = args_with_jobs(jobs);
         SweepRunner::from_args(&args).map(points.len(), |task| {
-            run_single_switch_seeded(&points[task.index], &args, task.seed).counters
+            run_on_switch(&points[task.index], &args, task.seed).counters
         })
     };
     assert_eq!(collect(1), collect(8));
@@ -104,26 +111,39 @@ fn counters_are_identical_at_any_job_count() {
 
 #[test]
 fn traces_are_bit_identical_at_any_job_count() {
-    let points = test_points();
-    let collect = |jobs: usize| {
-        let args = traced_args_with_jobs(jobs);
-        let per_point = SweepRunner::from_args(&args).map(points.len(), |task| {
-            run_single_switch_seeded(&points[task.index], &args, task.seed).trace
-        });
-        // Concatenated in task order, exactly as the experiments do.
-        per_point.concat()
+    // The trace file a four-point ablation slice writes, at one and at
+    // eight workers (windows of a few milliseconds keep it small).
+    let trace_file = |jobs: usize| {
+        let path = std::env::temp_dir().join(format!(
+            "mediaworm-trace-jobs{jobs}-{}.jsonl",
+            std::process::id()
+        ));
+        let args = RunArgs {
+            warmup_secs: 0.001,
+            measure_secs: 0.002,
+            schedulers: Some(vec![SchedulerKind::Wfq, SchedulerKind::Drr]),
+            policing: Some(vec![PolicingMode::Off, PolicingMode::Shape]),
+            loads: Some(vec![0.4]),
+            trace: Some(path.clone()),
+            ..args_with_jobs(jobs)
+        };
+        let run = experiments::ablation_sched(&args);
+        assert_eq!(run.points.len(), 4);
+        let bytes = std::fs::read(&path).expect("the sweep wrote its trace file");
+        std::fs::remove_file(&path).unwrap();
+        bytes
     };
-    let sequential = collect(1);
+    let sequential = trace_file(1);
     assert!(!sequential.is_empty(), "traced runs must produce events");
-    assert_eq!(sequential, collect(8));
+    assert!(sequential == trace_file(8), "trace files differ");
 }
 
 #[test]
 fn tracing_does_not_change_results() {
     let args = args_with_jobs(2);
     for point in &test_points() {
-        let plain = run_single_switch_seeded(point, &args, 7);
-        let traced = run_single_switch_seeded(point, &traced_args_with_jobs(2), 7);
+        let plain = run_on_switch(point, &args, 7);
+        let traced = run_on_switch(point, &traced_args_with_jobs(2), 7);
         assert!(
             plain.trace.is_empty(),
             "untraced runs return no trace bytes"

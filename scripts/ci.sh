@@ -91,13 +91,22 @@ require_tests -p mediaworm -- bounds_on_a_torus_is_a_typed_error_not_a_panic
 
 # Trace coverage: tracing must only observe (traced runs match untraced
 # ones, snapshots exclude the trace), emit every event kind, and stay
-# bit-identical at any --jobs count.
+# bit-identical at any --jobs count; the sweep runner must write exactly
+# the owned points' traces in task order when they finish out of order.
 require_tests -p mediaworm -- \
   traced_run_matches_plain_run \
   traced_run_emits_inject_and_deliver_events \
   tracing_emits_route_and_arbitrate_events \
   traced_run_matches_untraced_numbers
-require_tests -p mediaworm-bench -- traces_are_bit_identical_at_any_job_count
+require_tests -p mediaworm-bench -- \
+  traces_are_bit_identical_at_any_job_count \
+  sweep_writes_owned_traces_in_task_order_when_tasks_finish_in_reverse
+
+# Command-line errors: windows that are not finite and positive, and
+# --trace with --resume, exit 2 with a usage message, never a panic.
+require_tests -p mediaworm-bench --test cli -- \
+  windows_that_are_not_finite_and_positive_are_usage_errors \
+  trace_with_resume_is_a_usage_error
 
 # Bounds smoke: one Virtual Clock slice of the bounds matrix must bound
 # every stream, observe no violations, and audit the provable (CBR,
@@ -141,3 +150,14 @@ cargo run --release -q -p mediaworm-bench --bin merge_shards -- \
 sed 's/"throughput".*//' "$shard_dir/BENCH_ablation_sched.json" \
   > "$shard_dir/merged.stripped"
 cmp target/bench/ablation_smoke_jobs1.stripped "$shard_dir/merged.stripped"
+
+# Trace smoke: the same slice with windows of a few milliseconds, traced
+# at --jobs 1 and --jobs 2, must write byte-identical trace files.
+trace_flags=("${smoke_flags[@]}" --warmup 0.002 --measure 0.004)
+for j in 1 2; do
+  cargo run --release -q -p mediaworm-bench --bin ablation_sched -- \
+    "${trace_flags[@]}" --jobs "$j" --trace "target/bench/trace_smoke_jobs$j.jsonl"
+done
+test -s target/bench/trace_smoke_jobs1.jsonl
+cmp target/bench/trace_smoke_jobs1.jsonl target/bench/trace_smoke_jobs2.jsonl
+rm target/bench/trace_smoke_jobs1.jsonl target/bench/trace_smoke_jobs2.jsonl
