@@ -2,7 +2,7 @@
 //! sequence, writes a combined text report to `repro_report.txt`, and
 //! with `--json` additionally writes one `target/bench/BENCH_<name>.json`
 //! per experiment (per-point results plus wall-clock / cycles-per-second
-//! throughput).
+//! throughput); `--json PATH` writes `PATH.<name>.json` instead.
 //!
 //! The report is rewritten after every section, so a run that panics
 //! part-way (and still exits non-zero) keeps the sections it finished.
@@ -12,7 +12,6 @@
 //! sweeps — write no file).
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use mediaworm_bench::{experiments, write_json_results, ExperimentRun, RunArgs};
 
@@ -53,18 +52,12 @@ fn main() {
     ];
     let mut report = String::new();
     for (name, title, f) in runs {
-        // Each experiment gets its own trace file so they don't clobber
-        // one another.
-        let mut run_args = args.clone();
-        run_args.trace = args
-            .trace
-            .as_ref()
-            .map(|base| PathBuf::from(format!("{}.{name}.jsonl", base.display())));
+        let run_args = args.for_experiment(name);
         let started = std::time::Instant::now();
         let run = f(&run_args);
         let wall_secs = started.elapsed().as_secs_f64();
         if args.json {
-            let path = write_json_results(&args, &run, wall_secs).expect("write json results");
+            let path = write_json_results(&run_args, &run, wall_secs).expect("write json results");
             println!("json results written to {}", path.display());
         }
         if let Some(path) = &run_args.trace {

@@ -281,6 +281,20 @@ impl RunArgs {
             None => PathBuf::from(BENCH_DIR).join(shard_file_name(name, self.shard)),
         }
     }
+
+    /// These args for experiment `name` of a multi-experiment run
+    /// (`repro_all`): an explicit `--json PATH` becomes `PATH.<name>.json`
+    /// and `--trace PATH` becomes `PATH.<name>.jsonl`, so the experiments
+    /// do not overwrite one another's files.
+    pub fn for_experiment(&self, name: &str) -> RunArgs {
+        let suffixed =
+            |base: &PathBuf, ext: &str| PathBuf::from(format!("{}.{name}.{ext}", base.display()));
+        RunArgs {
+            json_path: self.json_path.as_ref().map(|p| suffixed(p, "json")),
+            trace: self.trace.as_ref().map(|p| suffixed(p, "jsonl")),
+            ..self.clone()
+        }
+    }
 }
 
 /// Default directory for machine-readable bench artifacts.
@@ -805,6 +819,28 @@ mod tests {
         let placed = argv(&["--json", "out/results.json"]);
         assert!(placed.json);
         assert_eq!(placed.out_path("fig3"), PathBuf::from("out/results.json"));
+    }
+
+    #[test]
+    fn each_experiment_gets_its_own_json_and_trace_paths() {
+        let a = argv(&["--json", "out/all.json", "--trace", "t/run"]);
+        let fig3 = a.for_experiment("fig3");
+        assert_eq!(
+            fig3.out_path("fig3"),
+            PathBuf::from("out/all.json.fig3.json")
+        );
+        assert_eq!(fig3.trace, Some(PathBuf::from("t/run.fig3.jsonl")));
+        assert_ne!(
+            a.for_experiment("bounds").out_path("bounds"),
+            fig3.out_path("fig3")
+        );
+        // Default paths already differ by experiment and stay as they are.
+        let bare = argv(&["--json"]).for_experiment("table2");
+        assert_eq!(
+            bare.out_path("table2"),
+            PathBuf::from("target/bench/BENCH_table2.json")
+        );
+        assert!(bare.trace.is_none());
     }
 
     #[test]

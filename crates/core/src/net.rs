@@ -3,7 +3,9 @@
 //! [`Network`] instantiates one [`Router`] per switch of a
 //! [`topo::Topology`], wires full-duplex links (a flit channel one way and
 //! a credit channel back), attaches endpoints (network interfaces with
-//! per-VC injection queues), and drives everything cycle by cycle:
+//! per-VC queues of waiting messages, each a head flit plus a send
+//! cursor; flits are built as they leave), and drives everything cycle
+//! by cycle:
 //!
 //! 1. injection calendar → NI queues,
 //! 2. link/credit delivery (and sink accounting at destinations),
@@ -60,16 +62,33 @@ struct LinkPair {
     tx: TxSide,
 }
 
-/// An endpoint's network interface: per-VC injection queues plus the
-/// credit view of the router input buffer it feeds.
+/// A message waiting at a network interface: its head flit, which holds
+/// every per-message field, and the index of the next flit to send. The
+/// NI builds each flit with [`Flit::nth`] as it leaves, so a waiting
+/// message costs one flit of memory, not `msg_len`.
+#[derive(Debug, Clone, Copy)]
+struct NiMsg {
+    head: Flit,
+    next: u32,
+}
+
+impl NiMsg {
+    /// Flits of this message still to send.
+    fn remaining(&self) -> u64 {
+        u64::from(self.head.msg_len - self.next)
+    }
+}
+
+/// An endpoint's network interface: per-VC queues of waiting messages
+/// plus the credit view of the router input buffer it feeds.
 #[derive(Debug)]
 struct Endpoint {
-    queues: Vec<VecDeque<Flit>>,
+    queues: Vec<VecDeque<NiMsg>>,
     sched: MuxScheduler,
     credits: Vec<u32>,
     link: usize,
-    /// Flits queued across all VCs: the NI's O(1) idle test (`ni_send`
-    /// visits only endpoints with `queued > 0`).
+    /// Flits still to send across all VCs: the NI's O(1) idle test
+    /// (`ni_send` visits only endpoints with `queued > 0`).
     queued: u64,
     /// VC of the worm currently being injected. The NI drains a message's
     /// flits back-to-back when it can (like a DMA engine), so worms enter
@@ -79,6 +98,15 @@ struct Endpoint {
     /// Reusable ascending list of the sendable VCs the NI multiplexer
     /// picks from (scratch; never serialized).
     sendable: Vec<usize>,
+}
+
+impl Endpoint {
+    /// Flits still to send, recounted from the queued messages' cursors
+    /// (the audit's flit-conservation term and the stall report's NI
+    /// backlog).
+    fn backlog(&self) -> u64 {
+        self.queues.iter().flatten().map(NiMsg::remaining).sum()
+    }
 }
 
 /// State of the (opt-in) invariant audit sweep.
@@ -175,7 +203,7 @@ pub struct Network {
     /// Sorted ascending for the same order-identity reason as
     /// `active_links`. An endpoint joins on injection and leaves once its
     /// queues drain (`queued == 0` — which implies no open worm, since a
-    /// message's flits are queued atomically).
+    /// message joins its NI queue whole).
     active_eps: Vec<usize>,
     /// Whether each endpoint is in `active_eps`.
     ep_active: Vec<bool>,
@@ -509,19 +537,6 @@ impl Network {
         t
     }
 
-    /// Sums router allocator diagnostics
-    /// `(active_cycles, conflict_losses, empty_slots)`.
-    pub fn alloc_diag(&self) -> (u64, u64, u64) {
-        let mut d = (0, 0, 0);
-        for r in &self.routers {
-            let rd = r.diag();
-            d.0 += rd.0;
-            d.1 += rd.1;
-            d.2 += rd.2;
-        }
-        d
-    }
-
     /// Runs the simulation until cycle `end`.
     ///
     /// When the audit or the watchdog is enabled (see
@@ -713,16 +728,17 @@ impl Network {
             let msg = self.staged[i].take().expect("staged message present");
             let ep = &mut self.endpoints[msg.src.index()];
             let v = msg.vc_in.index();
+            let head = msg.flits[0];
+            debug_assert_eq!(head.msg_len as usize, msg.flits.len());
             for flit in &msg.flits {
-                ep.queues[v].push_back(*flit);
                 ep.sched.on_arrival(v, now, flit);
             }
+            ep.queues[v].push_back(NiMsg { head, next: 0 });
             ep.queued += msg.flits.len() as u64;
             Self::activate_ep(&mut self.ep_active, &mut self.active_eps, msg.src.index());
             if let Some(sink) = &mut self.trace {
                 // One event per message; `port` holds the source node id
                 // (there is no router at the injection point).
-                let head = &msg.flits[0];
                 sink.record(&FlitEvent {
                     cycle: now.get(),
                     kind: FlitEventKind::Inject,
@@ -736,7 +752,6 @@ impl Network {
             }
             self.flits_in_flight += msg.flits.len() as u64;
             self.injected_msgs += 1;
-            let head = &msg.flits[0];
             if head.class.is_real_time() {
                 let s = head.stream.index();
                 if s >= self.sinks.rt_outstanding.len() {
@@ -1049,7 +1064,12 @@ impl Network {
                 choice?
             }
         };
-        let flit = ep.queues[v].pop_front().expect("eligible VC has a flit");
+        let entry = ep.queues[v].front_mut().expect("eligible VC has a message");
+        let flit = entry.head.nth(entry.next);
+        entry.next += 1;
+        if entry.next == entry.head.msg_len {
+            ep.queues[v].pop_front();
+        }
         ep.sched.on_service(v);
         ep.credits[v] -= 1;
         ep.queued -= 1;
@@ -1350,11 +1370,7 @@ impl Network {
         }
         // Global flit conservation: everything injected but undelivered
         // must be somewhere — an NI queue, a link, or a router buffer.
-        let in_nis: u64 = self
-            .endpoints
-            .iter()
-            .map(|ep| ep.queues.iter().map(VecDeque::len).sum::<usize>() as u64)
-            .sum();
+        let in_nis: u64 = self.endpoints.iter().map(Endpoint::backlog).sum();
         let on_links: u64 = self.links.iter().map(|lp| lp.flit.in_flight() as u64).sum();
         let in_routers: u64 = self.routers.iter().map(Router::buffered_flits).sum();
         let present = in_nis + on_links + in_routers;
@@ -1393,11 +1409,7 @@ impl Network {
             h.on_cycle = *on;
             any_cycle |= *on;
         }
-        let ni_backlog: u64 = self
-            .endpoints
-            .iter()
-            .map(|ep| ep.queues.iter().map(VecDeque::len).sum::<usize>() as u64)
-            .sum();
+        let ni_backlog: u64 = self.endpoints.iter().map(Endpoint::backlog).sum();
         StallReport {
             cycle: self.now.get(),
             stalled_for: stalled_for.get(),
@@ -1453,21 +1465,20 @@ impl Network {
         }
         w.usize(self.staged.len());
         for slot in &self.staged {
+            // Every flit of a message follows from its head.
             w.option(slot.as_ref(), |w, msg| {
                 w.u64(msg.at.0);
                 w.u32(msg.src.0);
                 w.u32(msg.vc_in.0);
-                w.usize(msg.flits.len());
-                for f in &msg.flits {
-                    f.save(w);
-                }
+                msg.flits[0].save(w);
             });
         }
         for ep in &self.endpoints {
             for q in &ep.queues {
                 w.usize(q.len());
-                for f in q {
-                    f.save(&mut w);
+                for e in q {
+                    e.head.save(&mut w);
+                    w.u32(e.next);
                 }
             }
             ep.sched.save(&mut w);
@@ -1577,30 +1588,34 @@ impl Network {
                 let at = Cycles(r.u64()?);
                 let src = NodeId(r.u32()?);
                 let vc_in = VcId(r.u32()?);
-                let n = r.usize()?;
-                let mut flits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    flits.push(Flit::load(r)?);
-                }
                 Ok(ScheduledMessage {
                     at,
                     src,
                     vc_in,
-                    flits,
+                    flits: Flit::flitify(Flit::load_head(r)?),
                 })
             })?;
         }
         for ep in &mut self.endpoints {
-            let mut queued = 0u64;
             for q in &mut ep.queues {
                 let n = r.usize()?;
                 q.clear();
                 for _ in 0..n {
-                    q.push_back(Flit::load(&mut r)?);
+                    let head = Flit::load_head(&mut r)?;
+                    let next = r.u32()?;
+                    if next >= head.msg_len {
+                        return Err(SnapError::BadValue("NI message cursor past its tail"));
+                    }
+                    q.push_back(NiMsg { head, next });
                 }
-                queued += n as u64;
             }
             ep.sched.load_into(&mut r)?;
+            // The NI multiplexer holds one stamp per flit still to send.
+            for (v, q) in ep.queues.iter().enumerate() {
+                if ep.sched.pending(v) as u64 != q.iter().map(NiMsg::remaining).sum::<u64>() {
+                    return Err(SnapError::BadValue("NI stamps disagree with queued flits"));
+                }
+            }
             for c in &mut ep.credits {
                 *c = r.u32()?;
             }
@@ -1608,7 +1623,7 @@ impl Network {
             if ep.current.is_some_and(|v| v >= ep.queues.len()) {
                 return Err(SnapError::BadValue("NI current VC out of range"));
             }
-            ep.queued = queued;
+            ep.queued = ep.backlog();
         }
         for router in &mut self.routers {
             router.load_into(&mut r)?;
@@ -2146,5 +2161,115 @@ mod tests {
         bytes[mid] ^= 0x5a;
         let mut b = Network::new(&topology, small_workload(0.4, 23), &cfg);
         assert!(b.restore(&bytes).is_err(), "corruption must be detected");
+    }
+
+    /// Steps `net` one cycle at a time until some NI is part-way through
+    /// a worm, and returns that message as `(endpoint, vc, cursor)`.
+    fn run_to_mid_worm(net: &mut Network) -> (usize, usize, u32) {
+        for _ in 0..100_000 {
+            let entry = net.endpoints.iter().enumerate().find_map(|(n, ep)| {
+                ep.queues
+                    .iter()
+                    .enumerate()
+                    .find_map(|(v, q)| q.front().filter(|e| e.next > 0).map(|e| (n, v, e.next)))
+            });
+            if let Some(entry) = entry {
+                return entry;
+            }
+            net.run_until(net.now() + Cycles(1));
+        }
+        panic!("no NI was part-way through a worm");
+    }
+
+    #[test]
+    fn snapshot_mid_worm_at_the_ni_restores_bit_identically() {
+        use crate::audit::AuditConfig;
+        let topology = Topology::single_switch(8);
+        let cfg = RouterConfig::default();
+        let mut a = Network::new(&topology, small_workload(0.9, 24), &cfg);
+        a.enable_audit(AuditConfig { interval: 1 });
+        let tb = a.timebase();
+        a.run_until(tb.cycles_from_ms(5.0));
+        let (n, v, next) = run_to_mid_worm(&mut a);
+        let bytes = a.snapshot();
+
+        let mut b = Network::new(&topology, small_workload(0.9, 24), &cfg);
+        b.restore(&bytes).expect("restore");
+        assert_eq!(b.endpoints[n].queues[v].front().map(|e| e.next), Some(next));
+        assert_eq!(b.endpoints[n].queued, a.endpoints[n].queued);
+        assert_eq!(bytes, b.snapshot(), "re-snapshot must be byte-identical");
+
+        let end = tb.cycles_from_ms(15.0);
+        a.run_until(end);
+        b.run_until(end);
+        assert_eq!(a.delivered_flits(), b.delivered_flits());
+        assert_eq!(a.counters(), b.counters());
+        assert_eq!(a.snapshot(), b.snapshot());
+        // The audit recounts NI flits from the cursors every cycle.
+        assert_eq!(a.audit_log().map(|l| l.total()), Some(0));
+        assert_eq!(b.audit_log().map(|l| l.total()), Some(0));
+    }
+
+    #[test]
+    fn restore_rejects_a_v3_image() {
+        let topology = Topology::single_switch(8);
+        let cfg = RouterConfig::default();
+        let mut a = Network::new(&topology, small_workload(0.4, 25), &cfg);
+        a.run_until(a.timebase().cycles_from_ms(2.0));
+        let mut bytes = a.snapshot();
+        // The version word follows the 4-byte magic.
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        let mut b = Network::new(&topology, small_workload(0.4, 25), &cfg);
+        assert_eq!(b.restore(&bytes), Err(SnapError::BadVersion { found: 3 }));
+    }
+
+    #[test]
+    fn restore_rejects_a_bad_ni_cursor_or_staged_head() {
+        let topology = Topology::single_switch(8);
+        let cfg = RouterConfig::default();
+        let build = || Network::new(&topology, small_workload(0.9, 26), &cfg);
+        let mut good = build();
+        good.run_until(good.timebase().cycles_from_ms(5.0));
+        let (n, v, _) = run_to_mid_worm(&mut good);
+        let restore_after = |corrupt: &dyn Fn(&mut Network)| {
+            let mut bad = build();
+            bad.restore(&good.snapshot()).expect("restore");
+            corrupt(&mut bad);
+            build().restore(&bad.snapshot())
+        };
+        let bad_value = |r: Result<(), SnapError>| matches!(r, Err(SnapError::BadValue(_)));
+
+        // An NI cursor at or past its message's tail.
+        assert!(bad_value(restore_after(&|net| {
+            let e = net.endpoints[n].queues[v].front_mut().unwrap();
+            e.next = e.head.msg_len;
+        })));
+        // An NI cursor in range that no longer matches the NI
+        // multiplexer's stamps.
+        assert!(bad_value(restore_after(&|net| {
+            let e = net.endpoints[n].queues[v].front_mut().unwrap();
+            e.next = (e.next + 1) % e.head.msg_len;
+        })));
+        // An NI message of no flits.
+        assert!(bad_value(restore_after(&|net| {
+            let e = net.endpoints[n].queues[v].front_mut().unwrap();
+            e.head.msg_len = 0;
+            e.next = 0;
+        })));
+        // An NI entry whose stored flit is not its message's head.
+        assert!(bad_value(restore_after(&|net| {
+            let e = net.endpoints[n].queues[v].front_mut().unwrap();
+            e.head = e.head.nth(e.head.msg_len - 1);
+            e.head.msg_len += 1;
+        })));
+        // A staged message of no flits, and one saved from a body flit.
+        assert!(bad_value(restore_after(&|net| {
+            net.staged[0].as_mut().unwrap().flits[0].msg_len = 0;
+        })));
+        assert!(bad_value(restore_after(&|net| {
+            net.staged[0].as_mut().unwrap().flits[0].seq_in_msg = 1;
+        })));
+        // Untouched, the same image restores.
+        assert_eq!(restore_after(&|_| {}), Ok(()));
     }
 }

@@ -199,9 +199,6 @@ pub struct Router {
     scratch_idx: Vec<usize>,
     /// Total flits that traversed the crossbar (utilisation stats).
     flits_crossed: u64,
-    /// Allocator diagnostics: (active cycles, input-slots with an eligible
-    /// flit that did not move, input-slots with nothing eligible).
-    diag: (u64, u64, u64),
     /// Per-port/per-VC telemetry counters (always on: plain integer adds).
     counters: RouterCounters,
 }
@@ -277,7 +274,6 @@ impl Router {
             resident: 0,
             scratch_idx: Vec::with_capacity(n_ports * m),
             flits_crossed: 0,
-            diag: (0, 0, 0),
             counters: RouterCounters::new(n_ports, m),
         }
     }
@@ -684,7 +680,6 @@ impl Router {
     ) {
         let n = self.inputs.len();
         let m = self.cfg.vcs_per_pc() as usize;
-        self.diag.0 += 1;
         if now.get().is_multiple_of(OCCUPANCY_SAMPLE_PERIOD) {
             // Occupancy is a busy-cycle statistic: the drivers only run
             // the crossbar on routers with resident flits, so quiescent
@@ -728,10 +723,6 @@ impl Router {
                     self.counters.ports[p].mux_conflicts += n_eligible.saturating_sub(1);
                     if let Some(v) = self.inputs[p].sched.choose_from(&eligible) {
                         self.xbar_move(p, v, now, credits, sink.as_deref_mut());
-                    } else if n_eligible > 0 {
-                        self.diag.1 += 1;
-                    } else {
-                        self.diag.2 += 1;
                     }
                 }
                 self.scratch_idx = eligible;
@@ -762,11 +753,6 @@ impl Router {
                 }
             }
         }
-    }
-
-    /// Allocator diagnostics `(active_cycles, blocked_slots, empty_slots)`.
-    pub fn diag(&self) -> (u64, u64, u64) {
-        self.diag
     }
 
     /// Stage 5: the output VC multiplexers. Each output physical channel
@@ -1086,9 +1072,6 @@ impl Router {
     pub fn save(&self, w: &mut netsim::snap::SnapWriter) {
         w.usize(self.arb_cursor);
         w.u64(self.flits_crossed);
-        w.u64(self.diag.0);
-        w.u64(self.diag.1);
-        w.u64(self.diag.2);
         w.u64(self.counters.occupancy_samples);
         for pc in &self.counters.ports {
             w.u64(pc.rt_flits);
@@ -1152,7 +1135,6 @@ impl Router {
             return Err(SnapError::BadValue("arbitration cursor out of range"));
         }
         self.flits_crossed = r.u64()?;
-        self.diag = (r.u64()?, r.u64()?, r.u64()?);
         self.counters.occupancy_samples = r.u64()?;
         for pc in &mut self.counters.ports {
             pc.rt_flits = r.u64()?;

@@ -388,8 +388,8 @@ impl MuxScheduler {
         self.rr_cursor = vc;
     }
 
-    /// Pending flits registered for VC `vc` (for owner/scheduler sync
-    /// assertions in tests).
+    /// Pending flits registered for VC `vc` (one stamp each; restore and
+    /// tests check it against the queue the multiplexer serves).
     pub fn pending(&self, vc: usize) -> usize {
         self.vcs[vc].stamps.len()
     }

@@ -10,6 +10,13 @@
 //! hardware only the head would); routers must only *act* on head-flit
 //! fields at route/arbitration time, which the pipeline model enforces
 //! structurally.
+//!
+//! Only `kind`, `seq_in_msg` and `vc` vary within a message, so any flit
+//! of a message rebuilds the others: [`Flit::nth`] is the one
+//! head/body/tail rule. Network interfaces keep a waiting message as its
+//! head plus a cursor and build each flit with it as the flit leaves;
+//! snapshots store staged and NI-queued messages as their heads
+//! ([`Flit::load_head`]).
 
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::Cycles;
@@ -133,25 +140,33 @@ impl Flit {
     /// Panics if `template.msg_len == 0`.
     pub fn flitify(template: Flit) -> Vec<Flit> {
         assert!(template.msg_len > 0, "message must have at least one flit");
-        let n = template.msg_len;
-        (0..n)
-            .map(|i| {
-                let kind = if n == 1 {
-                    FlitKind::HeadTail
-                } else if i == 0 {
-                    FlitKind::Head
-                } else if i == n - 1 {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-                Flit {
-                    kind,
-                    seq_in_msg: i,
-                    ..template
-                }
-            })
-            .collect()
+        (0..template.msg_len).map(|i| template.nth(i)).collect()
+    }
+
+    /// Builds flit `i` of this flit's message: a copy with `kind` and
+    /// `seq_in_msg` set for position `i`. This is the one head/body/tail
+    /// rule; [`Flit::flitify`] maps it over a whole message.
+    pub fn nth(&self, i: u32) -> Flit {
+        debug_assert!(
+            i < self.msg_len,
+            "flit {i} of a {}-flit message",
+            self.msg_len
+        );
+        let n = self.msg_len;
+        let kind = if n == 1 {
+            FlitKind::HeadTail
+        } else if i == 0 {
+            FlitKind::Head
+        } else if i == n - 1 {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        };
+        Flit {
+            kind,
+            seq_in_msg: i,
+            ..*self
+        }
     }
 
     /// Whether this is the frame's final message (its tail arrival marks
@@ -220,6 +235,22 @@ impl Flit {
             },
             created_at: Cycles(r.u64()?),
         })
+    }
+
+    /// Restores a message's head flit saved by [`Flit::save`], for state
+    /// that keeps a message as its head and rebuilds the rest with
+    /// [`Flit::nth`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates snapshot decoding errors; a flit that is not flit 0 of
+    /// a message of at least one flit is [`SnapError::BadValue`].
+    pub fn load_head(r: &mut SnapReader<'_>) -> Result<Flit, SnapError> {
+        let head = Flit::load(r)?;
+        if head.msg_len == 0 || head.seq_in_msg != 0 || head.kind != head.nth(0).kind {
+            return Err(SnapError::BadValue("message head flit"));
+        }
+        Ok(head)
     }
 }
 
@@ -307,6 +338,18 @@ mod tests {
             }
             assert_eq!(f.msg, MsgId(7));
             assert_eq!(f.vtick, 100.0);
+        }
+    }
+
+    #[test]
+    fn nth_rebuilds_every_flit_from_any_flit_of_the_message() {
+        for len in [1, 2, 3, 20] {
+            let flits = Flit::flitify(template(len));
+            for f in &flits {
+                for (i, want) in flits.iter().enumerate() {
+                    assert_eq!(f.nth(i as u32), *want);
+                }
+            }
         }
     }
 

@@ -44,8 +44,11 @@
 /// `v_time`/`v_cycle`/`v_served`, per-VC DRR deficit), best-effort
 /// source fractional-gap carry, and workload policer state; v3 —
 /// `RunningStats` non-finite sample counter and per-stream real-time
-/// message latency maxima (the delay-bound audit's observations).
-pub const SNAP_VERSION: u32 = 3;
+/// message latency maxima (the delay-bound audit's observations); v4 —
+/// message-level NI queues (one head flit plus a send cursor per waiting
+/// message), staged messages as their head flit, and no router allocator
+/// diagnostics.
+pub const SNAP_VERSION: u32 = 4;
 
 const MAGIC: [u8; 4] = *b"MWSN";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;

@@ -79,6 +79,18 @@ require_tests --test stepping_identity -- \
 require_tests -p mediaworm -- snapshot checkpoint
 require_tests -p mediaworm-bench -- shard resume
 
+# Snapshot format v4: an NI part-way through a worm (message cursor > 0)
+# restores bit-identically, a v3 image is a version error, and a bad NI
+# cursor or staged head is a typed error, never a panic.
+require_tests -p mediaworm -- \
+  snapshot_mid_worm_at_the_ni_restores_bit_identically \
+  restore_rejects_a_v3_image \
+  restore_rejects_a_bad_ni_cursor_or_staged_head
+require_tests -p flitnet -- nth_rebuilds_every_flit_from_any_flit_of_the_message
+
+# repro_all gives every experiment its own --json and --trace file.
+require_tests -p mediaworm-bench -- each_experiment_gets_its_own_json_and_trace_paths
+
 # Delay-bound oracle: the network-calculus bounds must dominate the
 # simulator on healthy runs (sim <= bound for every real-time stream),
 # the credit-starvation mutation test proves the oracle fires when flow
