@@ -80,6 +80,7 @@
 
 #![warn(missing_docs)]
 
+mod active;
 pub mod admission;
 pub mod audit;
 pub mod bounds;

@@ -29,10 +29,11 @@ use netsim::{Calendar, Cycles, RunningStats, TimeBase};
 use topo::{PortTarget, Topology};
 use traffic::{ScheduledMessage, Workload};
 
+use crate::active::ActiveSet;
 use crate::audit::{AuditConfig, StallKind, StallReport, WatchdogConfig};
 use crate::config::RouterConfig;
 use crate::counters::{NetCounters, SkipStats};
-use crate::router::{sorted_insert, CreditReturn, Departure, Router};
+use crate::router::{CreditReturn, Departure, Router};
 use crate::scheduler::MuxScheduler;
 
 /// Credits given to endpoint-attached output ports: endpoints consume at
@@ -60,6 +61,13 @@ struct LinkPair {
     credit: CreditLink,
     rx: RxSide,
     tx: TxSide,
+}
+
+impl LinkPair {
+    /// [`Network::active_links`]'s membership rule: a flit or credit in flight.
+    fn busy(&self) -> bool {
+        !(self.flit.is_idle() && self.credit.is_idle())
+    }
 }
 
 /// A message waiting at a network interface: its head flit, which holds
@@ -190,23 +198,19 @@ pub struct Network {
     credit_buf: Vec<CreditReturn>,
     /// Reusable per-cycle buffer for output-stage departures.
     depart_buf: Vec<Departure>,
-    /// Links with at least one flit or credit in flight; `deliver` scans
-    /// only these, so idle links cost nothing per cycle. Kept sorted
-    /// ascending so the scan visits links in the same order as the
-    /// full-scan reference (delivery order is observable: it fixes the
-    /// float-accumulation order in the trackers and the trace byte
+    /// Links with at least one flit or credit in flight
+    /// ([`LinkPair::busy`]); `deliver` scans only these, so idle links
+    /// cost nothing per cycle. The set iterates ascending, the order of
+    /// the full-scan reference (delivery order is observable: it fixes
+    /// the float-accumulation order in the trackers and the trace byte
     /// order).
-    active_links: Vec<usize>,
-    /// Whether each link is in `active_links` (same indexing as `links`).
-    link_active: Vec<bool>,
-    /// Endpoints with flits queued at the NI; `ni_send` scans only these.
-    /// Sorted ascending for the same order-identity reason as
+    active_links: ActiveSet,
+    /// Endpoints with flits queued at the NI (`queued > 0`); `ni_send`
+    /// scans only these, ascending for the same reason as
     /// `active_links`. An endpoint joins on injection and leaves once its
     /// queues drain (`queued == 0` — which implies no open worm, since a
     /// message joins its NI queue whole).
-    active_eps: Vec<usize>,
-    /// Whether each endpoint is in `active_eps`.
-    ep_active: Vec<bool>,
+    active_eps: ActiveSet,
     /// Flits sent per link (same indexing as `links`), for utilisation
     /// statistics.
     link_sent: Vec<u64>,
@@ -387,10 +391,8 @@ impl Network {
             timebase,
             credit_buf: Vec::new(),
             depart_buf: Vec::new(),
-            active_links: Vec::new(),
-            link_active: vec![false; link_count],
-            active_eps: Vec::new(),
-            ep_active: vec![false; node_count],
+            active_links: ActiveSet::new(link_count),
+            active_eps: ActiveSet::new(node_count),
             link_sent: vec![0; link_count],
             stats_start: Cycles::ZERO,
             buf_flits: cfg.buf_flits_value(),
@@ -403,21 +405,14 @@ impl Network {
         }
     }
 
-    /// Marks link `l` as carrying traffic so `deliver` will scan it.
-    fn activate_link(link_active: &mut [bool], active_links: &mut Vec<usize>, l: usize) {
-        if !link_active[l] {
-            link_active[l] = true;
-            sorted_insert(active_links, l);
-        }
+    /// [`Network::active_links`] re-derived from the links.
+    fn busy_links(&self) -> ActiveSet {
+        ActiveSet::from_fn(self.links.len(), |l| self.links[l].busy())
     }
 
-    /// Marks endpoint `n` as having queued flits so `ni_send` will scan
-    /// it.
-    fn activate_ep(ep_active: &mut [bool], active_eps: &mut Vec<usize>, n: usize) {
-        if !ep_active[n] {
-            ep_active[n] = true;
-            sorted_insert(active_eps, n);
-        }
+    /// [`Network::active_eps`] re-derived from the NI backlogs.
+    fn backlogged_eps(&self) -> ActiveSet {
+        ActiveSet::from_fn(self.endpoints.len(), |n| self.endpoints[n].queued > 0)
     }
 
     /// Current simulation time.
@@ -611,7 +606,7 @@ impl Network {
             return true;
         }
         self.routers.iter().all(|r| !r.has_work())
-            && self.active_eps.iter().all(|&n| {
+            && self.active_eps.iter().all(|n| {
                 let ep = &self.endpoints[n];
                 !ep.queues
                     .iter()
@@ -628,11 +623,11 @@ impl Network {
     ///
     /// The link terms are O(1) head loads per active link
     /// ([`Link::earliest_arrival`]); during quiescent spans the active
-    /// link list is exactly the set of wires still carrying state, so the
+    /// link set is exactly the set of wires still carrying state, so the
     /// scan is as small as the span is quiet.
     fn horizon(&self) -> Cycles {
         let mut h = self.calendar.next_at().unwrap_or(Cycles(u64::MAX));
-        for &l in &self.active_links {
+        for l in self.active_links.iter() {
             let lp = &self.links[l];
             if let Some(at) = lp.flit.earliest_arrival() {
                 h = h.min(at);
@@ -691,15 +686,9 @@ impl Network {
     }
 
     /// Skip-effectiveness counters accumulated by this network's drivers
-    /// since construction (or [`Network::reset_skip_stats`]).
+    /// since construction.
     pub fn skip_stats(&self) -> SkipStats {
         self.skip
-    }
-
-    /// Zeroes the skip counters (e.g. between a warm-up and a measured
-    /// window).
-    pub fn reset_skip_stats(&mut self) {
-        self.skip = SkipStats::default();
     }
 
     /// Executes one cycle at the current time; `reference` selects the
@@ -735,7 +724,7 @@ impl Network {
             }
             ep.queues[v].push_back(NiMsg { head, next: 0 });
             ep.queued += msg.flits.len() as u64;
-            Self::activate_ep(&mut self.ep_active, &mut self.active_eps, msg.src.index());
+            self.active_eps.insert(msg.src.index());
             if let Some(sink) = &mut self.trace {
                 // One event per message; `port` holds the source node id
                 // (there is no router at the injection point).
@@ -768,48 +757,36 @@ impl Network {
 
     /// Phase 2: link and credit delivery (including sink accounting).
     ///
-    /// Only links on the active list are scanned; a link leaves the list
+    /// Only links in the active set are scanned; a link leaves the set
     /// once both its flit and credit channels have drained and rejoins it
-    /// on the next send.
+    /// on the next send. Delivery sends nothing, so the set can be taken
+    /// out while it is scanned; an empty set skips the take.
     fn deliver(&mut self, now: Cycles) {
-        let mut i = 0;
-        while i < self.active_links.len() {
-            let l = self.active_links[i];
-            if self.deliver_link(l, now) {
-                self.link_active[l] = false;
-                // Order-preserving removal keeps the list sorted.
-                self.active_links.remove(i);
-            } else {
-                i += 1;
-            }
+        if self.active_links.is_empty() {
+            return;
         }
+        let mut active = std::mem::take(&mut self.active_links);
+        active.retain(|l| self.deliver_link(l, now));
+        self.active_links = active;
     }
 
     /// Phase 2, reference mode: scan *every* link in index order (the
-    /// order the sorted active list reproduces), then prune the active
-    /// list exactly as the optimized scan would have.
+    /// order the active set iterates in), then prune the active set
+    /// exactly as the optimized scan would have.
     fn deliver_reference(&mut self, now: Cycles) {
         for l in 0..self.links.len() {
-            let drained = self.deliver_link(l, now);
+            let busy = self.deliver_link(l, now);
             debug_assert!(
-                drained || self.link_active[l],
-                "a busy link must be on the active list"
+                !busy || self.active_links.contains(l),
+                "a busy link must be in the active set"
             );
         }
-        let mut i = 0;
-        while i < self.active_links.len() {
-            let l = self.active_links[i];
-            if self.links[l].flit.is_idle() && self.links[l].credit.is_idle() {
-                self.link_active[l] = false;
-                self.active_links.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        let links = &self.links;
+        self.active_links.retain(|l| links[l].busy());
     }
 
     /// Drains everything due on link `l` this cycle; returns whether the
-    /// link is now fully idle (nothing left in flight either way).
+    /// link is still busy (something left in flight either way).
     fn deliver_link(&mut self, l: usize, now: Cycles) -> bool {
         let lp = &mut self.links[l];
         while let Some(flit) = lp.flit.recv(now) {
@@ -838,7 +815,7 @@ impl Network {
                 }
             }
         }
-        lp.flit.is_idle() && lp.credit.is_idle()
+        lp.busy()
     }
 
     fn sink_flit(
@@ -949,7 +926,7 @@ impl Network {
             for c in &credits {
                 let feeder = self.feed_link[r][c.port.index()];
                 self.links[feeder].credit.send(now, c.vc);
-                Self::activate_link(&mut self.link_active, &mut self.active_links, feeder);
+                self.active_links.insert(feeder);
             }
         }
         self.credit_buf = credits;
@@ -971,7 +948,7 @@ impl Network {
             for d in &departures {
                 let l = self.out_link[r][d.port.index()];
                 self.links[l].flit.send(now, d.flit);
-                Self::activate_link(&mut self.link_active, &mut self.active_links, l);
+                self.active_links.insert(l);
                 self.link_sent[l] += 1;
                 self.total_link_sends += 1;
             }
@@ -986,27 +963,27 @@ impl Network {
     /// pick when the current worm stalls. Keeping worms compact at the
     /// source matters: a worm spread thin over time holds its granted
     /// output VC at every router for the whole stretch.
+    ///
+    /// Sending touches only the injection links, so the endpoint set can
+    /// be taken out while it is scanned; an empty set skips the take.
     fn ni_send(&mut self, now: Cycles) {
-        let mut i = 0;
-        while i < self.active_eps.len() {
-            let n = self.active_eps[i];
+        if self.active_eps.is_empty() {
+            return;
+        }
+        let mut active = std::mem::take(&mut self.active_eps);
+        active.retain(|n| {
             debug_assert!(
                 self.endpoints[n].queued > 0,
                 "active endpoint must have flits"
             );
             self.ni_send_one(n, now);
-            if self.endpoints[n].queued == 0 {
-                self.ep_active[n] = false;
-                // Order-preserving removal keeps the list sorted.
-                self.active_eps.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+            self.endpoints[n].queued > 0
+        });
+        self.active_eps = active;
     }
 
     /// Phase 6, reference mode: scan every endpoint in index order, then
-    /// prune the active list exactly as the optimized scan would have.
+    /// prune the active set exactly as the optimized scan would have.
     fn ni_send_reference(&mut self, now: Cycles) {
         for n in 0..self.endpoints.len() {
             if self.endpoints[n].queues.iter().all(VecDeque::is_empty) {
@@ -1017,21 +994,13 @@ impl Network {
                 continue;
             }
             debug_assert!(
-                self.ep_active[n],
-                "a backlogged NI must be on the active list"
+                self.active_eps.contains(n),
+                "a backlogged NI must be in the active set"
             );
             self.ni_send_one(n, now);
         }
-        let mut i = 0;
-        while i < self.active_eps.len() {
-            let n = self.active_eps[i];
-            if self.endpoints[n].queued == 0 {
-                self.ep_active[n] = false;
-                self.active_eps.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        let endpoints = &self.endpoints;
+        self.active_eps.retain(|n| endpoints[n].queued > 0);
     }
 
     /// Lets endpoint `n`'s NI put (at most) one flit on its injection
@@ -1043,7 +1012,7 @@ impl Network {
         };
         let link = ep.link;
         self.links[link].flit.send(now, flit);
-        Self::activate_link(&mut self.link_active, &mut self.active_links, link);
+        self.active_links.insert(link);
         self.link_sent[link] += 1;
         self.total_link_sends += 1;
     }
@@ -1208,50 +1177,11 @@ impl Network {
         for r in &self.routers {
             r.audit(now, log);
         }
-        let cap = self.buf_flits;
         let vcs = self.routers[0].partition().total();
         for lp in &self.links {
             match (lp.tx, lp.rx) {
-                (
-                    TxSide::RouterOut { router: r, port: p },
-                    RxSide::RouterIn {
-                        router: r2,
-                        port: p2,
-                    },
-                ) => {
-                    for v in 0..vcs {
-                        let vc = VcId(v);
-                        let held = self.routers[r].credits_of(p, vc);
-                        if held > cap {
-                            log.record(Violation {
-                                cycle: now.get(),
-                                router: Some(r as u32),
-                                port: p.get(),
-                                vc: v,
-                                kind: ViolationKind::CreditOverflow,
-                                detail: format!("{held} credits for a {cap}-slot buffer"),
-                            });
-                        }
-                        let returning =
-                            lp.credit.iter_in_flight().filter(|c| *c == vc).count() as u32;
-                        let on_wire =
-                            lp.flit.iter_in_flight().filter(|f| f.vc == vc).count() as u32;
-                        let buffered = self.routers[r2].input_buffered(p2, vc) as u32;
-                        let total = held + returning + on_wire + buffered;
-                        if total != cap {
-                            log.record(Violation {
-                                cycle: now.get(),
-                                router: Some(r as u32),
-                                port: p.get(),
-                                vc: v,
-                                kind: ViolationKind::CreditConservation,
-                                detail: format!(
-                                    "{held} held + {returning} returning + {on_wire} on wire + \
-                                     {buffered} buffered = {total}, capacity {cap}"
-                                ),
-                            });
-                        }
-                    }
+                (_, RxSide::RouterIn { router, port }) => {
+                    self.audit_credit_books(now, log, lp, router, port);
                 }
                 (TxSide::RouterOut { router: r, port: p }, RxSide::Node) => {
                     // Endpoints never return credits: the credit channel
@@ -1286,85 +1216,28 @@ impl Network {
                         }
                     }
                 }
-                (
-                    TxSide::Ni { node },
-                    RxSide::RouterIn {
-                        router: r2,
-                        port: p2,
-                    },
-                ) => {
-                    for v in 0..vcs {
-                        let vc = VcId(v);
-                        let held = self.endpoints[node].credits[v as usize];
-                        if held > cap {
-                            log.record(Violation {
-                                cycle: now.get(),
-                                router: None,
-                                port: node as u32,
-                                vc: v,
-                                kind: ViolationKind::CreditOverflow,
-                                detail: format!("{held} NI credits for a {cap}-slot buffer"),
-                            });
-                        }
-                        let returning =
-                            lp.credit.iter_in_flight().filter(|c| *c == vc).count() as u32;
-                        let on_wire =
-                            lp.flit.iter_in_flight().filter(|f| f.vc == vc).count() as u32;
-                        let buffered = self.routers[r2].input_buffered(p2, vc) as u32;
-                        let total = held + returning + on_wire + buffered;
-                        if total != cap {
-                            log.record(Violation {
-                                cycle: now.get(),
-                                router: None,
-                                port: node as u32,
-                                vc: v,
-                                kind: ViolationKind::CreditConservation,
-                                detail: format!(
-                                    "{held} NI credits + {returning} returning + {on_wire} on \
-                                     wire + {buffered} buffered = {total}, capacity {cap}"
-                                ),
-                            });
-                        }
-                    }
-                }
                 (TxSide::Ni { .. }, RxSide::Node) => {
                     unreachable!("an injection link never ends at a node")
                 }
             }
         }
-        // Active-set conservation: a link must be on the active list
+        // Active-set conservation: a link must be in the active set
         // exactly when it has traffic in flight, and an endpoint exactly
-        // when it has flits queued. The stepper scans only the listed
-        // entries, so a desync silently strands traffic.
-        for (l, lp) in self.links.iter().enumerate() {
-            let busy = !(lp.flit.is_idle() && lp.credit.is_idle());
-            let flagged = self.link_active[l];
-            let listed = self.active_links.binary_search(&l).is_ok();
-            if busy != flagged || flagged != listed {
+        // when it has flits queued. The stepper scans only the members,
+        // so a desync silently strands traffic.
+        let sets = [
+            (&self.active_links, self.busy_links(), "links"),
+            (&self.active_eps, self.backlogged_eps(), "endpoints"),
+        ];
+        for (live, want, what) in sets {
+            if *live != want {
                 log.record(Violation {
                     cycle: now.get(),
                     router: None,
-                    port: l as u32,
+                    port: 0,
                     vc: 0,
                     kind: ViolationKind::ActiveSetDesync,
-                    detail: format!("link {l}: busy={busy} flagged={flagged} listed={listed}"),
-                });
-            }
-        }
-        for (n, ep) in self.endpoints.iter().enumerate() {
-            let backlogged = ep.queued > 0;
-            let flagged = self.ep_active[n];
-            let listed = self.active_eps.binary_search(&n).is_ok();
-            if backlogged != flagged || flagged != listed {
-                log.record(Violation {
-                    cycle: now.get(),
-                    router: None,
-                    port: n as u32,
-                    vc: 0,
-                    kind: ViolationKind::ActiveSetDesync,
-                    detail: format!(
-                        "endpoint {n}: backlogged={backlogged} flagged={flagged} listed={listed}"
-                    ),
+                    detail: format!("active {what} {live:?}, re-derived {want:?}"),
                 });
             }
         }
@@ -1389,6 +1262,63 @@ impl Network {
             });
         }
         log.total() - before
+    }
+
+    /// Per-VC credit books of link `lp`, which feeds router `rx`'s input
+    /// port `rx_port` from a router output or an NI: the sender holds at
+    /// most the buffer depth, and held + returning + on wire + buffered
+    /// equals it. Violations name the sender (an NI by its node id, with
+    /// no router).
+    fn audit_credit_books(
+        &self,
+        now: Cycles,
+        log: &mut AuditLog,
+        lp: &LinkPair,
+        rx: usize,
+        rx_port: PortId,
+    ) {
+        use netsim::audit::{Violation, ViolationKind};
+        let cap = self.buf_flits;
+        let (router, port, what, held_as) = match lp.tx {
+            TxSide::RouterOut { router, port } => {
+                (Some(router as u32), port.get(), "credits", "held")
+            }
+            TxSide::Ni { node } => (None, node as u32, "NI credits", "NI credits"),
+        };
+        for v in 0..self.routers[0].partition().total() {
+            let vc = VcId(v);
+            let held = match lp.tx {
+                TxSide::RouterOut { router, port } => self.routers[router].credits_of(port, vc),
+                TxSide::Ni { node } => self.endpoints[node].credits[vc.index()],
+            };
+            let violation = |kind, detail| Violation {
+                cycle: now.get(),
+                router,
+                port,
+                vc: v,
+                kind,
+                detail,
+            };
+            if held > cap {
+                log.record(violation(
+                    ViolationKind::CreditOverflow,
+                    format!("{held} {what} for a {cap}-slot buffer"),
+                ));
+            }
+            let returning = lp.credit.iter_in_flight().filter(|c| *c == vc).count() as u32;
+            let on_wire = lp.flit.iter_in_flight().filter(|f| f.vc == vc).count() as u32;
+            let buffered = self.routers[rx].input_buffered(rx_port, vc) as u32;
+            let total = held + returning + on_wire + buffered;
+            if total != cap {
+                log.record(violation(
+                    ViolationKind::CreditConservation,
+                    format!(
+                        "{held} {held_as} + {returning} returning + {on_wire} on wire + \
+                         {buffered} buffered = {total}, capacity {cap}"
+                    ),
+                ));
+            }
+        }
     }
 
     /// Builds the watchdog's structured stall report: the waits-for graph
@@ -1440,7 +1370,7 @@ impl Network {
     /// restore`] requires a network freshly built from the same inputs.
     ///
     /// The derived active sets (busy links, backlogged endpoints, router
-    /// pending/granted/staged lists) are recomputed on restore from the
+    /// pending/granted/staged sets) are recomputed on restore from the
     /// restored buffers; they are pure functions of that state (the
     /// predicates the `ActiveSetDesync` audit checks).
     pub fn snapshot(&self) -> Vec<u8> {
@@ -1689,22 +1619,8 @@ impl Network {
         self.stall = r.option(StallReport::load)?;
         r.finish()?;
         // Recompute the derived active sets from the restored state.
-        self.active_links.clear();
-        for (l, lp) in self.links.iter().enumerate() {
-            let busy = !(lp.flit.is_idle() && lp.credit.is_idle());
-            self.link_active[l] = busy;
-            if busy {
-                self.active_links.push(l);
-            }
-        }
-        self.active_eps.clear();
-        for (e, ep) in self.endpoints.iter().enumerate() {
-            let backlogged = ep.queued > 0;
-            self.ep_active[e] = backlogged;
-            if backlogged {
-                self.active_eps.push(e);
-            }
-        }
+        self.active_links = self.busy_links();
+        self.active_eps = self.backlogged_eps();
         Ok(())
     }
 }
@@ -1984,6 +1900,87 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.router == Some(0) && v.port == 3 && v.vc == 0));
+    }
+
+    /// An 8-port switch at load 0.9, stopped at a cycle where each of
+    /// its active sets (router 0's pending set, port 0's granted and
+    /// staged sets, the link and endpoint sets) has both members and
+    /// non-members; it audits clean.
+    fn busy_switch() -> Network {
+        let topology = Topology::single_switch(8);
+        let cfg = RouterConfig::default();
+        let mut net = Network::new(&topology, small_workload(0.9, 16), &cfg);
+        net.run_until(Cycles(31_580));
+        assert_eq!(net.audit_now(), 0, "{:?}", net.audit_log());
+        net
+    }
+
+    /// Corrupts the active set `set` picks out of a [`busy_switch`] twice,
+    /// by dropping its first member and by adding its first non-member
+    /// below `universe`, and asserts that `audit_now` files an
+    /// `ActiveSetDesync` violation each time.
+    fn assert_corrupted_set_is_flagged(
+        universe: usize,
+        set: impl Fn(&mut Network) -> &mut ActiveSet,
+    ) {
+        use netsim::audit::ViolationKind;
+        for drop_member in [true, false] {
+            let mut net = busy_switch();
+            let s = set(&mut net);
+            if drop_member {
+                let i = s.iter().next().expect("the set has a member");
+                s.remove(i);
+            } else {
+                let i = (0..universe).find(|&i| !s.contains(i));
+                s.insert(i.expect("the set has a non-member"));
+            }
+            assert!(
+                net.audit_now() > 0,
+                "corruption (drop {drop_member}) missed"
+            );
+            let log = net.audit_log().expect("audit enabled");
+            assert!(
+                log.violations()
+                    .iter()
+                    .any(|v| v.kind == ViolationKind::ActiveSetDesync),
+                "{:?}",
+                log.violations()
+            );
+        }
+    }
+
+    #[test]
+    fn audit_flags_a_corrupted_pending_set() {
+        assert_corrupted_set_is_flagged(8 * 16, |net| {
+            let [pending, _, _] = net.routers[0].active_sets_mut(0);
+            pending
+        });
+    }
+
+    #[test]
+    fn audit_flags_a_corrupted_granted_set() {
+        assert_corrupted_set_is_flagged(16, |net| {
+            let [_, granted, _] = net.routers[0].active_sets_mut(0);
+            granted
+        });
+    }
+
+    #[test]
+    fn audit_flags_a_corrupted_staged_set() {
+        assert_corrupted_set_is_flagged(16, |net| {
+            let [_, _, staged] = net.routers[0].active_sets_mut(0);
+            staged
+        });
+    }
+
+    #[test]
+    fn audit_flags_a_corrupted_active_link_set() {
+        assert_corrupted_set_is_flagged(16, |net| &mut net.active_links);
+    }
+
+    #[test]
+    fn audit_flags_a_corrupted_active_endpoint_set() {
+        assert_corrupted_set_is_flagged(8, |net| &mut net.active_eps);
     }
 
     #[test]

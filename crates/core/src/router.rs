@@ -30,6 +30,7 @@ use flitnet::{Flit, MsgId, PortId, RouterId, VcBuffer, VcId, VcPartition, VcSel}
 use netsim::telemetry::{FlitEvent, FlitEventKind, JsonlSink};
 use netsim::Cycles;
 
+use crate::active::ActiveSet;
 use crate::config::{CrossbarKind, RouterConfig, SchedPoint, SchedulerKind};
 use crate::counters::{RouterCounters, OCCUPANCY_SAMPLE_PERIOD};
 use crate::scheduler::MuxScheduler;
@@ -38,16 +39,6 @@ use crate::scheduler::MuxScheduler;
 /// it may try to win the crossbar.
 pub const ROUTE_ARB_CYCLES: u64 = 2;
 
-/// Inserts `x` into a sorted ascending list, keeping it sorted. The active
-/// sets iterate in ascending index order — the same order the full scans
-/// visit slots — so maintaining sortedness is what keeps the occupancy-
-/// driven stepping bit-identical to the reference scans.
-pub(crate) fn sorted_insert(list: &mut Vec<usize>, x: usize) {
-    let pos = list.partition_point(|&y| y < x);
-    debug_assert!(list.get(pos) != Some(&x), "duplicate active-set entry {x}");
-    list.insert(pos, x);
-}
-
 /// `blocked_at` value of a slot with no blocked-head record.
 const NOT_BLOCKED: u64 = u64::MAX;
 
@@ -55,13 +46,6 @@ const NOT_BLOCKED: u64 = u64::MAX;
 /// real-time 1.
 fn class_slot(real_time: bool) -> usize {
     usize::from(real_time)
-}
-
-/// Removes `x` from a sorted ascending list.
-pub(crate) fn sorted_remove(list: &mut Vec<usize>, x: usize) {
-    let pos = list.partition_point(|&y| y < x);
-    debug_assert_eq!(list.get(pos), Some(&x), "missing active-set entry {x}");
-    list.remove(pos);
 }
 
 /// A granted route for the message currently occupying an input VC.
@@ -89,10 +73,16 @@ struct InputPort {
     vcs: Vec<InputVc>,
     /// Crossbar input multiplexer scheduler (point A).
     sched: MuxScheduler,
-    /// VC indices holding an active grant (sorted ascending): the granted
-    /// connections the crossbar serves. Maintained at grant (arbitration)
-    /// and release (tail crossing).
-    granted: Vec<usize>,
+    /// VCs holding a grant: the connections the crossbar serves, joined at
+    /// grant (arbitration) and left at release (tail crossing).
+    granted: ActiveSet,
+}
+
+impl InputPort {
+    /// [`InputPort::granted`] re-derived from the grants.
+    fn granted_vcs(&self) -> ActiveSet {
+        ActiveSet::from_fn(self.vcs.len(), |v| self.vcs[v].grant.is_some())
+    }
 }
 
 /// Per-VC output unit: stage-5 staging buffer + downstream credits.
@@ -111,13 +101,13 @@ struct OutputPort {
     vcs: Vec<OutputVc>,
     /// Output VC multiplexer scheduler (point C).
     sched: MuxScheduler,
-    /// VC indices with a non-empty staging buffer (sorted ascending): the
-    /// VCs the output multiplexer considers. Maintained at stage (crossbar
-    /// push) and drain (stage-5 pop). Note the predicate is *non-empty
+    /// VCs with a non-empty staging buffer: the VCs the output
+    /// multiplexer considers. Maintained at stage (crossbar push) and
+    /// drain (stage-5 pop). Note the predicate is *non-empty
     /// staging buffer*, not VC ownership: an owner with nothing staged has
     /// nothing to transmit, and a tail handover clears the owner while the
     /// tail still sits staged.
-    staged: Vec<usize>,
+    staged: ActiveSet,
     /// Unowned VCs per traffic class, indexed by [`class_slot`]: one down
     /// at a grant, one up at a tail release. Lets stage 3 reject a head
     /// whose class has no free VC here without scanning the VCs.
@@ -126,6 +116,11 @@ struct OutputPort {
 }
 
 impl OutputPort {
+    /// [`OutputPort::staged`] re-derived from the staging buffers.
+    fn staged_vcs(&self) -> ActiveSet {
+        ActiveSet::from_fn(self.vcs.len(), |v| !self.vcs[v].buf.is_empty())
+    }
+
     /// Recounts [`OutputPort::free`] from the VC owners.
     fn count_free(&self, partition: &VcPartition) -> [u32; 2] {
         let mut free = [0; 2];
@@ -173,12 +168,9 @@ pub struct Router {
     /// Rotating arbitration start point for fairness.
     arb_cursor: usize,
     /// Flat input-slot indices `port * vcs_per_pc + vc` with a buffered
-    /// but unrouted head (sorted ascending): the pending-heads list
-    /// arbitration scans. Maintained at `receive_flit`, grant, and tail
-    /// crossing.
-    pending: Vec<usize>,
-    /// Whether each flat input slot is in `pending` (same indexing).
-    pending_mask: Vec<bool>,
+    /// but unrouted head: the pending heads arbitration scans. Maintained
+    /// at `receive_flit`, grant, and tail crossing.
+    pending: ActiveSet,
     /// `(port, vc)` of each flat input slot, so the hot loops decode a
     /// slot index without a division.
     slot_of: Vec<(usize, usize)>,
@@ -240,7 +232,7 @@ impl Router {
                     })
                     .collect(),
                 sched: MuxScheduler::new(a_kind, m),
-                granted: Vec::new(),
+                granted: ActiveSet::new(m),
             })
             .collect();
         let outputs = (0..n_ports)
@@ -253,7 +245,7 @@ impl Router {
                     })
                     .collect(),
                 sched: MuxScheduler::new(c_kind, m),
-                staged: Vec::new(),
+                staged: ActiveSet::new(m),
                 free: [partition.best_effort_count(), partition.real_time_count()],
             })
             .collect();
@@ -264,8 +256,7 @@ impl Router {
             inputs,
             outputs,
             arb_cursor: 0,
-            pending: Vec::new(),
-            pending_mask: vec![false; n_ports * m],
+            pending: ActiveSet::new(n_ports * m),
             slot_of: (0..n_ports)
                 .flat_map(|p| (0..m).map(move |v| (p, v)))
                 .collect(),
@@ -315,13 +306,10 @@ impl Router {
         ip.vcs[v].buf.push((now, flit));
         ip.sched.on_arrival(v, now, &flit);
         self.resident += 1;
-        // An ungranted slot with buffered flits is a pending head (the
-        // buffer always fronts a head when no grant is held).
+        // An ungranted slot with buffered flits is a pending head.
         let idx = p * m + v;
-        if ip.vcs[v].grant.is_none() && !self.pending_mask[idx] {
-            self.pending_mask[idx] = true;
+        if ip.vcs[v].grant.is_none() && self.pending.insert(idx) {
             self.blocked_at[idx] = NOT_BLOCKED;
-            sorted_insert(&mut self.pending, idx);
         }
     }
 
@@ -363,13 +351,10 @@ impl Router {
         let mut scan = std::mem::take(&mut self.scratch_idx);
         scan.clear();
         let (releases, blocked_at) = (self.releases, &self.blocked_at);
-        let split = self.pending.partition_point(|&i| i < start);
-        let (before, from_start) = self.pending.split_at(split);
         scan.extend(
-            from_start
-                .iter()
-                .chain(before)
-                .filter(|&&i| blocked_at[i] != releases),
+            self.pending
+                .iter_from(start)
+                .filter(|&i| blocked_at[i] != releases),
         );
         for &idx in &scan {
             self.try_route_slot(idx, now, &candidates, sink.as_deref_mut());
@@ -389,8 +374,8 @@ impl Router {
     }
 
     /// [`Router::arbitrate`] as the original full scan over every input
-    /// slot — the oracle the bit-identity tests compare the pending-heads
-    /// list and the blocked-head skip against. Both paths share
+    /// slot — the oracle the bit-identity tests compare the pending set
+    /// and the blocked-head skip against. Both paths share
     /// [`Router::try_route_slot`] and maintain the active sets
     /// identically; this one retries blocked heads every cycle.
     pub fn arbitrate_reference<'t, F>(
@@ -414,8 +399,8 @@ impl Router {
                 continue;
             }
             debug_assert!(
-                self.pending_mask[idx],
-                "ungranted non-empty slot {idx} missing from the pending list"
+                self.pending.contains(idx),
+                "ungranted non-empty slot {idx} missing from the pending set"
             );
             self.try_route_slot(idx, now, &candidates, sink.as_deref_mut());
         }
@@ -423,8 +408,8 @@ impl Router {
 
     /// Stage 2–3 body for the pending input slot with flat index `idx`:
     /// the slot holds buffered flits and no grant. Tries to route +
-    /// arbitrate its head; on success the slot moves from the
-    /// pending-heads list to the port's granted list, and a head that
+    /// arbitrate its head; on success the slot moves from the pending
+    /// set to the port's granted set, and a head that
     /// finds no free output VC records the release count it failed at.
     fn try_route_slot<'t, F>(
         &mut self,
@@ -524,12 +509,11 @@ impl Router {
         let op = &mut self.outputs[o];
         op.vcs[out_vc].owner = Some(head.msg);
         op.free[class] -= 1;
-        // Routed: the slot leaves the pending-heads list and joins the
-        // port's granted connections.
-        debug_assert!(self.pending_mask[idx]);
-        self.pending_mask[idx] = false;
-        sorted_remove(&mut self.pending, idx);
-        sorted_insert(&mut self.inputs[p].granted, v);
+        // Routed: the slot leaves the pending heads and joins the port's
+        // granted connections.
+        let was_pending = self.pending.remove(idx);
+        debug_assert!(was_pending);
+        self.inputs[p].granted.insert(v);
         if let Some(sink) = sink {
             sink.record(&FlitEvent {
                 cycle: now.get(),
@@ -591,9 +575,7 @@ impl Router {
         let out = &mut self.outputs[grant.out_port];
         out.sched.on_arrival(grant.out_vc, now, &flit);
         out.vcs[grant.out_vc].buf.push((now, flit));
-        if out.vcs[grant.out_vc].buf.len() == 1 {
-            sorted_insert(&mut out.staged, grant.out_vc);
-        }
+        out.staged.insert(grant.out_vc);
         self.flits_crossed += 1;
         if let Some(sink) = sink {
             sink.record(&FlitEvent {
@@ -615,16 +597,15 @@ impl Router {
             out.vcs[grant.out_vc].owner = None;
             out.free[class_slot(self.partition.class_of(flit.vc).is_real_time())] += 1;
             self.releases += 1;
-            // The connection closes: the slot leaves the granted list,
-            // and rejoins the pending-heads list if the next worm's head
-            // is already buffered behind the tail.
-            sorted_remove(&mut self.inputs[p].granted, v);
+            // The connection closes: the slot leaves the granted set, and
+            // rejoins the pending heads if the next worm's head is already
+            // buffered behind the tail.
+            self.inputs[p].granted.remove(v);
             if !self.inputs[p].vcs[v].buf.is_empty() {
                 let idx = p * self.cfg.vcs_per_pc() as usize + v;
-                debug_assert!(!self.pending_mask[idx]);
-                self.pending_mask[idx] = true;
+                let joined = self.pending.insert(idx);
+                debug_assert!(joined);
                 self.blocked_at[idx] = NOT_BLOCKED;
-                sorted_insert(&mut self.pending, idx);
             }
         }
     }
@@ -660,8 +641,8 @@ impl Router {
     }
 
     /// [`Router::crossbar`] with the original full `ports × VCs` scan —
-    /// the oracle the bit-identity tests compare the granted-connections
-    /// list against.
+    /// the oracle the bit-identity tests compare the granted sets
+    /// against.
     pub fn crossbar_reference(
         &mut self,
         now: Cycles,
@@ -703,8 +684,8 @@ impl Router {
                 let mut eligible = std::mem::take(&mut self.scratch_idx);
                 for p in 0..n {
                     // Only granted VCs can be crossbar-eligible, and the
-                    // granted list is ascending, so filtering it yields
-                    // the exact list the full scan builds.
+                    // granted set iterates ascending, so filtering it
+                    // yields the exact list the full scan builds.
                     eligible.clear();
                     if reference {
                         eligible.extend((0..m).filter(|&v| self.xbar_eligible(p, v, now)));
@@ -713,7 +694,6 @@ impl Router {
                             self.inputs[p]
                                 .granted
                                 .iter()
-                                .copied()
                                 .filter(|&v| self.xbar_eligible(p, v, now)),
                         );
                     }
@@ -738,11 +718,11 @@ impl Router {
                     }
                 } else {
                     // Scratch copy: tail crossings mutate the granted
-                    // list mid-iteration.
+                    // set mid-iteration.
                     let mut scan = std::mem::take(&mut self.scratch_idx);
                     for p in 0..n {
                         scan.clear();
-                        scan.extend_from_slice(&self.inputs[p].granted);
+                        scan.extend(self.inputs[p].granted.iter());
                         for &v in &scan {
                             if self.xbar_eligible(p, v, now) {
                                 self.xbar_move(p, v, now, credits, sink.as_deref_mut());
@@ -766,7 +746,7 @@ impl Router {
 
     /// [`Router::output_stage`] with the original full scan over every
     /// output VC — the oracle the bit-identity tests compare the staged
-    /// list against.
+    /// sets against.
     pub fn output_stage_reference(&mut self, now: Cycles, departures: &mut Vec<Departure>) {
         self.output_stage_impl(now, departures, true);
     }
@@ -776,7 +756,7 @@ impl Router {
         for (p, out) in self.outputs.iter_mut().enumerate() {
             // VCs with an empty staging buffer can neither transmit nor
             // count a credit stall, so a port with nothing staged is a
-            // no-op, and the ascending staged list holds every VC the
+            // no-op, and the ascending staged set holds every VC the
             // full scan could list.
             if !reference && out.staged.is_empty() {
                 continue;
@@ -797,14 +777,14 @@ impl Router {
             if reference {
                 (0..out.vcs.len()).for_each(&mut visit);
             } else {
-                out.staged.iter().copied().for_each(&mut visit);
+                out.staged.iter().for_each(&mut visit);
             }
             let Some(v) = out.sched.choose_from(&eligible) else {
                 continue;
             };
             let (_, flit) = out.vcs[v].buf.pop().expect("eligible VC has a flit");
             if out.vcs[v].buf.is_empty() {
-                sorted_remove(&mut out.staged, v);
+                out.staged.remove(v);
             }
             self.resident -= 1;
             out.sched.on_service(v);
@@ -829,14 +809,9 @@ impl Router {
         self.resident > 0
     }
 
-    /// Flits resident in the router (input buffers + output staging).
-    pub fn resident_flits(&self) -> u64 {
-        self.resident
-    }
-
     /// Flits buffered in the router, recounted from the input and staging
     /// FIFO lengths — an audit cross-check independent of the resident
-    /// counter [`Router::resident_flits`] reports.
+    /// counter.
     pub(crate) fn buffered_flits(&self) -> u64 {
         let inputs = self
             .inputs
@@ -971,62 +946,50 @@ impl Router {
         self.audit_active_sets(now, log);
     }
 
+    /// [`Router::pending`] re-derived: the input VCs with buffered flits
+    /// and no grant (whose buffer then fronts a head).
+    fn pending_slots(&self) -> ActiveSet {
+        ActiveSet::from_fn(self.slot_of.len(), |i| {
+            let ivc = &self.inputs[self.slot_of[i].0].vcs[self.slot_of[i].1];
+            ivc.grant.is_none() && !ivc.buf.is_empty()
+        })
+    }
+
     /// Audit sub-pass: every active set must equal the full-scan
-    /// recomputation of the predicate it summarizes.
+    /// recomputation of the rule it summarizes.
     fn audit_active_sets(&self, now: Cycles, log: &mut netsim::audit::AuditLog) {
         use netsim::audit::{Violation, ViolationKind};
         let router = Some(self.id.get());
-        let m = self.cfg.vcs_per_pc() as usize;
-        let mut desync = |p: usize, v: usize, detail: String| {
+        let mut desync = |p: usize, detail: String| {
             log.record(Violation {
                 cycle: now.get(),
                 router,
                 port: p as u32,
-                vc: v as u32,
+                vc: 0,
                 kind: ViolationKind::ActiveSetDesync,
                 detail,
             });
         };
-        for (p, ip) in self.inputs.iter().enumerate() {
-            let granted: Vec<usize> = (0..m).filter(|&v| ip.vcs[v].grant.is_some()).collect();
-            if granted != ip.granted {
-                desync(
-                    p,
-                    0,
-                    format!(
-                        "granted list {:?} but grants held by {granted:?}",
-                        ip.granted
-                    ),
-                );
-            }
-            for (v, ivc) in ip.vcs.iter().enumerate() {
-                let idx = p * m + v;
-                let should_pend = ivc.grant.is_none() && !ivc.buf.is_empty();
-                if self.pending_mask[idx] != should_pend {
-                    desync(
-                        p,
-                        v,
-                        format!(
-                            "pending mask {} but slot {} a pending head",
-                            self.pending_mask[idx],
-                            if should_pend { "is" } else { "is not" }
-                        ),
-                    );
-                }
-            }
+        let want = self.pending_slots();
+        if want != self.pending {
+            desync(
+                0,
+                format!("pending {:?}, re-derived {want:?}", self.pending),
+            );
         }
-        let pending_ok = self.pending.windows(2).all(|w| w[0] < w[1])
-            && self.pending.len() == self.pending_mask.iter().filter(|&&b| b).count()
-            && self.pending.iter().all(|&i| self.pending_mask[i]);
-        if !pending_ok {
-            desync(0, 0, format!("pending list {:?} out of step", self.pending));
-        }
-        for (p, op) in self.outputs.iter().enumerate() {
+        for (p, (ip, op)) in self.inputs.iter().zip(&self.outputs).enumerate() {
+            let want = ip.granted_vcs();
+            if want != ip.granted {
+                desync(p, format!("granted {:?}, re-derived {want:?}", ip.granted));
+            }
+            let want = op.staged_vcs();
+            if want != op.staged {
+                desync(p, format!("staged {:?}, re-derived {want:?}", op.staged));
+            }
             let free = op.count_free(&self.partition);
             if free != op.free {
                 desync(
                     p,
-                    0,
                     format!(
                         "free output-VC counts {:?} but {free:?} unowned \
                          (best-effort, real-time)",
@@ -1034,22 +997,10 @@ impl Router {
                     ),
                 );
             }
-            let staged: Vec<usize> = (0..m).filter(|&v| !op.vcs[v].buf.is_empty()).collect();
-            if staged != op.staged {
-                desync(
-                    p,
-                    0,
-                    format!(
-                        "staged list {:?} but non-empty staging buffers {staged:?}",
-                        op.staged
-                    ),
-                );
-            }
         }
         let resident = self.buffered_flits();
         if resident != self.resident {
             desync(
-                0,
                 0,
                 format!(
                     "resident counter {} but {resident} flits buffered",
@@ -1129,7 +1080,6 @@ impl Router {
     ) -> Result<(), netsim::snap::SnapError> {
         use netsim::snap::SnapError;
         assert_eq!(self.resident, 0, "restore target router must be empty");
-        let m = self.cfg.vcs_per_pc() as usize;
         self.arb_cursor = r.usize()?;
         if self.arb_cursor >= self.slot_of.len() {
             return Err(SnapError::BadValue("arbitration cursor out of range"));
@@ -1179,29 +1129,14 @@ impl Router {
             }
         }
         // Recompute the derived active sets from the restored buffers —
-        // the same predicates the ActiveSetDesync audit checks.
-        self.pending.clear();
-        self.pending_mask.fill(false);
-        for (p, ip) in self.inputs.iter_mut().enumerate() {
-            ip.granted.clear();
-            for (v, ivc) in ip.vcs.iter().enumerate() {
-                if ivc.grant.is_some() {
-                    ip.granted.push(v);
-                } else if !ivc.buf.is_empty() {
-                    let idx = p * m + v;
-                    self.pending_mask[idx] = true;
-                    self.pending.push(idx);
-                }
-            }
+        // the same rules the ActiveSetDesync audit checks.
+        for ip in &mut self.inputs {
+            ip.granted = ip.granted_vcs();
         }
+        self.pending = self.pending_slots();
         self.blocked_at.fill(NOT_BLOCKED);
         for op in &mut self.outputs {
-            op.staged.clear();
-            for (v, ovc) in op.vcs.iter().enumerate() {
-                if !ovc.buf.is_empty() {
-                    op.staged.push(v);
-                }
-            }
+            op.staged = op.staged_vcs();
             op.free = op.count_free(&self.partition);
         }
         self.resident = self.buffered_flits();
@@ -1213,6 +1148,18 @@ impl Router {
 mod tests {
     use super::*;
     use flitnet::{FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass};
+
+    impl Router {
+        /// The pending set, input port `p`'s granted set and output port
+        /// `p`'s staged set, for the network's audit mutation tests.
+        pub(crate) fn active_sets_mut(&mut self, p: usize) -> [&mut ActiveSet; 3] {
+            [
+                &mut self.pending,
+                &mut self.inputs[p].granted,
+                &mut self.outputs[p].staged,
+            ]
+        }
+    }
 
     fn msg_flits(msg: u64, len: u32, dest: u32, vc: u32, vtick: f64) -> Vec<Flit> {
         let template = Flit {

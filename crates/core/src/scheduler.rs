@@ -153,16 +153,6 @@ impl MuxScheduler {
         }
     }
 
-    /// The scheduling discipline.
-    pub fn kind(&self) -> SchedulerKind {
-        self.kind
-    }
-
-    /// Number of VCs at this mux point.
-    pub fn vc_count(&self) -> usize {
-        self.vcs.len()
-    }
-
     /// Records a flit joining VC `vc`'s queue at cycle `now` and stamps it.
     ///
     /// # Panics

@@ -169,12 +169,6 @@ impl Flit {
         }
     }
 
-    /// Whether this is the frame's final message (its tail arrival marks
-    /// frame delivery).
-    pub fn is_last_msg_of_frame(&self) -> bool {
-        self.msg_seq_in_frame + 1 == self.msgs_in_frame
-    }
-
     /// Serialises the flit into a snapshot.
     pub fn save(&self, w: &mut SnapWriter) {
         w.u8(match self.kind {
@@ -367,14 +361,6 @@ mod tests {
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head());
         assert!(flits[0].kind.is_tail());
-    }
-
-    #[test]
-    fn last_message_of_frame() {
-        let mut f = template(20);
-        assert!(!f.is_last_msg_of_frame());
-        f.msg_seq_in_frame = 9;
-        assert!(f.is_last_msg_of_frame());
     }
 
     #[test]

@@ -112,15 +112,6 @@ impl VcPartition {
         (lo..hi).map(VcId)
     }
 
-    /// How many VCs `class` may use.
-    pub fn count_for(&self, class: TrafficClass) -> u32 {
-        if class.is_real_time() {
-            self.real_time_count()
-        } else {
-            self.best_effort_count()
-        }
-    }
-
     /// Which class a VC belongs to.
     ///
     /// # Panics
@@ -246,19 +237,6 @@ mod tests {
         let vbr: Vec<VcId> = p.vcs_for(TrafficClass::Vbr).collect();
         let cbr: Vec<VcId> = p.vcs_for(TrafficClass::Cbr).collect();
         assert_eq!(vbr, cbr);
-    }
-
-    #[test]
-    fn count_for_matches_iterators() {
-        let p = VcPartition::from_mix(8, 20.0, 80.0);
-        assert_eq!(
-            p.count_for(TrafficClass::Vbr) as usize,
-            p.vcs_for(TrafficClass::Vbr).count()
-        );
-        assert_eq!(
-            p.count_for(TrafficClass::BestEffort) as usize,
-            p.vcs_for(TrafficClass::BestEffort).count()
-        );
     }
 
     #[test]

@@ -60,43 +60,8 @@ impl LatencyTracker {
     }
 
     /// Mean latency in microseconds (`NaN` if no samples).
-    ///
-    /// Prefer [`LatencyTracker::mean_us_opt`] anywhere the value is
-    /// serialized or merged — a raw NaN silently poisons downstream
-    /// aggregates and is not valid JSON.
     pub fn mean_us(&self) -> f64 {
         self.stats.mean()
-    }
-
-    /// Mean latency in microseconds, `None` with zero samples.
-    pub fn mean_us_opt(&self) -> Option<f64> {
-        finite(self.stats.mean())
-    }
-
-    /// Standard deviation of latency in microseconds.
-    pub fn std_us(&self) -> f64 {
-        self.stats.std_dev()
-    }
-
-    /// Standard deviation in microseconds, `None` with fewer than two
-    /// samples (where the estimator is undefined — unlike
-    /// [`LatencyTracker::std_us`], which reports a lone sample as `0.0`
-    /// for the tables).
-    pub fn std_us_opt(&self) -> Option<f64> {
-        if self.stats.count() < 2 {
-            return None;
-        }
-        finite(self.stats.std_dev())
-    }
-
-    /// Largest observed latency in microseconds.
-    pub fn max_us(&self) -> f64 {
-        self.stats.max()
-    }
-
-    /// Largest observed latency in microseconds, `None` with zero samples.
-    pub fn max_us_opt(&self) -> Option<f64> {
-        finite(self.stats.max())
     }
 
     /// Number of recorded messages.
@@ -144,12 +109,6 @@ impl LatencyTracker {
     }
 }
 
-/// `Some(x)` only for finite values: empty-tracker NaN and the ±∞ that
-/// seed min/max registers both map to `None`.
-fn finite(x: f64) -> Option<f64> {
-    x.is_finite().then_some(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +124,6 @@ mod tests {
         t.record(Cycles(0), Cycles(125));
         t.record(Cycles(0), Cycles(375));
         assert!((t.mean_us() - 20.0).abs() < 1e-9);
-        assert!((t.max_us() - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -183,26 +141,6 @@ mod tests {
         let t = LatencyTracker::new(tb());
         assert!(t.mean_us().is_nan());
         assert_eq!(t.count(), 0);
-    }
-
-    #[test]
-    fn empty_tracker_opt_accessors_are_none() {
-        let t = LatencyTracker::new(tb());
-        assert_eq!(t.mean_us_opt(), None);
-        assert_eq!(t.std_us_opt(), None);
-        assert_eq!(t.max_us_opt(), None);
-    }
-
-    #[test]
-    fn opt_accessors_match_raw_when_populated() {
-        let mut t = LatencyTracker::new(tb());
-        t.record(Cycles(0), Cycles(125));
-        // One sample: mean/max defined, std still undefined.
-        assert_eq!(t.mean_us_opt(), Some(t.mean_us()));
-        assert_eq!(t.max_us_opt(), Some(t.max_us()));
-        assert_eq!(t.std_us_opt(), None);
-        t.record(Cycles(0), Cycles(375));
-        assert_eq!(t.std_us_opt(), Some(t.std_us()));
     }
 
     #[test]

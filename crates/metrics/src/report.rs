@@ -80,16 +80,6 @@ impl Table {
             format!("{x:.3}")
         }
     }
-
-    /// Formats a float like [`Table::num`] but prints `"Sat."` for
-    /// non-finite values, matching the paper's Table 2.
-    pub fn num_or_sat(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.1}")
-        } else {
-            "Sat.".to_string()
-        }
-    }
 }
 
 impl fmt::Display for Table {
@@ -144,9 +134,6 @@ mod tests {
     fn num_formats() {
         assert_eq!(Table::num(1.23456), "1.235");
         assert_eq!(Table::num(f64::NAN), "-");
-        assert_eq!(Table::num_or_sat(12.34), "12.3");
-        assert_eq!(Table::num_or_sat(f64::INFINITY), "Sat.");
-        assert_eq!(Table::num_or_sat(f64::NAN), "Sat.");
     }
 
     #[test]

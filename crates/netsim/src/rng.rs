@@ -48,15 +48,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator.
-    ///
-    /// The child is seeded from the parent's stream, so distinct calls give
-    /// distinct children while the whole tree stays a pure function of the
-    /// root seed.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.inner.random())
-    }
-
     /// Uniform integer in `[lo, hi)`.
     ///
     /// # Panics
@@ -91,16 +82,6 @@ impl SimRng {
     /// Uniform `f64` in the open interval `(0, 1]` — safe as input to `ln()`.
     pub fn unit_open(&mut self) -> f64 {
         1.0 - self.inner.random::<f64>()
-    }
-
-    /// A Bernoulli draw with probability `p` of `true`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-        self.inner.random::<f64>() < p
     }
 
     /// Picks a uniformly random element of a non-empty slice.
@@ -153,20 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn forks_are_deterministic_and_distinct() {
-        let mut root1 = SimRng::seed_from(9);
-        let mut root2 = SimRng::seed_from(9);
-        let mut c1a = root1.fork();
-        let mut c1b = root1.fork();
-        let mut c2a = root2.fork();
-        assert_eq!(c1a.range_u64(0, 1000), c2a.range_u64(0, 1000));
-        // Sibling forks diverge.
-        let xa: Vec<u64> = (0..8).map(|_| c1a.range_u64(0, 1 << 62)).collect();
-        let xb: Vec<u64> = (0..8).map(|_| c1b.range_u64(0, 1 << 62)).collect();
-        assert_ne!(xa, xb);
-    }
-
-    #[test]
     fn index_excluding_never_returns_excluded() {
         let mut rng = SimRng::seed_from(5);
         for _ in 0..1000 {
@@ -183,13 +150,6 @@ mod tests {
             let u = rng.unit_open();
             assert!(u > 0.0 && u <= 1.0);
         }
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::seed_from(3);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 
     #[test]

@@ -145,16 +145,6 @@ impl TimeBase {
         }
     }
 
-    /// Creates a time base directly from a cycle duration in nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns` is not positive.
-    pub fn from_ns_per_cycle(ns: f64) -> TimeBase {
-        assert!(ns > 0.0, "cycle time must be positive");
-        TimeBase { ns_per_cycle: ns }
-    }
-
     /// Nanoseconds per cycle.
     #[inline]
     pub fn ns_per_cycle(self) -> f64 {
@@ -177,12 +167,6 @@ impl TimeBase {
     #[inline]
     pub fn cycles_from_ms(self, ms: f64) -> Cycles {
         self.cycles_from_secs(ms * 1e-3)
-    }
-
-    /// Converts a wall-clock duration in microseconds to whole cycles.
-    #[inline]
-    pub fn cycles_from_us(self, us: f64) -> Cycles {
-        self.cycles_from_secs(us * 1e-6)
     }
 
     /// Converts cycles to seconds.
@@ -268,13 +252,6 @@ mod tests {
         let tb = TimeBase::from_link(400e6, 32);
         let vtick = tb.vtick_cycles(4e6 / 32.0);
         assert!((vtick - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn roundtrip_us() {
-        let tb = TimeBase::from_link(400e6, 32);
-        let c = tb.cycles_from_us(165.0);
-        assert!((tb.cycles_to_us(c) - 165.0).abs() < 0.1);
     }
 
     #[test]

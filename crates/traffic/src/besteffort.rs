@@ -110,11 +110,6 @@ impl BestEffortSource {
         self.node
     }
 
-    /// Mean injection gap in cycles.
-    pub fn mean_gap_cycles(&self) -> f64 {
-        self.mean_gap
-    }
-
     /// Produces the next best-effort message.
     pub fn next_message(&mut self, rng: &mut SimRng, next_msg_id: &mut u64) -> ScheduledMessage {
         let at = self.next_at;
@@ -247,7 +242,7 @@ mod tests {
             Cycles(0),
             &mut rng,
         );
-        assert!((s.mean_gap_cycles() - 100.7).abs() < 1e-9);
+        assert!((s.mean_gap - 100.7).abs() < 1e-9);
         let mut id = 0u64;
         let n = 10_000;
         let mut last = Cycles::ZERO;

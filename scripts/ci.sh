@@ -67,6 +67,18 @@ require_tests -p mediaworm -- skip
 require_tests -p mediaworm -- audit watchdog
 require_tests -p pcs-router -- watchdog
 
+# Active sets: ActiveSet agrees with a BTreeSet model (membership,
+# ascending and rotated iteration, equality) over universes that are not
+# a multiple of 64, and the audit flags each of the stepper's five sets
+# when it loses a member or gains a non-member.
+require_tests -p mediaworm -- \
+  active_set_matches_a_btreeset_model \
+  audit_flags_a_corrupted_pending_set \
+  audit_flags_a_corrupted_granted_set \
+  audit_flags_a_corrupted_staged_set \
+  audit_flags_a_corrupted_active_link_set \
+  audit_flags_a_corrupted_active_endpoint_set
+
 # Resume identity: checkpoint/restore must be bit-identical to an
 # uninterrupted run (stitched traces, end snapshots, stall reports) on
 # every topology, and the sharded sweep engine must merge shard
