@@ -11,18 +11,14 @@
 //!
 //! Each experiment is a sweep: it builds its full point list up front and
 //! hands it to the one runner, `sweep`, which fans the points across a
-//! [`SweepRunner`] (capped by `--jobs` / `MEDIAWORM_JOBS`) and takes the
-//! results back in task order — so the printed output, the JSON records
+//! [`SweepRunner`] (capped by `--jobs`) and takes the results back in
+//! task order — so the printed output, the JSON records
 //! and the trace file are bit-identical at any job count. Under
 //! `--trace` the runner streams each point's flit-event trace to the file
 //! as soon as every earlier point's is written; no experiment holds the
 //! whole sweep's trace. Most experiments are a `Grid`: label columns,
-//! then d̄ and σ_d, optionally best-effort latency.
-//!
-//! Under `--shard i/n` only the tasks the shard owns are simulated; the
-//! table shows that shard's rows and every JSON record carries its global
-//! task `index`, which is how [`crate::merge_shards`] later reassembles
-//! the monolithic report in order.
+//! then d̄ and σ_d, optionally best-effort latency. Every JSON record
+//! carries its task `index`.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -51,36 +47,35 @@ fn be_cell(us: f64) -> String {
     }
 }
 
-/// The one sweep runner: runs the `count` tasks this shard owns across
-/// the sweep workers (`run` maps a task to its result) and returns the
-/// results in task-order slots, `None` where a foreign shard owns the
-/// task. Under `--trace`, each result's trace bytes (`trace` takes them
+/// The one sweep runner: runs all `count` tasks across the sweep workers
+/// (`run` maps a task to its result) and returns the results in task
+/// order. Under `--trace`, each result's trace bytes (`trace` takes them
 /// out) are appended to the trace file in task order as soon as every
-/// earlier owned task's are, then dropped: only results that finished
-/// ahead of an earlier task hold trace bytes in memory. The file is
-/// created at the first non-empty trace, so a sweep that traces nothing
-/// (PCS points only) leaves no file behind.
+/// earlier task's are, then dropped: only results that finished ahead of
+/// an earlier task hold trace bytes in memory. The file is created at the
+/// first non-empty trace, so a sweep that traces nothing (PCS points
+/// only) leaves no file behind.
 fn sweep<T: Send>(
     args: &RunArgs,
     count: usize,
     run: impl Fn(SweepTask) -> T + Sync,
     trace: impl Fn(&mut T) -> Vec<u8>,
-) -> Vec<Option<T>> {
+) -> Vec<T> {
     let mut file: Option<File> = None;
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    SweepRunner::from_args(args).for_each_in_order(count, run, |index, mut value| {
+    let mut out = Vec::with_capacity(count);
+    SweepRunner::from_args(args).for_each_in_order(count, run, |mut value| {
         let bytes = trace(&mut value);
         if let Some(path) = args.trace.as_ref().filter(|_| !bytes.is_empty()) {
             let file = file.get_or_insert_with(|| File::create(path).expect("create flit trace"));
             file.write_all(&bytes).expect("write flit trace");
         }
-        slots[index] = Some(value);
+        out.push(value);
     });
-    slots
+    out
 }
 
 /// [`sweep`] over `points` on `topology`.
-fn run_points(points: &[Point], topology: &Topology, args: &RunArgs) -> Vec<Option<SimOutcome>> {
+fn run_points(points: &[Point], topology: &Topology, args: &RunArgs) -> Vec<SimOutcome> {
     sweep(
         args,
         points.len(),
@@ -89,9 +84,9 @@ fn run_points(points: &[Point], topology: &Topology, args: &RunArgs) -> Vec<Opti
     )
 }
 
-/// Total simulated cycles over a sweep's computed points.
-fn sim_cycles(outs: &[Option<SimOutcome>]) -> u64 {
-    outs.iter().flatten().map(|out| out.cycles).sum()
+/// Total simulated cycles over a sweep's points.
+fn sim_cycles(outs: &[SimOutcome]) -> u64 {
+    outs.iter().map(|out| out.cycles).sum()
 }
 
 /// The fixed parts of a grid experiment: a sweep whose table has label
@@ -108,9 +103,7 @@ struct Grid<const N: usize> {
 
 impl<const N: usize> Grid<N> {
     /// Prints the banner, runs `rows` (each point with its label cells) on
-    /// `topology`, prints the table and returns the run. Under `--shard`
-    /// the table shows this shard's rows and each JSON record carries its
-    /// global task index for the merge step.
+    /// `topology`, prints the table and returns the run.
     fn run(
         self,
         rows: Vec<([String; N], Point)>,
@@ -128,7 +121,6 @@ impl<const N: usize> Grid<N> {
         let outs = run_points(&points, topology, args);
         let mut records = Vec::new();
         for (i, (cells, out)) in cells.iter().zip(&outs).enumerate() {
-            let Some(out) = out else { continue };
             let mut row = cells.to_vec();
             row.push(format!("{:.2}", out.jitter.mean_ms));
             row.push(format!("{:.2}", out.jitter.std_ms));
@@ -154,7 +146,7 @@ impl<const N: usize> Grid<N> {
     }
 }
 
-/// One point's machine-readable record: its global task index, the sweep
+/// One point's machine-readable record: its task index, the sweep
 /// labels, then the jitter/latency results (NaN-free: undefined
 /// statistics are `null`) and the router telemetry counter totals.
 fn point_json(index: usize, labels: &[(&str, &str)], out: &SimOutcome) -> Json {
@@ -308,12 +300,7 @@ pub fn table2(args: &RunArgs) -> ExperimentRun {
         let mut cells = vec![mix.clone()];
         for (col, load) in LOADS.iter().enumerate() {
             let index = row * LOADS.len() + col;
-            // Cells a foreign shard owns print as "-" in this shard's
-            // table; the merged JSON still covers the full grid.
-            let Some(out) = &outs[index] else {
-                cells.push("-".to_string());
-                continue;
-            };
+            let out = &outs[index];
             cells.push(be_cell(out.be_mean_latency_us));
             let load = format!("{load:.2}");
             records.push(point_json(index, &[("mix", &mix), ("load", &load)], out));
@@ -424,7 +411,6 @@ pub fn fig8(args: &RunArgs) -> ExperimentRun {
     let mut records = Vec::new();
     let mut cycles = 0u64;
     for (i, half) in halves.into_iter().enumerate() {
-        let Some(half) = half else { continue };
         let load = format!("{:.2}", loads[i / 2]);
         let (router, mean, std) = match half {
             Half::Worm(out) => {
@@ -485,7 +471,6 @@ pub fn table3(args: &RunArgs) -> ExperimentRun {
     let mut records = Vec::new();
     let mut cycles = 0u64;
     for (i, (&load, out)) in loads.iter().zip(&outs).enumerate() {
-        let Some(out) = out else { continue };
         cycles += out.cycles;
         let load = format!("{load:.2}");
         records.push(pcs_json(i, &[("load", &load)], out));
@@ -691,7 +676,6 @@ pub fn bounds(args: &RunArgs) -> ExperimentRun {
     let outs = run_points(&points, &Topology::single_switch(8), &bargs);
     let mut records = Vec::new();
     for (i, ([load, kind, mode, class], out)) in cells.iter().zip(&outs).enumerate() {
-        let Some(out) = out else { continue };
         let report = out.bounds.as_ref().expect("bounds audit enabled");
         let s = BoundsSummary::of(report);
         assert_eq!(
@@ -836,28 +820,26 @@ mod tests {
     }
 
     #[test]
-    fn sweep_writes_owned_traces_in_task_order_when_tasks_finish_in_reverse() {
+    fn sweep_writes_traces_in_task_order_when_tasks_finish_in_reverse() {
         let path = std::env::temp_dir().join(format!(
             "mediaworm-sweep-order-{}.jsonl",
             std::process::id()
         ));
-        // Shard 1 of 2 owns tasks 1, 3, 5 and 7, one per worker; each
-        // waits until every later owned task has finished, so they finish
-        // in reverse task order.
+        // Four tasks, one per worker; each waits until every later task
+        // has finished, so they finish in reverse task order.
         let args = RunArgs {
             jobs: Some(4),
-            shard: Some((1, 2)),
             trace: Some(path.clone()),
             ..RunArgs::default()
         };
         let finished = Mutex::new(Vec::new());
         let turn = Condvar::new();
-        let slots = sweep(
+        let out = sweep(
             &args,
-            8,
+            4,
             |task| {
                 let mut done = finished.lock().unwrap();
-                while done.len() < (7 - task.index) / 2 {
+                while done.len() < 3 - task.index {
                     done = turn.wait(done).unwrap();
                 }
                 done.push(task.index);
@@ -866,12 +848,11 @@ mod tests {
             },
             std::mem::take,
         );
-        assert_eq!(*finished.lock().unwrap(), [7, 5, 3, 1]);
-        let owned: Vec<bool> = slots.iter().map(Option::is_some).collect();
-        assert_eq!(owned, [false, true, false, true, false, true, false, true]);
+        assert_eq!(*finished.lock().unwrap(), [3, 2, 1, 0]);
+        assert_eq!(out.len(), 4, "every task's result comes back");
         let file = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(file, "task 1\ntask 3\ntask 5\ntask 7\n");
+        assert_eq!(file, "task 0\ntask 1\ntask 2\ntask 3\n");
     }
 
     #[test]
@@ -890,26 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fig3_keeps_global_indices() {
-        let full = fig3(&quick());
-        let mut shard_args = quick();
-        shard_args.shard = Some((1, 2));
-        let run = fig3(&shard_args);
-        // Shard 1 of 2 owns the odd half of the 10-task grid...
-        assert_eq!(run.points.len(), full.points.len() / 2);
-        assert_eq!(run.table.row_count(), 5);
-        // ...and its records are the byte-identical odd records of the
-        // full sweep, global index included.
-        for (k, rec) in run.points.iter().enumerate() {
-            let expect = &full.points[2 * k + 1];
-            assert_eq!(rec.to_string(), expect.to_string());
-            assert!(rec
-                .to_string()
-                .starts_with(&format!("{{\"index\":{}", 2 * k + 1)));
-        }
-    }
-
-    #[test]
     fn bounds_experiment_reports_per_stream_bounds() {
         let mut args = quick();
         // One cheap slice of the grid: Virtual Clock, policing off and
@@ -919,7 +880,7 @@ mod tests {
         args.loads = Some(vec![0.7]);
         let run = bounds(&args);
         assert_eq!(run.points.len(), 4);
-        let doc = run.to_json(1.0, None).to_string();
+        let doc = run.to_json(1.0).to_string();
         assert!(doc.contains("\"bounds_summary\""));
         assert!(doc.contains("\"tightness\""));
         // The CBR/Off point carries provable envelopes and the sweep
@@ -932,7 +893,7 @@ mod tests {
     #[test]
     fn json_document_is_nan_free() {
         let run = fig3(&quick());
-        let doc = run.to_json(1.5, None).to_string();
+        let doc = run.to_json(1.5).to_string();
         assert!(doc.starts_with("{\"experiment\":\"fig3\""));
         assert!(doc.contains("\"throughput\":{\"wall_secs\":1.5"));
         assert!(!doc.contains("NaN"), "NaN leaked into JSON: {doc}");

@@ -13,17 +13,12 @@
 //!
 //! * All binaries accept `--quick` (shorter measurement window for smoke
 //!   runs), `--seed <u64>`, `--warmup <secs>`, `--measure <secs>` and
-//!   `--jobs <N>` (worker threads for the sweep; also settable via the
-//!   `MEDIAWORM_JOBS` environment variable, default: all available
-//!   cores). Results are bit-identical at any job count — see
-//!   [`sweep`].
-//! * Sweeps shard and resume: `--shard i/n` runs only the tasks owned by
-//!   shard `i` of `n` and writes `BENCH_<name>.shard<i>of<n>.json`;
-//!   [`merge_shards`] (or the `merge_shards` binary) recombines the shard
-//!   files into the byte-stable monolithic report. `--checkpoint N`
-//!   snapshots each in-flight point every `N` simulated cycles under
-//!   `target/bench/state/`, and `--resume` restores from those snapshots,
-//!   continuing interrupted points bit-identically.
+//!   `--jobs <N>` (worker threads for the sweep, default: all available
+//!   cores). Results are bit-identical at any job count — see [`sweep`].
+//! * Sweeps resume: `--checkpoint N` snapshots each in-flight point
+//!   every `N` simulated cycles under `target/bench/state/`, and
+//!   `--resume` restores from those snapshots, continuing interrupted
+//!   points bit-identically.
 //! * `--json` writes machine-readable results to
 //!   `target/bench/BENCH_<name>.json` by default; `--json PATH` places
 //!   the file explicitly.
@@ -38,7 +33,7 @@ pub mod experiments;
 pub mod sweep;
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use flitnet::VcPartition;
 use mediaworm::{sim, RouterConfig, SchedulerKind, SimOpts, SimOutcome};
@@ -57,8 +52,8 @@ pub struct RunArgs {
     pub warmup_secs: f64,
     /// Measurement window in simulated seconds.
     pub measure_secs: f64,
-    /// Worker-thread cap for sweeps (`--jobs`); `None` falls back to
-    /// `MEDIAWORM_JOBS`, then to the machine's available parallelism.
+    /// Worker-thread cap for sweeps (`--jobs`); `None` falls back to the
+    /// machine's available parallelism.
     pub jobs: Option<usize>,
     /// Also write machine-readable results to `BENCH_<name>.json` (under
     /// `target/bench/` unless [`RunArgs::json_path`] places it).
@@ -66,11 +61,6 @@ pub struct RunArgs {
     /// Explicit output path for the JSON results (`--json PATH`); implies
     /// [`RunArgs::json`].
     pub json_path: Option<PathBuf>,
-    /// `(index, count)` from `--shard i/n`: run only the sweep tasks this
-    /// shard owns (task index `≡ i (mod n)`) and tag the JSON output with
-    /// the shard coordinates so [`merge_shards`] can recombine the
-    /// reports. `None` runs the whole sweep.
-    pub shard: Option<(usize, usize)>,
     /// Cycles between point checkpoints (`--checkpoint N`). `None` leaves
     /// periodic checkpointing off unless `--resume` asks for the default
     /// cadence; see [`RunArgs::checkpoint_cycles`].
@@ -101,8 +91,8 @@ pub struct RunArgs {
     /// to these disciplines (comma-separated: `vc`, `fifo`, `rr`, `wfq`,
     /// `drr`, `scfq`). `None` runs the full set. Note that per-point seeds
     /// derive from the task index *within the selected grid*, so a
-    /// filtered run is bit-identical to itself at any `--jobs`/`--shard`
-    /// setting but is not a row-subset of the full matrix.
+    /// filtered run is bit-identical to itself at any `--jobs` setting
+    /// but is not a row-subset of the full matrix.
     pub schedulers: Option<Vec<SchedulerKind>>,
     /// `--policing LIST`: restrict matrix experiments to these NI policing
     /// modes (comma-separated: `off`, `shape`, `demote`). `None` runs all.
@@ -167,12 +157,6 @@ impl RunArgs {
                         args.json_path = it.next().map(PathBuf::from);
                     }
                 }
-                "--shard" => {
-                    let spec = it.next().unwrap_or_else(|| usage("--shard needs i/n"));
-                    args.shard = Some(
-                        parse_shard(&spec).unwrap_or_else(|| usage("--shard needs i/n with i < n")),
-                    );
-                }
                 "--checkpoint" => {
                     args.checkpoint = Some(
                         it.next()
@@ -227,20 +211,13 @@ impl RunArgs {
         (self.warmup_secs, self.measure_secs)
     }
 
-    /// The sweep worker count: `--jobs`, else `MEDIAWORM_JOBS`, else the
-    /// machine's available parallelism (always at least 1).
+    /// The sweep worker count: `--jobs`, else the machine's available
+    /// parallelism (always at least 1).
     pub fn effective_jobs(&self) -> usize {
-        if let Some(n) = self.jobs {
-            return n.max(1);
-        }
-        if let Some(n) = std::env::var("MEDIAWORM_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        self.jobs.map_or_else(
+            || std::thread::available_parallelism().map_or(1, |n| n.get()),
+            |n| n.max(1),
+        )
     }
 
     /// The [`SimOpts`] these args imply: the standard watchdog always,
@@ -273,12 +250,11 @@ impl RunArgs {
     }
 
     /// Where the JSON results of experiment `name` go: `--json PATH` if
-    /// given, else `target/bench/BENCH_<name>.json` — suffixed
-    /// `.shard<i>of<n>` when this run is one shard of a sweep.
+    /// given, else `target/bench/BENCH_<name>.json`.
     pub fn out_path(&self, name: &str) -> PathBuf {
         match &self.json_path {
             Some(p) => p.clone(),
-            None => PathBuf::from(BENCH_DIR).join(shard_file_name(name, self.shard)),
+            None => PathBuf::from(BENCH_DIR).join(format!("BENCH_{name}.json")),
         }
     }
 
@@ -303,14 +279,6 @@ pub const BENCH_DIR: &str = "target/bench";
 /// Checkpoint cadence `--resume` implies when `--checkpoint` is absent.
 const DEFAULT_CHECKPOINT_CYCLES: u64 = 1_000_000;
 
-/// The file name shard `shard` of experiment `name` writes.
-fn shard_file_name(name: &str, shard: Option<(usize, usize)>) -> String {
-    match shard {
-        Some((i, n)) => format!("BENCH_{name}.shard{i}of{n}.json"),
-        None => format!("BENCH_{name}.json"),
-    }
-}
-
 /// Parses the comma-separated `list` after `flag` item by item (`item`
 /// returns the error message); aborts with a usage message on the first
 /// bad item or a missing list. `split` yields at least one item, so the
@@ -332,14 +300,6 @@ fn parse_window(v: &str) -> Option<f64> {
     v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
 }
 
-/// Parses the `i/n` of `--shard i/n`; `None` if malformed or `i >= n`.
-fn parse_shard(spec: &str) -> Option<(usize, usize)> {
-    let (i, n) = spec.split_once('/')?;
-    let i: usize = i.trim().parse().ok()?;
-    let n: usize = n.trim().parse().ok()?;
-    (i < n).then_some((i, n))
-}
-
 impl Default for RunArgs {
     fn default() -> RunArgs {
         RunArgs {
@@ -350,7 +310,6 @@ impl Default for RunArgs {
             jobs: None,
             json: false,
             json_path: None,
-            shard: None,
             checkpoint: None,
             resume: false,
             trace: None,
@@ -383,8 +342,8 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: <experiment> [--quick] [--seed N] [--warmup SECS] [--measure SECS] [--jobs N] \
-         [--json [PATH]] [--shard I/N] [--checkpoint CYCLES] [--resume] [--audit] \
-         [--bounds] [--trace PATH] [--schedulers LIST] [--policing LIST] [--loads LIST]"
+         [--json [PATH]] [--checkpoint CYCLES] [--resume] [--audit] [--bounds] \
+         [--trace PATH] [--schedulers LIST] [--policing LIST] [--loads LIST]"
     );
     std::process::exit(2);
 }
@@ -527,22 +486,14 @@ pub struct ExperimentRun {
 
 impl ExperimentRun {
     /// The machine-readable document `--json` writes: experiment name,
-    /// per-point results (each tagged with its global task index by the
+    /// per-point results (each tagged with its task index by the
     /// experiment), and throughput (wall-clock seconds, simulated cycles,
-    /// cycles per second). A shard's document also carries the `shard`
-    /// coordinates [`merge_shards`] needs to recombine the reports.
-    pub fn to_json(&self, wall_secs: f64, shard: Option<(usize, usize)>) -> Json {
-        let mut doc = Json::obj([("experiment", Json::str(self.name))]);
-        if let Some((index, count)) = shard {
-            doc.push(
-                "shard",
-                Json::obj([
-                    ("index", Json::Uint(index as u64)),
-                    ("count", Json::Uint(count as u64)),
-                ]),
-            );
-        }
-        doc.push("results", Json::arr(self.points.iter().cloned()));
+    /// cycles per second).
+    pub fn to_json(&self, wall_secs: f64) -> Json {
+        let mut doc = Json::obj([
+            ("experiment", Json::str(self.name)),
+            ("results", Json::arr(self.points.iter().cloned())),
+        ]);
         let cycles_per_sec = (wall_secs > 0.0).then(|| self.sim_cycles as f64 / wall_secs);
         doc.push(
             "throughput",
@@ -580,8 +531,7 @@ pub fn run_experiment(args: &RunArgs, f: fn(&RunArgs) -> ExperimentRun) -> Exper
 }
 
 /// Writes `run`'s machine-readable document where the args route it
-/// ([`RunArgs::out_path`], shard-suffixed under a shard) and returns the
-/// path. Shared by [`run_experiment`] and `repro-all`.
+/// ([`RunArgs::out_path`]) and returns the path. Shared by [`run_experiment`] and `repro-all`.
 pub fn write_json_results(
     args: &RunArgs,
     run: &ExperimentRun,
@@ -591,143 +541,9 @@ pub fn write_json_results(
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
     }
-    let doc = run.to_json(wall_secs, args.shard);
+    let doc = run.to_json(wall_secs);
     std::fs::write(&path, format!("{doc}\n"))?;
     Ok(path)
-}
-
-/// Merges the `BENCH_<name>.shard<i>of<count>.json` files in `dir` into
-/// the monolithic `BENCH_<name>.json` there and returns its path.
-///
-/// The merged document is canonical and byte-stable: records appear in
-/// global task-index order exactly as the shards wrote them, simulated
-/// cycles add up, and the wall-clock throughput fields are `null` (the
-/// shards ran on different clocks, so only simulated work is meaningful).
-/// Merging the same sweep split into any number of shards therefore
-/// yields identical bytes.
-///
-/// Errors with [`io::ErrorKind::InvalidInput`] if `count` is zero, and
-/// with [`io::ErrorKind::InvalidData`] if a shard file names the wrong
-/// experiment or shard, lacks its results, or the shards' records do not
-/// cover every task index exactly once.
-pub fn merge_shards(name: &str, dir: &Path, count: usize) -> io::Result<PathBuf> {
-    if count == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "a merge needs at least one shard",
-        ));
-    }
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut records: Vec<(u64, String)> = Vec::new();
-    let mut sim_cycles: u64 = 0;
-    for i in 0..count {
-        let path = dir.join(shard_file_name(name, Some((i, count))));
-        let doc = std::fs::read_to_string(&path)?;
-        let bad = |msg: &str| invalid(format!("{}: {msg}", path.display()));
-        if !doc.contains(&format!("\"experiment\":\"{name}\"")) {
-            return Err(bad("names a different experiment"));
-        }
-        if !doc.contains(&format!("\"shard\":{{\"index\":{i},\"count\":{count}}}")) {
-            return Err(bad("carries different shard coordinates"));
-        }
-        let results = json_array(&doc, "results").ok_or_else(|| bad("has no results array"))?;
-        for rec in json_split_top(results) {
-            let idx =
-                json_uint(rec, "index").ok_or_else(|| bad("has a record without an index"))?;
-            records.push((idx, rec.to_string()));
-        }
-        sim_cycles += json_uint(&doc, "sim_cycles").ok_or_else(|| bad("has no sim_cycles"))?;
-    }
-    records.sort_by_key(|&(idx, _)| idx);
-    for (expect, &(idx, _)) in records.iter().enumerate() {
-        if idx != expect as u64 {
-            return Err(invalid(format!(
-                "BENCH_{name} shards: task index {expect} is missing or duplicated"
-            )));
-        }
-    }
-    let body: Vec<String> = records.into_iter().map(|(_, r)| r).collect();
-    let doc = format!(
-        "{{\"experiment\":\"{name}\",\"results\":[{}],\"throughput\":{{\"wall_secs\":null,\
-         \"sim_cycles\":{sim_cycles},\"cycles_per_sec\":null}}}}\n",
-        body.join(",")
-    );
-    let out = dir.join(shard_file_name(name, None));
-    std::fs::write(&out, doc)?;
-    Ok(out)
-}
-
-/// The raw text inside the first `"<key>":[...]` array of a compact JSON
-/// document (the serializer's own whitespace-free output; strings and
-/// nesting are tracked, insignificant whitespace is not handled).
-fn json_array<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":[");
-    let start = doc.find(&needle)? + needle.len();
-    let mut depth = 1i32;
-    let mut in_str = false;
-    let mut escape = false;
-    for (off, &b) in doc.as_bytes()[start..].iter().enumerate() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escape = true,
-            b'"' => in_str = !in_str,
-            _ if in_str => {}
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&doc[start..start + off]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits the inside of a compact JSON array at its top-level commas.
-fn json_split_top(inner: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    if inner.is_empty() {
-        return out;
-    }
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escape = false;
-    let mut start = 0usize;
-    for (off, &b) in inner.as_bytes().iter().enumerate() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escape = true,
-            b'"' => in_str = !in_str,
-            _ if in_str => {}
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => depth -= 1,
-            b',' if depth == 0 => {
-                out.push(&inner[start..off]);
-                start = off + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&inner[start..]);
-    out
-}
-
-/// The first `"<key>":<digits>` value in a compact JSON document.
-fn json_uint(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = doc.find(&needle)? + needle.len();
-    let digits = doc[start..]
-        .find(|c: char| !c.is_ascii_digit())
-        .map_or(&doc[start..], |end| &doc[start..start + end]);
-    digits.parse().ok()
 }
 
 /// Prints the standard experiment header.
@@ -793,9 +609,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_checkpoint_and_resume_flags_parse() {
-        let a = argv(&["--shard", "2/5", "--checkpoint", "50000", "--resume"]);
-        assert_eq!(a.shard, Some((2, 5)));
+    fn checkpoint_and_resume_flags_parse() {
+        let a = argv(&["--checkpoint", "50000", "--resume"]);
         assert_eq!(a.checkpoint, Some(50_000));
         assert!(a.resume);
         assert_eq!(a.checkpoint_cycles(), Some(50_000));
@@ -844,15 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_write_shard_suffixed_files() {
-        let a = argv(&["--json", "--shard", "1/4"]);
-        assert_eq!(
-            a.out_path("table2"),
-            PathBuf::from("target/bench/BENCH_table2.shard1of4.json")
-        );
-    }
-
-    #[test]
     fn matrix_filter_flags_parse_lists_and_aliases() {
         let a = argv(&[
             "--schedulers",
@@ -897,15 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_spec_rejects_out_of_range_and_garbage() {
-        assert_eq!(parse_shard("0/1"), Some((0, 1)));
-        assert_eq!(parse_shard("3/4"), Some((3, 4)));
-        assert_eq!(parse_shard("4/4"), None);
-        assert_eq!(parse_shard("1"), None);
-        assert_eq!(parse_shard("a/b"), None);
-    }
-
-    #[test]
     fn state_paths_distinguish_points_seeds_and_windows() {
         let topo = Topology::single_switch(8);
         let args = RunArgs::default();
@@ -922,73 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn json_scanner_extracts_arrays_records_and_uints() {
-        let doc = r#"{"experiment":"x","results":[{"index":0,"s":"a,{]"},{"index":1,"v":[1,2]}],"throughput":{"sim_cycles":42}}"#;
-        let inner = json_array(doc, "results").unwrap();
-        let recs = json_split_top(inner);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0], r#"{"index":0,"s":"a,{]"}"#);
-        assert_eq!(recs[1], r#"{"index":1,"v":[1,2]}"#);
-        assert_eq!(json_uint(recs[1], "index"), Some(1));
-        assert_eq!(json_uint(doc, "sim_cycles"), Some(42));
-        assert!(json_array(doc, "missing").is_none());
-        assert!(json_split_top("").is_empty());
-    }
-
-    #[test]
-    fn merge_of_zero_shards_is_invalid_input() {
-        let err = merge_shards("unit", Path::new("."), 0).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn merge_rejects_incomplete_shard_sets() {
-        let dir = std::env::temp_dir().join("mediaworm-merge-incomplete-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Two shards that both claim index 0 (and no index 1).
-        for i in 0..2usize {
-            let doc = format!(
-                "{{\"experiment\":\"unit\",\"shard\":{{\"index\":{i},\"count\":2}},\
-                 \"results\":[{{\"index\":0,\"v\":{i}}}],\
-                 \"throughput\":{{\"wall_secs\":0.1,\"sim_cycles\":10,\"cycles_per_sec\":100}}}}\n"
-            );
-            std::fs::write(dir.join(format!("BENCH_unit.shard{i}of2.json")), doc).unwrap();
-        }
-        let err = merge_shards("unit", &dir, 2).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn merge_produces_the_canonical_report() {
-        let dir = std::env::temp_dir().join("mediaworm-merge-canonical-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        for (i, (indices, cycles)) in [(vec![0u64, 2], 30u64), (vec![1], 12)].iter().enumerate() {
-            let recs: Vec<String> = indices
-                .iter()
-                .map(|idx| format!("{{\"index\":{idx},\"v\":{}}}", idx * 10))
-                .collect();
-            let doc = format!(
-                "{{\"experiment\":\"unit\",\"shard\":{{\"index\":{i},\"count\":2}},\
-                 \"results\":[{}],\
-                 \"throughput\":{{\"wall_secs\":0.5,\"sim_cycles\":{cycles},\
-                 \"cycles_per_sec\":1.0}}}}\n",
-                recs.join(",")
-            );
-            std::fs::write(dir.join(format!("BENCH_unit.shard{i}of2.json")), doc).unwrap();
-        }
-        let out = merge_shards("unit", &dir, 2).unwrap();
-        let merged = std::fs::read_to_string(out).unwrap();
-        assert_eq!(
-            merged,
-            "{\"experiment\":\"unit\",\"results\":[{\"index\":0,\"v\":0},{\"index\":1,\"v\":10},\
-             {\"index\":2,\"v\":20}],\"throughput\":{\"wall_secs\":null,\"sim_cycles\":42,\
-             \"cycles_per_sec\":null}}\n"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn experiment_json_handles_zero_wall_time() {
         let run = ExperimentRun {
             name: "unit",
@@ -996,13 +726,8 @@ mod tests {
             points: Vec::new(),
             sim_cycles: 100,
         };
-        let doc = run.to_json(0.0, None).to_string();
+        let doc = run.to_json(0.0).to_string();
         assert!(doc.contains("\"cycles_per_sec\":null"));
         assert!(!doc.contains("NaN"));
-        assert!(!doc.contains("shard"));
-        let shard = run.to_json(0.0, Some((1, 4))).to_string();
-        assert!(shard.starts_with(
-            "{\"experiment\":\"unit\",\"shard\":{\"index\":1,\"count\":4},\"results\":[]"
-        ));
     }
 }

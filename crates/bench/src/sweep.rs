@@ -3,8 +3,9 @@
 //! Every figure/table of the paper is a *sweep*: a list of independent
 //! simulation points (load × mix × router config) whose results fill a
 //! table. [`SweepRunner`] fans such a list across a pool of scoped
-//! threads, capped by `--jobs N` / the `MEDIAWORM_JOBS` environment
-//! variable (default: all available cores).
+//! threads, capped by `--jobs N` (default: all available cores). An
+//! interrupted sweep restarts with `--resume` from its points'
+//! checkpoints; see [`crate::RunArgs::resume`].
 //!
 //! # Determinism
 //!
@@ -18,16 +19,6 @@
 //! * replicated runs reduce through [`RunningStats::merge`] in replica
 //!   index order (parallel Welford is deterministic for a fixed merge
 //!   order, not for an arbitrary one).
-//!
-//! # Sharding
-//!
-//! `--shard i/n` partitions a sweep's task list across `n` independent
-//! processes (or machines): shard `i` owns exactly the tasks whose index
-//! is `≡ i (mod n)`. The partition depends only on the index, so every
-//! shard derives the same per-task seeds it would in a monolithic run,
-//! and the shards' results — tagged with their global indices — merge
-//! back into the byte-identical monolithic report (see
-//! [`crate::merge_shards`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,9 +77,6 @@ pub struct SweepTask {
 pub struct SweepRunner {
     jobs: usize,
     base_seed: u64,
-    /// `(index, count)` of the shard this runner owns; `(0, 1)` is the
-    /// whole sweep.
-    shard: (usize, usize),
 }
 
 impl SweepRunner {
@@ -100,85 +88,51 @@ impl SweepRunner {
     /// Panics if `jobs` is zero.
     pub fn new(jobs: usize, base_seed: u64) -> SweepRunner {
         assert!(jobs >= 1, "a sweep needs at least one worker");
-        SweepRunner {
-            jobs,
-            base_seed,
-            shard: (0, 1),
-        }
+        SweepRunner { jobs, base_seed }
     }
 
     /// A runner configured from the command-line arguments: job count
-    /// from `--jobs` / `MEDIAWORM_JOBS` / available parallelism, base
-    /// seed from `--seed`, shard from `--shard i/n`.
+    /// from `--jobs` or else the available parallelism, base seed from
+    /// `--seed`.
     pub fn from_args(args: &RunArgs) -> SweepRunner {
-        SweepRunner::new(args.effective_jobs(), args.seed).with_shard(args.shard.unwrap_or((0, 1)))
+        SweepRunner::new(args.effective_jobs(), args.seed)
     }
 
-    /// This runner restricted to shard `(index, count)`: it owns the
-    /// tasks whose index is `≡ index (mod count)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `index < count`.
-    pub fn with_shard(self, shard: (usize, usize)) -> SweepRunner {
-        assert!(
-            shard.0 < shard.1,
-            "shard index {} out of range for {} shards",
-            shard.0,
-            shard.1
-        );
-        SweepRunner { shard, ..self }
-    }
-
-    /// Whether this runner's shard owns task `index`.
-    pub fn owns(&self, index: usize) -> bool {
-        index % self.shard.1 == self.shard.0
-    }
-
-    /// Runs every one of `count` tasks through `f` — ignoring the shard —
-    /// and returns the results in task order. Shard-aware sweeps go
-    /// through [`SweepRunner::for_each_in_order`]; this is the unsharded
-    /// path (replica statistics, callers that need every result present).
+    /// Runs every one of `count` tasks through `f` and returns the results
+    /// in task order.
     pub fn map<T, F>(&self, count: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(SweepTask) -> T + Sync,
     {
-        let full = SweepRunner {
-            shard: (0, 1),
-            ..*self
-        };
         let mut out = Vec::with_capacity(count);
-        full.for_each_in_order(count, f, |_, value| out.push(value));
+        self.for_each_in_order(count, f, |value| out.push(value));
         out
     }
 
-    /// Runs the tasks this runner's shard owns through `f` and hands each
-    /// result to `done` with its task index, in task order: a result is
-    /// handed over as soon as every earlier owned task's has been, so only
-    /// results that finished ahead of an unfinished earlier task wait in
-    /// memory. `done` runs on the calling thread.
+    /// Runs every one of `count` tasks through `f` and hands each result
+    /// to `done` in task order: a result is handed over as soon as every
+    /// earlier task's has been, so only results that finished ahead of an
+    /// unfinished earlier task wait in memory. `done` runs on the calling
+    /// thread.
     ///
     /// Workers self-schedule off a shared atomic counter, so an expensive
     /// point does not hold up the queue behind it. `f` must not rely on
-    /// execution order — only on its [`SweepTask`]. Seeds are the
-    /// monolithic sweep's: a task computes identical bits no matter how
-    /// many shards the sweep was split into.
+    /// execution order — only on its [`SweepTask`].
     pub fn for_each_in_order<T, F, D>(&self, count: usize, f: F, mut done: D)
     where
         T: Send,
         F: Fn(SweepTask) -> T + Sync,
-        D: FnMut(usize, T),
+        D: FnMut(T),
     {
         let task = |index: usize| SweepTask {
             index,
             seed: derive_seed(self.base_seed, index as u64),
         };
-        let owned: Vec<usize> = (0..count).filter(|&i| self.owns(i)).collect();
-        let workers = self.jobs.min(owned.len());
+        let workers = self.jobs.min(count);
         if workers <= 1 {
-            for &i in &owned {
-                done(i, f(task(i)));
+            for i in 0..count {
+                done(f(task(i)));
             }
             return;
         }
@@ -186,25 +140,25 @@ impl SweepRunner {
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let (tx, f, task, owned, next) = (tx.clone(), &f, &task, &owned, &next);
+                let (tx, f, task, next) = (tx.clone(), &f, &task, &next);
                 scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= owned.len() {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
                         break;
                     }
                     // A send fails only after `done` panicked and dropped
                     // the receiver; the scope rethrows that panic.
-                    let _ = tx.send((k, f(task(owned[k]))));
+                    let _ = tx.send((i, f(task(i))));
                 });
             }
             drop(tx);
-            // Results that finished out of order, keyed by owned position.
+            // Results that finished out of order, keyed by task index.
             let mut early = BTreeMap::new();
             let mut head = 0;
-            for (k, value) in rx {
-                early.insert(k, value);
+            for (i, value) in rx {
+                early.insert(i, value);
                 while let Some(value) = early.remove(&head) {
-                    done(owned[head], value);
+                    done(value);
                     head += 1;
                 }
             }
@@ -332,72 +286,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_jobs_panics() {
         let _ = SweepRunner::new(0, 0);
-    }
-
-    /// The `count`-length task-slot vector of `r`'s owned results.
-    fn slots<T: Send>(
-        r: SweepRunner,
-        count: usize,
-        f: impl Fn(SweepTask) -> T + Sync,
-    ) -> Vec<Option<T>> {
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        r.for_each_in_order(count, f, |i, v| slots[i] = Some(v));
-        slots
-    }
-
-    #[test]
-    fn shards_partition_the_task_list_exactly() {
-        let n = 3;
-        let count = 10;
-        let mut seen = vec![0usize; count];
-        for i in 0..n {
-            let r = SweepRunner::new(2, 42).with_shard((i, n));
-            for (idx, slot) in slots(r, count, |t| t.index).into_iter().enumerate() {
-                match slot {
-                    Some(v) => {
-                        assert_eq!(v, idx);
-                        assert!(r.owns(idx));
-                        seen[idx] += 1;
-                    }
-                    None => assert!(!r.owns(idx)),
-                }
-            }
-        }
-        // Every task computed by exactly one shard.
-        assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn sharded_seeds_match_the_monolithic_sweep() {
-        let mono = SweepRunner::new(1, 42).map(12, |t| t.seed);
-        for i in 0..4 {
-            let shard = SweepRunner::new(4, 42).with_shard((i, 4));
-            for (idx, slot) in slots(shard, 12, |t| t.seed).into_iter().enumerate() {
-                if let Some(seed) = slot {
-                    assert_eq!(seed, mono[idx], "task {idx} on shard {i}/4");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn map_ignores_the_shard() {
-        let full = SweepRunner::new(2, 7)
-            .with_shard((1, 3))
-            .map(9, |t| t.index);
-        assert_eq!(full, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shard_owning_no_tasks_returns_all_none() {
-        let r = SweepRunner::new(4, 0).with_shard((5, 8));
-        let out = slots(r, 3, |t| t.index);
-        assert_eq!(out, vec![None, None, None]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard index 2 out of range for 2 shards")]
-    fn shard_index_must_be_in_range() {
-        let _ = SweepRunner::new(1, 0).with_shard((2, 2));
     }
 }

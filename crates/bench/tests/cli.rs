@@ -39,3 +39,10 @@ fn trace_with_resume_is_a_usage_error() {
         "a rejected run must not create its trace file"
     );
 }
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    assert_usage_error(&["--quick", "--bogus"]);
+    // Sweeps split only by `--jobs`; the old process-splitting flag is gone.
+    assert_usage_error(&["--quick", "--shard", "0/2"]);
+}

@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 
 use flitnet::{CreditLink, Flit, Link, NodeId, PortId, RouterId, VcId};
-use metrics::{DeliveryTracker, LatencyTracker};
+use metrics::{DeliveryTracker, FrameTails, LatencyTracker};
 use netsim::audit::AuditLog;
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::telemetry::{FlitEvent, FlitEventKind, JsonlSink};
@@ -150,11 +150,7 @@ struct WatchdogState {
 struct Sinks {
     delivery: DeliveryTracker,
     latency: LatencyTracker,
-    /// Per real-time stream: `(frame, tails seen)` for each in-flight
-    /// frame, sorted ascending by frame id. A stream has at most a
-    /// handful of frames in flight, so a sorted small-vec beats a hash
-    /// map on the delivery path (no hashing, no rehash allocation).
-    frame_tails: Vec<Vec<(u32, u32)>>,
+    frame_tails: FrameTails,
     delivered_msgs: u64,
     delivered_flits: u64,
     /// Per real-time stream: end-to-end message latency in cycles
@@ -378,7 +374,7 @@ impl Network {
             sinks: Sinks {
                 delivery: DeliveryTracker::new(timebase),
                 latency: LatencyTracker::new(timebase),
-                frame_tails: Vec::new(),
+                frame_tails: FrameTails::default(),
                 delivered_msgs: 0,
                 delivered_flits: 0,
                 rt_latency: Vec::new(),
@@ -861,24 +857,7 @@ impl Network {
                     q.remove(pos);
                 }
             }
-            if s >= sinks.frame_tails.len() {
-                sinks.frame_tails.resize_with(s + 1, Vec::new);
-            }
-            let frames = &mut sinks.frame_tails[s];
-            let frame = flit.frame.get();
-            let pos = frames.partition_point(|&(f, _)| f < frame);
-            let tails = match frames.get_mut(pos) {
-                Some(entry) if entry.0 == frame => {
-                    entry.1 += 1;
-                    entry.1
-                }
-                _ => {
-                    frames.insert(pos, (frame, 1));
-                    1
-                }
-            };
-            if tails == flit.msgs_in_frame {
-                frames.remove(pos);
+            if sinks.frame_tails.tail(&flit) {
                 sinks.delivery.record_frame(flit.stream, now);
             }
         } else {
@@ -1426,14 +1405,7 @@ impl Network {
         }
         self.sinks.delivery.save(&mut w);
         self.sinks.latency.save(&mut w);
-        w.usize(self.sinks.frame_tails.len());
-        for frames in &self.sinks.frame_tails {
-            w.usize(frames.len());
-            for &(frame, tails) in frames {
-                w.u32(frame);
-                w.u32(tails);
-            }
-        }
+        self.sinks.frame_tails.save(&mut w);
         w.u64(self.sinks.delivered_msgs);
         w.u64(self.sinks.delivered_flits);
         w.usize(self.sinks.rt_latency.len());
@@ -1564,16 +1536,7 @@ impl Network {
         }
         self.sinks.delivery.load_into(&mut r)?;
         self.sinks.latency.load_into(&mut r)?;
-        let n = r.usize()?;
-        self.sinks.frame_tails.clear();
-        for _ in 0..n {
-            let m = r.usize()?;
-            let mut frames = Vec::with_capacity(m);
-            for _ in 0..m {
-                frames.push((r.u32()?, r.u32()?));
-            }
-            self.sinks.frame_tails.push(frames);
-        }
+        self.sinks.frame_tails = FrameTails::load(&mut r)?;
         self.sinks.delivered_msgs = r.u64()?;
         self.sinks.delivered_flits = r.u64()?;
         let n = r.usize()?;

@@ -1,6 +1,6 @@
 //! Frame delivery interval (jitter) tracking.
 
-use flitnet::StreamId;
+use flitnet::{Flit, StreamId};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::{Cycles, Histogram, RunningStats, TimeBase};
 
@@ -49,16 +49,6 @@ impl JitterSummary {
             return None;
         }
         finite(self.std_ms)
-    }
-
-    /// Largest interval, `None` when undefined.
-    pub fn max_ms_opt(&self) -> Option<f64> {
-        finite(self.max_ms)
-    }
-
-    /// 99th-percentile interval, `None` when undefined.
-    pub fn p99_ms_opt(&self) -> Option<f64> {
-        finite(self.p99_ms)
     }
 }
 
@@ -183,12 +173,6 @@ impl DeliveryTracker {
         }
     }
 
-    /// Per-stream interval statistics (dense by stream id; streams with no
-    /// measured interval report empty stats).
-    pub fn per_stream(&self) -> &[RunningStats] {
-        &self.per_stream
-    }
-
     /// The stream with the worst (largest) mean delivery interval, with
     /// that mean in milliseconds — the user-facing "who is starving"
     /// question. `None` before any interval is measured.
@@ -240,6 +224,61 @@ impl DeliveryTracker {
         self.frames = r.u64()?;
         self.warmup_end = Cycles(r.u64()?);
         Ok(())
+    }
+}
+
+/// Counts message tails per in-flight frame of each stream: a frame is
+/// delivered when the tail of its last message arrives, in any order.
+#[derive(Debug, Clone, Default)]
+pub struct FrameTails {
+    /// Per stream: `(frame, tails seen)` for each in-flight frame, sorted
+    /// by frame id (a handful per stream, so no hashing).
+    streams: Vec<Vec<(u32, u32)>>,
+}
+
+impl FrameTails {
+    /// Counts `flit`, a message's tail; `true` when it completes its frame.
+    pub fn tail(&mut self, flit: &Flit) -> bool {
+        let s = flit.stream.index();
+        if s >= self.streams.len() {
+            self.streams.resize_with(s + 1, Vec::new);
+        }
+        let frames = &mut self.streams[s];
+        let frame = flit.frame.get();
+        let pos = frames.partition_point(|&(f, _)| f < frame);
+        if frames.get(pos).is_none_or(|&(f, _)| f != frame) {
+            frames.insert(pos, (frame, 0));
+        }
+        frames[pos].1 += 1;
+        let last = frames[pos].1 == flit.msgs_in_frame;
+        if last {
+            frames.remove(pos);
+        }
+        last
+    }
+
+    /// Serialises the per-stream tail counts into a snapshot.
+    pub fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.streams.len());
+        for frames in &self.streams {
+            w.usize(frames.len());
+            for &(frame, tails) in frames {
+                w.u32(frame);
+                w.u32(tails);
+            }
+        }
+    }
+
+    /// Restores counts saved by [`FrameTails::save`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates snapshot decoding errors.
+    pub fn load(r: &mut SnapReader<'_>) -> Result<FrameTails, SnapError> {
+        let streams = (0..r.usize()?)
+            .map(|_| (0..r.usize()?).map(|_| Ok((r.u32()?, r.u32()?))).collect())
+            .collect::<Result<_, _>>()?;
+        Ok(FrameTails { streams })
     }
 }
 
@@ -329,8 +368,8 @@ mod tests {
         assert!(mean > 33.0);
         let s = t.summary();
         assert!(s.p99_ms >= s.mean_ms - 0.5);
-        assert_eq!(t.per_stream().len(), 2);
-        assert_eq!(t.per_stream()[0].count(), 49);
+        assert_eq!(t.per_stream.len(), 2);
+        assert_eq!(t.per_stream[0].count(), 49);
     }
 
     #[test]
@@ -346,8 +385,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean_ms_opt(), None);
         assert_eq!(s.std_ms_opt(), None);
-        assert_eq!(s.max_ms_opt(), None);
-        assert_eq!(s.p99_ms_opt(), None);
     }
 
     #[test]
@@ -361,8 +398,6 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.mean_ms_opt(), Some(s.mean_ms));
         assert_eq!(s.std_ms_opt(), Some(s.std_ms));
-        assert_eq!(s.max_ms_opt(), Some(s.max_ms));
-        assert_eq!(s.p99_ms_opt(), Some(s.p99_ms));
     }
 
     #[test]
@@ -371,5 +406,58 @@ mod tests {
         let mut t = DeliveryTracker::new(tb());
         t.record_frame(StreamId(0), Cycles(100));
         t.record_frame(StreamId(0), Cycles(50));
+    }
+
+    fn tail(stream: u32, frame: u32, msgs_in_frame: u32) -> Flit {
+        Flit {
+            kind: flitnet::FlitKind::Tail,
+            stream: StreamId(stream),
+            msg: flitnet::MsgId(0),
+            frame: flitnet::FrameId(frame),
+            seq_in_msg: 0,
+            msg_len: 1,
+            msg_seq_in_frame: 0,
+            msgs_in_frame,
+            dest: flitnet::NodeId(0),
+            vc: flitnet::VcId(0),
+            out_vc: flitnet::VcId(0),
+            vtick: 1.0,
+            class: flitnet::TrafficClass::Vbr,
+            created_at: Cycles(0),
+        }
+    }
+
+    #[test]
+    fn frame_completes_on_its_last_tail_even_interleaved() {
+        let mut t = FrameTails::default();
+        assert!(!t.tail(&tail(2, 7, 3)));
+        assert!(!t.tail(&tail(2, 8, 2)));
+        assert!(!t.tail(&tail(0, 7, 2)), "streams count separately");
+        assert!(!t.tail(&tail(2, 7, 3)));
+        assert!(t.tail(&tail(2, 8, 2)));
+        assert!(t.tail(&tail(2, 7, 3)));
+        assert!(
+            t.tail(&tail(5, 1, 1)),
+            "a one-message frame completes at once"
+        );
+        // A completed frame starts counting afresh.
+        assert!(!t.tail(&tail(2, 7, 3)));
+    }
+
+    #[test]
+    fn frame_tails_round_trip_through_a_snapshot() {
+        let mut t = FrameTails::default();
+        t.tail(&tail(1, 9, 3));
+        t.tail(&tail(1, 4, 2));
+        let mut w = SnapWriter::new();
+        t.save(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let mut back = FrameTails::load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(format!("{back:?}"), format!("{t:?}"));
+        assert!(back.tail(&tail(1, 4, 2)));
+        assert!(!back.tail(&tail(1, 9, 3)));
+        assert!(back.tail(&tail(1, 9, 3)));
     }
 }

@@ -20,7 +20,7 @@ pub mod json;
 pub mod latency;
 pub mod report;
 
-pub use delivery::{DeliveryTracker, JitterSummary};
+pub use delivery::{DeliveryTracker, FrameTails, JitterSummary};
 pub use json::Json;
 pub use latency::LatencyTracker;
 pub use report::Table;

@@ -14,12 +14,12 @@
 //! every link below its capacity, so queues stay small in any admitted
 //! configuration — backpressure hardware would be dead logic here.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use flitnet::{Flit, NodeId, VcId};
 use mediaworm::counters::OCCUPANCY_SAMPLE_PERIOD;
 use mediaworm::{MuxScheduler, SchedulerKind};
-use metrics::DeliveryTracker;
+use metrics::{DeliveryTracker, FrameTails};
 use netsim::{Cycles, TimeBase};
 
 use crate::config::PcsConfig;
@@ -117,7 +117,7 @@ pub struct PcsNetwork {
     in_vc_used: Vec<Vec<bool>>,
     out_vc_used: Vec<Vec<bool>>,
     delivery: DeliveryTracker,
-    frame_tails: Vec<HashMap<u32, u32>>,
+    frame_tails: FrameTails,
     flits_in_flight: u64,
     delivered_msgs: u64,
     /// Occupancy sampling events taken so far.
@@ -144,7 +144,7 @@ impl PcsNetwork {
             in_vc_used: vec![vec![false; vcs]; cfg.nodes],
             out_vc_used: vec![vec![false; vcs]; cfg.nodes],
             delivery: DeliveryTracker::new(timebase),
-            frame_tails: Vec::new(),
+            frame_tails: FrameTails::default(),
             flits_in_flight: 0,
             delivered_msgs: 0,
             occupancy_samples: 0,
@@ -240,14 +240,7 @@ impl PcsNetwork {
             return;
         }
         self.delivered_msgs += 1;
-        let s = flit.stream.index();
-        if s >= self.frame_tails.len() {
-            self.frame_tails.resize_with(s + 1, HashMap::new);
-        }
-        let tails = self.frame_tails[s].entry(flit.frame.get()).or_insert(0);
-        *tails += 1;
-        if *tails == flit.msgs_in_frame {
-            self.frame_tails[s].remove(&flit.frame.get());
+        if self.frame_tails.tail(&flit) {
             self.delivery.record_frame(flit.stream, now);
         }
     }
