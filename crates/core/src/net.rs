@@ -87,6 +87,30 @@ impl NiMsg {
     }
 }
 
+/// A source's next message, waiting for its injection cycle: the head
+/// flit, which holds every per-message field (its `vc` is the injection
+/// VC), as for [`NiMsg`]. Staging drops the workload's `Vec<Flit>` at
+/// once.
+#[derive(Debug, Clone, Copy)]
+struct Staged {
+    at: Cycles,
+    src: NodeId,
+    head: Flit,
+}
+
+impl Staged {
+    fn new(msg: ScheduledMessage) -> Staged {
+        let head = msg.flits[0];
+        debug_assert_eq!(head.msg_len as usize, msg.flits.len());
+        debug_assert_eq!(head.vc, msg.vc_in, "the head carries the injection VC");
+        Staged {
+            at: msg.at,
+            src: msg.src,
+            head,
+        }
+    }
+}
+
 /// An endpoint's network interface: per-VC queues of waiting messages
 /// plus the credit view of the router input buffer it feeds.
 #[derive(Debug)]
@@ -184,7 +208,8 @@ pub struct Network {
     feed_link: Vec<Vec<usize>>,
     workload: Workload,
     calendar: Calendar<usize>,
-    staged: Vec<Option<ScheduledMessage>>,
+    /// Every source's next message (a source always has exactly one).
+    staged: Vec<Staged>,
     sinks: Sinks,
     now: Cycles,
     flits_in_flight: u64,
@@ -357,7 +382,7 @@ impl Network {
                 msg.src
             );
             calendar.schedule(msg.at, i);
-            staged.push(Some(msg));
+            staged.push(Staged::new(msg));
         }
 
         let link_count = links.len();
@@ -710,17 +735,15 @@ impl Network {
     /// Phase 1: fire due injections into the NI queues.
     fn inject(&mut self, now: Cycles) {
         while let Some((_, i)) = self.calendar.pop_due(now) {
-            let msg = self.staged[i].take().expect("staged message present");
-            let ep = &mut self.endpoints[msg.src.index()];
-            let v = msg.vc_in.index();
-            let head = msg.flits[0];
-            debug_assert_eq!(head.msg_len as usize, msg.flits.len());
-            for flit in &msg.flits {
-                ep.sched.on_arrival(v, now, flit);
+            let Staged { at, src, head } = self.staged[i];
+            let ep = &mut self.endpoints[src.index()];
+            let v = head.vc.index();
+            for k in 0..head.msg_len {
+                ep.sched.on_arrival(v, now, &head.nth(k));
             }
             ep.queues[v].push_back(NiMsg { head, next: 0 });
-            ep.queued += msg.flits.len() as u64;
-            self.active_eps.insert(msg.src.index());
+            ep.queued += u64::from(head.msg_len);
+            self.active_eps.insert(src.index());
             if let Some(sink) = &mut self.trace {
                 // One event per message; `port` holds the source node id
                 // (there is no router at the injection point).
@@ -728,14 +751,14 @@ impl Network {
                     cycle: now.get(),
                     kind: FlitEventKind::Inject,
                     router: None,
-                    port: msg.src.get(),
-                    vc: msg.vc_in.get(),
+                    port: src.get(),
+                    vc: head.vc.get(),
                     stream: head.stream.get(),
                     msg: head.msg.get(),
                     real_time: head.class.is_real_time(),
                 });
             }
-            self.flits_in_flight += msg.flits.len() as u64;
+            self.flits_in_flight += u64::from(head.msg_len);
             self.injected_msgs += 1;
             if head.class.is_real_time() {
                 let s = head.stream.index();
@@ -744,10 +767,10 @@ impl Network {
                 }
                 self.sinks.rt_outstanding[s].push_back(head.created_at.get());
             }
-            let next = self.workload.next_message(i);
-            debug_assert!(next.at >= msg.at, "source injections must be monotonic");
+            let next = Staged::new(self.workload.next_message(i));
+            debug_assert!(next.at >= at, "source injections must be monotonic");
             self.calendar.schedule(next.at, i);
-            self.staged[i] = Some(next);
+            self.staged[i] = next;
         }
     }
 
@@ -1373,14 +1396,10 @@ impl Network {
             w.usize(idx);
         }
         w.usize(self.staged.len());
-        for slot in &self.staged {
-            // Every flit of a message follows from its head.
-            w.option(slot.as_ref(), |w, msg| {
-                w.u64(msg.at.0);
-                w.u32(msg.src.0);
-                w.u32(msg.vc_in.0);
-                msg.flits[0].save(w);
-            });
+        for msg in &self.staged {
+            w.u64(msg.at.0);
+            w.u32(msg.src.0);
+            msg.head.save(&mut w);
         }
         for ep in &self.endpoints {
             for q in &ep.queues {
@@ -1485,18 +1504,16 @@ impl Network {
         if r.usize()? != self.staged.len() {
             return Err(SnapError::BadValue("staged source count mismatch"));
         }
-        for slot in &mut self.staged {
-            *slot = r.option(|r| {
-                let at = Cycles(r.u64()?);
-                let src = NodeId(r.u32()?);
-                let vc_in = VcId(r.u32()?);
-                Ok(ScheduledMessage {
-                    at,
-                    src,
-                    vc_in,
-                    flits: Flit::flitify(Flit::load_head(r)?),
-                })
-            })?;
+        for msg in &mut self.staged {
+            msg.at = Cycles(r.u64()?);
+            msg.src = NodeId(r.u32()?);
+            msg.head = Flit::load_head(&mut r)?;
+            let ep = self.endpoints.get(msg.src.index());
+            if ep.is_none_or(|ep| msg.head.vc.index() >= ep.queues.len()) {
+                return Err(SnapError::BadValue(
+                    "staged message source or VC out of range",
+                ));
+            }
         }
         for ep in &mut self.endpoints {
             for q in &mut ep.queues {
@@ -1512,10 +1529,10 @@ impl Network {
                 }
             }
             ep.sched.load_into(&mut r)?;
-            // The NI multiplexer holds one stamp per flit still to send.
+            // The NI multiplexer's runs cover every flit still to send.
             for (v, q) in ep.queues.iter().enumerate() {
                 if ep.sched.pending(v) as u64 != q.iter().map(NiMsg::remaining).sum::<u64>() {
-                    return Err(SnapError::BadValue("NI stamps disagree with queued flits"));
+                    return Err(SnapError::BadValue("NI runs disagree with queued flits"));
                 }
             }
             for c in &mut ep.credits {
@@ -2171,16 +2188,16 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_v3_image() {
+    fn restore_rejects_a_v4_image() {
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let mut a = Network::new(&topology, small_workload(0.4, 25), &cfg);
         a.run_until(a.timebase().cycles_from_ms(2.0));
         let mut bytes = a.snapshot();
         // The version word follows the 4-byte magic.
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
         let mut b = Network::new(&topology, small_workload(0.4, 25), &cfg);
-        assert_eq!(b.restore(&bytes), Err(SnapError::BadVersion { found: 3 }));
+        assert_eq!(b.restore(&bytes), Err(SnapError::BadVersion { found: 4 }));
     }
 
     #[test]
@@ -2205,10 +2222,17 @@ mod tests {
             e.next = e.head.msg_len;
         })));
         // An NI cursor in range that no longer matches the NI
-        // multiplexer's stamps.
+        // multiplexer's runs.
         assert!(bad_value(restore_after(&|net| {
             let e = net.endpoints[n].queues[v].front_mut().unwrap();
             e.next = (e.next + 1) % e.head.msg_len;
+        })));
+        // NI runs holding one flit more than the queued messages.
+        assert!(bad_value(restore_after(&|net| {
+            let now = net.now();
+            let ep = &mut net.endpoints[n];
+            let head = ep.queues[v].front().unwrap().head;
+            ep.sched.on_arrival(v, now, &head.nth(head.msg_len - 1));
         })));
         // An NI message of no flits.
         assert!(bad_value(restore_after(&|net| {
@@ -2222,12 +2246,19 @@ mod tests {
             e.head = e.head.nth(e.head.msg_len - 1);
             e.head.msg_len += 1;
         })));
-        // A staged message of no flits, and one saved from a body flit.
+        // A staged message of no flits, one saved from a body flit, and
+        // one from a source or on a VC the network does not have.
         assert!(bad_value(restore_after(&|net| {
-            net.staged[0].as_mut().unwrap().flits[0].msg_len = 0;
+            net.staged[0].head.msg_len = 0;
         })));
         assert!(bad_value(restore_after(&|net| {
-            net.staged[0].as_mut().unwrap().flits[0].seq_in_msg = 1;
+            net.staged[0].head.seq_in_msg = 1;
+        })));
+        assert!(bad_value(restore_after(&|net| {
+            net.staged[0].src = NodeId(8);
+        })));
+        assert!(bad_value(restore_after(&|net| {
+            net.staged[0].head.vc = VcId(16);
         })));
         // Untouched, the same image restores.
         assert_eq!(restore_after(&|_| {}), Ok(()));

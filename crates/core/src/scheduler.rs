@@ -66,20 +66,45 @@ pub const STAMP_SATURATION: f64 = 1e15;
 /// enough that the round-refill bookkeeping stays off the per-flit path.
 pub const DRR_QUANTUM: f64 = 4.0;
 
+/// A run of queued stamps: `next`, then `next` advanced by [`advance`]
+/// with `step` once per further flit, `left` flits in all.
+///
+/// Virtual Clock, WFQ and SCFQ runs step by the message's Vtick, so a
+/// message queued whole, or a worm backlogged behind its own head, is one
+/// run. FIFO, round-robin and DRR runs step by 0: their flits repeat one
+/// stamp.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    next: f64,
+    step: f64,
+    left: u32,
+}
+
+/// The rule that chains a run's stamps, which is also the saturating
+/// `+ Vtick` of every virtual-clock-style stamp.
+fn advance(stamp: f64, step: f64) -> f64 {
+    (stamp + step).min(STAMP_SATURATION)
+}
+
 /// Per-VC scheduler state.
 #[derive(Debug, Clone, Default)]
 struct VcState {
-    /// Pending stamps, parallel to the flits queued at this mux point.
-    stamps: VecDeque<f64>,
-    /// Memoized copy of `stamps.front()`: the pick scans every eligible
-    /// VC every cycle, and a plain field load beats a `VecDeque` front
-    /// access in that loop. Maintained on arrival (first flit) and
-    /// service (next flit); meaningless while `stamps` is empty.
+    /// Pending stamps as runs, parallel to the flits queued at this mux
+    /// point.
+    runs: VecDeque<Run>,
+    /// Flits queued (the runs' `left`, summed): [`MuxScheduler::pending`].
+    flits: usize,
+    /// Memoized stamp of the queued head flit: the pick scans every
+    /// eligible VC every cycle, and a plain field load beats reading the
+    /// front run in that loop. Maintained on arrival (first flit) and
+    /// service (next flit); meaningless while no flit is queued.
     head_stamp: f64,
-    /// The connection's virtual clock register. Virtual Clock uses it as
-    /// Zhang's `auxVC`; WFQ and SCFQ reuse it as the connection's last
-    /// finish tag (same lifecycle: reset when the VC is recycled to a new
-    /// stream).
+    /// The last stamp issued on this VC, so also the tail run's last
+    /// stamp while a flit is queued. Virtual Clock uses it as Zhang's
+    /// `auxVC`; WFQ and SCFQ as the connection's last finish tag (same
+    /// lifecycle: reset when the VC is recycled to a new stream). FIFO
+    /// stamps are arrival cycles and round-robin and DRR stamps are 0;
+    /// those disciplines never read it back.
     aux_vc: f64,
     /// DRR deficit counter in flits. Untouched by the other disciplines.
     deficit: f64,
@@ -159,13 +184,23 @@ impl MuxScheduler {
     ///
     /// Panics if `vc` is out of range.
     pub fn on_arrival(&mut self, vc: usize, now: Cycles, flit: &Flit) {
+        // Runs follow messages only while every stamp is at or above the
+        // clock, which `Vtick >= 0` and a clock below the saturation
+        // ceiling guarantee: a flit queued behind its own stream's last
+        // stamp then chains onto that stamp's run.
+        debug_assert!(
+            now.as_f64() <= STAMP_SATURATION,
+            "cycle {now:?} past the stamp ceiling"
+        );
         if self.kind == SchedulerKind::Wfq {
             self.advance_virtual_time(now);
         }
         let v_time = self.v_time;
         let v_served = self.v_served;
         let state = &mut self.vcs[vc];
+        let last = state.aux_vc;
         if flit.kind.is_head() {
+            debug_assert!(flit.vtick >= 0.0, "Vtick {} below zero", flit.vtick);
             state.vtick = flit.vtick;
             // Zhang's auxVC is a per-connection register (WFQ and SCFQ
             // reuse it as the connection's finish tag). When the VC is
@@ -176,32 +211,46 @@ impl MuxScheduler {
                 state.stream = Some(flit.stream);
             }
         }
-        let stamp = match self.kind {
-            SchedulerKind::VirtualClock => {
-                // auxVC ← max(Clock, auxVC) + Vtick  (Zhang's update
-                // rule), saturated so a best-effort backlog cannot push
-                // the register past f64 integer precision.
-                state.aux_vc = (state.aux_vc.max(now.as_f64()) + state.vtick).min(STAMP_SATURATION);
-                state.aux_vc
-            }
-            SchedulerKind::Wfq => {
-                // F ← max(F_prev, V) + Vtick against the GPS-approximated
-                // virtual time advanced above.
-                state.aux_vc = (state.aux_vc.max(v_time) + state.vtick).min(STAMP_SATURATION);
-                state.aux_vc
-            }
-            SchedulerKind::Scfq => {
-                // F ← max(F_prev, tag of the last-served flit) + Vtick.
-                state.aux_vc = (state.aux_vc.max(v_served) + state.vtick).min(STAMP_SATURATION);
-                state.aux_vc
-            }
-            SchedulerKind::Fifo => now.as_f64(),
-            SchedulerKind::RoundRobin | SchedulerKind::Drr => 0.0,
+        let (stamp, step) = match self.kind {
+            // auxVC ← max(Clock, auxVC) + Vtick  (Zhang's update rule),
+            // saturated so a best-effort backlog cannot push the register
+            // past f64 integer precision.
+            SchedulerKind::VirtualClock => (
+                advance(state.aux_vc.max(now.as_f64()), state.vtick),
+                state.vtick,
+            ),
+            // F ← max(F_prev, V) + Vtick against the GPS-approximated
+            // virtual time advanced above.
+            SchedulerKind::Wfq => (advance(state.aux_vc.max(v_time), state.vtick), state.vtick),
+            // F ← max(F_prev, tag of the last-served flit) + Vtick.
+            SchedulerKind::Scfq => (
+                advance(state.aux_vc.max(v_served), state.vtick),
+                state.vtick,
+            ),
+            SchedulerKind::Fifo => (now.as_f64(), 0.0),
+            SchedulerKind::RoundRobin | SchedulerKind::Drr => (0.0, 0.0),
         };
-        if state.stamps.is_empty() {
+        state.aux_vc = stamp;
+        if state.flits == 0 {
             state.head_stamp = stamp;
         }
-        state.stamps.push_back(stamp);
+        state.flits += 1;
+        // The flit joins the tail run when the run's own rule yields its
+        // stamp, bit for bit; the run then replays it exactly.
+        match state.runs.back_mut() {
+            Some(tail)
+                if tail.step.to_bits() == step.to_bits()
+                    && advance(last, step).to_bits() == stamp.to_bits()
+                    && tail.left < u32::MAX =>
+            {
+                tail.left += 1;
+            }
+            _ => state.runs.push_back(Run {
+                next: stamp,
+                step,
+                left: 1,
+            }),
+        }
     }
 
     /// Advances WFQ's virtual time to `now`.
@@ -220,7 +269,7 @@ impl MuxScheduler {
         let weight: f64 = self
             .vcs
             .iter()
-            .filter(|s| !s.stamps.is_empty())
+            .filter(|s| s.flits > 0)
             .map(|s| 1.0 / s.vtick)
             .sum();
         self.v_time = if weight > 0.0 {
@@ -237,8 +286,8 @@ impl MuxScheduler {
     /// move (its active sets already hold them in ascending order), and
     /// the rotation starts at a `partition_point` on the service cursor
     /// instead of visiting every VC. A listed VC must have at least one
-    /// pending stamp (i.e. a queued flit) — violations panic, as they
-    /// indicate the owner's queue and the scheduler went out of sync.
+    /// queued flit — violations panic, as they indicate the owner's queue
+    /// and the scheduler went out of sync.
     ///
     /// # Panics
     ///
@@ -250,7 +299,7 @@ impl MuxScheduler {
         );
         for &vc in eligible {
             assert!(
-                !self.vcs[vc].stamps.is_empty(),
+                self.vcs[vc].flits > 0,
                 "eligible VC must have a queued flit"
             );
         }
@@ -277,7 +326,7 @@ impl MuxScheduler {
                 .filter(move |&vc| eligible[vc])
                 .inspect(|&vc| {
                     assert!(
-                        !self.vcs[vc].stamps.is_empty(),
+                        self.vcs[vc].flits > 0,
                         "eligible VC must have a queued flit"
                     );
                 })
@@ -308,7 +357,7 @@ impl MuxScheduler {
                     let stamp = state.head_stamp;
                     debug_assert_eq!(
                         stamp.to_bits(),
-                        state.stamps.front().copied().unwrap().to_bits(),
+                        state.runs.front().unwrap().next.to_bits(),
                         "memoized head stamp must track the queue front"
                     );
                     if best.is_none_or(|(s, _)| stamp < s) {
@@ -341,13 +390,22 @@ impl MuxScheduler {
     pub fn on_service(&mut self, vc: usize) {
         let served = {
             let state = &mut self.vcs[vc];
-            let served = state
-                .stamps
-                .pop_front()
+            let front = state
+                .runs
+                .front_mut()
                 .expect("serviced VC must have had a queued flit");
-            if let Some(&next) = state.stamps.front() {
-                state.head_stamp = next;
+            let served = front.next;
+            if front.left > 1 {
+                front.left -= 1;
+                front.next = advance(front.next, front.step);
+                state.head_stamp = front.next;
+            } else {
+                state.runs.pop_front();
+                if let Some(next) = state.runs.front() {
+                    state.head_stamp = next.next;
+                }
             }
+            state.flits -= 1;
             served
         };
         match self.kind {
@@ -364,7 +422,7 @@ impl MuxScheduler {
                 // bounds the burst a VC blocked mid-round can later send.
                 if self.vcs[vc].deficit < 1.0 {
                     for (i, s) in self.vcs.iter_mut().enumerate() {
-                        if i == vc || !s.stamps.is_empty() {
+                        if i == vc || s.flits > 0 {
                             s.deficit = (s.deficit + DRR_QUANTUM).min(2.0 * DRR_QUANTUM);
                         } else {
                             s.deficit = 0.0;
@@ -378,15 +436,15 @@ impl MuxScheduler {
         self.rr_cursor = vc;
     }
 
-    /// Pending flits registered for VC `vc` (one stamp each; restore and
-    /// tests check it against the queue the multiplexer serves).
+    /// Pending flits registered for VC `vc` (restore and tests check it
+    /// against the queue the multiplexer serves).
     pub fn pending(&self, vc: usize) -> usize {
-        self.vcs[vc].stamps.len()
+        self.vcs[vc].flits
     }
 
-    /// Serialises the mutable scheduler state (stamps, clocks, cursor)
-    /// into a snapshot. The discipline and VC count are configuration and
-    /// are written only as a consistency check.
+    /// Serialises the mutable scheduler state (stamp runs, clocks,
+    /// cursor) into a snapshot. The discipline and VC count are
+    /// configuration and are written only as a consistency check.
     pub fn save(&self, w: &mut SnapWriter) {
         w.u8(kind_tag(self.kind));
         w.usize(self.vcs.len());
@@ -398,11 +456,12 @@ impl MuxScheduler {
         w.u64(self.v_cycle);
         w.f64(self.v_served);
         for vc in &self.vcs {
-            w.usize(vc.stamps.len());
-            for &s in &vc.stamps {
-                w.f64(s);
+            w.usize(vc.runs.len());
+            for run in &vc.runs {
+                w.f64(run.next);
+                w.f64(run.step);
+                w.u32(run.left);
             }
-            w.f64(vc.head_stamp);
             w.f64(vc.aux_vc);
             w.f64(vc.deficit);
             w.f64(vc.vtick);
@@ -416,8 +475,9 @@ impl MuxScheduler {
     /// # Errors
     ///
     /// Propagates decoding errors; rejects a snapshot whose discipline or
-    /// VC count disagrees with this scheduler's configuration, or whose
-    /// service cursor is not one of its VCs.
+    /// VC count disagrees with this scheduler's configuration, whose
+    /// service cursor is not one of its VCs, or that holds a run of no
+    /// flits.
     pub fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if r.u8()? != kind_tag(self.kind) {
             return Err(SnapError::BadValue("scheduler kind mismatch"));
@@ -434,11 +494,21 @@ impl MuxScheduler {
         self.v_served = r.f64()?;
         for vc in &mut self.vcs {
             let n = r.usize()?;
-            vc.stamps.clear();
+            vc.runs.clear();
+            vc.flits = 0;
             for _ in 0..n {
-                vc.stamps.push_back(r.f64()?);
+                let run = Run {
+                    next: r.f64()?,
+                    step: r.f64()?,
+                    left: r.u32()?,
+                };
+                if run.left == 0 {
+                    return Err(SnapError::BadValue("scheduler run of no flits"));
+                }
+                vc.flits += run.left as usize;
+                vc.runs.push_back(run);
             }
-            vc.head_stamp = r.f64()?;
+            vc.head_stamp = vc.runs.front().map_or(0.0, |run| run.next);
             vc.aux_vc = r.f64()?;
             vc.deficit = r.f64()?;
             vc.vtick = r.f64()?;
@@ -464,6 +534,7 @@ fn kind_tag(kind: SchedulerKind) -> u8 {
 mod tests {
     use super::*;
     use flitnet::{FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId};
+    use proptest::prelude::*;
 
     fn flit(kind: FlitKind, vtick: f64) -> Flit {
         Flit {
@@ -921,7 +992,7 @@ mod tests {
         }
         for vc in 0..2 {
             let mut prev = f64::NEG_INFINITY;
-            for &stamp in &s.vcs[vc].stamps {
+            for stamp in s.stamps(vc) {
                 assert!(stamp.is_finite(), "stamp must stay finite");
                 assert!(
                     stamp <= STAMP_SATURATION,
@@ -954,28 +1025,67 @@ mod tests {
         let _ = s.choose(&[true]);
     }
 
+    /// `bytes`, a saved image, re-encoded with its payload bytes from
+    /// `at` on overwritten by `patch` (re-encoding keeps the checksum
+    /// valid).
+    fn patched(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+        const HEADER_LEN: usize = 24;
+        let mut payload = bytes[HEADER_LEN..].to_vec();
+        payload[at..at + patch.len()].copy_from_slice(patch);
+        let mut w = SnapWriter::new();
+        for b in payload {
+            w.u8(b);
+        }
+        w.finish()
+    }
+
     #[test]
     fn restore_rejects_an_out_of_range_cursor() {
         let mut w = SnapWriter::new();
         MuxScheduler::new(SchedulerKind::RoundRobin, 3).save(&mut w);
-        let bytes = w.finish();
-        // Re-encode the payload with the cursor (after the kind tag and
-        // the VC count) set to the VC count.
-        const HEADER_LEN: usize = 24;
-        let payload = &bytes[HEADER_LEN..];
-        let mut w = SnapWriter::new();
-        for &b in &payload[..9] {
-            w.u8(b);
-        }
-        w.usize(3);
-        for &b in &payload[17..] {
-            w.u8(b);
-        }
-        let bad = w.finish();
+        // The cursor follows the kind tag and the VC count.
+        let bad = patched(&w.finish(), 9, &3u64.to_le_bytes());
         let mut r = SnapReader::new(&bad).unwrap();
         assert_eq!(
             MuxScheduler::new(SchedulerKind::RoundRobin, 3).load_into(&mut r),
             Err(SnapError::BadValue("scheduler cursor out of range"))
+        );
+    }
+
+    /// A one-VC Virtual Clock scheduler holding one `len`-flit message of
+    /// a Vtick-10 stream, queued whole at cycle 0.
+    fn one_message(len: u32) -> MuxScheduler {
+        let mut s = MuxScheduler::new(SchedulerKind::VirtualClock, 1);
+        let mut head = flit(FlitKind::Head, 10.0);
+        head.msg_len = len;
+        for i in 0..len {
+            s.on_arrival(0, Cycles(0), &head.nth(i));
+        }
+        s
+    }
+
+    #[test]
+    fn a_queued_message_saves_as_one_run() {
+        let s = one_message(1_000);
+        assert_eq!(s.pending(0), 1_000);
+        assert_eq!(s.vcs[0].runs.len(), 1);
+        let mut w = SnapWriter::new();
+        s.save(&mut w);
+        let saved = w.finish().len() - SnapWriter::new().finish().len();
+        assert!(saved < 100, "1000 queued flits saved as {saved} bytes");
+    }
+
+    #[test]
+    fn restore_rejects_a_run_of_no_flits() {
+        let mut w = SnapWriter::new();
+        one_message(3).save(&mut w);
+        // The run's `left` follows the six global fields (41 bytes), the
+        // run count and the run's `next` and `step`.
+        let bad = patched(&w.finish(), 41 + 8 + 16, &0u32.to_le_bytes());
+        let mut r = SnapReader::new(&bad).unwrap();
+        assert_eq!(
+            MuxScheduler::new(SchedulerKind::VirtualClock, 1).load_into(&mut r),
+            Err(SnapError::BadValue("scheduler run of no flits"))
         );
     }
 
@@ -990,60 +1100,166 @@ mod tests {
     }
 
     impl MuxScheduler {
-        /// The pre-memoization `choose`: reads each eligible VC's stamp
-        /// from the queue front instead of the cached `head_stamp`. The
-        /// oracle for `memoized_choice_sequence_matches_unmemoized_scan`.
-        fn choose_unmemoized(&self, eligible: &[bool]) -> Option<usize> {
-            assert_eq!(eligible.len(), self.vcs.len());
-            let n = self.vcs.len();
+        /// VC `vc`'s queued stamps, one per flit, expanded from its runs.
+        fn stamps(&self, vc: usize) -> Vec<f64> {
+            let mut out = Vec::new();
+            for run in &self.vcs[vc].runs {
+                let mut stamp = run.next;
+                for _ in 0..run.left {
+                    out.push(stamp);
+                    stamp = advance(stamp, run.step);
+                }
+            }
+            out
+        }
+    }
+
+    /// The per-flit reference for the run queue: one stamp per queued
+    /// flit in a `VecDeque`, with the stamping, pick and service rules
+    /// written out plainly and every pick an unmemoized scan.
+    struct Model {
+        kind: SchedulerKind,
+        stamps: Vec<VecDeque<f64>>,
+        aux: Vec<f64>,
+        vtick: Vec<f64>,
+        stream: Vec<Option<StreamId>>,
+        deficit: Vec<f64>,
+        cursor: usize,
+        v_time: f64,
+        v_cycle: u64,
+        v_served: f64,
+    }
+
+    impl Model {
+        fn new(kind: SchedulerKind, n: usize) -> Model {
+            Model {
+                kind,
+                stamps: vec![VecDeque::new(); n],
+                aux: vec![0.0; n],
+                vtick: vec![0.0; n],
+                stream: vec![None; n],
+                deficit: vec![0.0; n],
+                cursor: 0,
+                v_time: 0.0,
+                v_cycle: 0,
+                v_served: 0.0,
+            }
+        }
+
+        fn arrive(&mut self, vc: usize, now: u64, f: &Flit) {
+            let n = self.stamps.len();
+            if self.kind == SchedulerKind::Wfq && now > self.v_cycle {
+                let dt = (now - self.v_cycle) as f64;
+                self.v_cycle = now;
+                let weight: f64 = (0..n)
+                    .filter(|&v| !self.stamps[v].is_empty())
+                    .map(|v| 1.0 / self.vtick[v])
+                    .sum();
+                self.v_time = if weight > 0.0 {
+                    (self.v_time + dt / weight).min(STAMP_SATURATION)
+                } else {
+                    self.v_time.max(now as f64).min(STAMP_SATURATION)
+                };
+            }
+            if f.kind.is_head() {
+                self.vtick[vc] = f.vtick;
+                if self.stream[vc] != Some(f.stream) {
+                    self.aux[vc] = 0.0;
+                    self.stream[vc] = Some(f.stream);
+                }
+            }
+            let base = match self.kind {
+                SchedulerKind::VirtualClock => now as f64,
+                SchedulerKind::Wfq => self.v_time,
+                SchedulerKind::Scfq => self.v_served,
+                SchedulerKind::Fifo => return self.stamps[vc].push_back(now as f64),
+                SchedulerKind::RoundRobin | SchedulerKind::Drr => {
+                    return self.stamps[vc].push_back(0.0)
+                }
+            };
+            self.aux[vc] = (self.aux[vc].max(base) + self.vtick[vc]).min(STAMP_SATURATION);
+            self.stamps[vc].push_back(self.aux[vc]);
+        }
+
+        fn pick(&self, eligible: &[bool]) -> Option<usize> {
+            let n = self.stamps.len();
+            // Eligible VCs in rotation order, starting `from` past the
+            // cursor.
+            let rotated = |from: usize| {
+                (from..from + n)
+                    .map(move |off| (self.cursor + off) % n)
+                    .filter(|&vc| eligible[vc])
+            };
             match self.kind {
                 SchedulerKind::VirtualClock
                 | SchedulerKind::Fifo
                 | SchedulerKind::Wfq
                 | SchedulerKind::Scfq => {
                     let mut best: Option<(f64, usize)> = None;
-                    for off in 1..=n {
-                        let vc = (self.rr_cursor + off) % n;
-                        if !eligible[vc] {
-                            continue;
-                        }
-                        let stamp = *self.vcs[vc]
-                            .stamps
-                            .front()
-                            .expect("eligible VC must have a queued flit");
+                    for vc in rotated(1) {
+                        let stamp = self.stamps[vc][0];
                         if best.is_none_or(|(s, _)| stamp < s) {
                             best = Some((stamp, vc));
                         }
                     }
                     best.map(|(_, vc)| vc)
                 }
-                SchedulerKind::RoundRobin => {
-                    for off in 1..=n {
-                        let vc = (self.rr_cursor + off) % n;
-                        if eligible[vc] {
-                            return Some(vc);
-                        }
-                    }
-                    None
-                }
+                SchedulerKind::RoundRobin => rotated(1).next(),
+                SchedulerKind::Drr => rotated(0)
+                    .find(|&vc| self.deficit[vc] >= 1.0)
+                    .or_else(|| rotated(1).next()),
+            }
+        }
+
+        fn serve(&mut self, vc: usize) {
+            let served = self.stamps[vc].pop_front().expect("a queued flit");
+            match self.kind {
+                SchedulerKind::Scfq => self.v_served = served,
                 SchedulerKind::Drr => {
-                    for off in 0..n {
-                        let vc = (self.rr_cursor + off) % n;
-                        if eligible[vc] && self.vcs[vc].deficit >= 1.0 {
-                            assert!(
-                                !self.vcs[vc].stamps.is_empty(),
-                                "eligible VC must have a queued flit"
-                            );
-                            return Some(vc);
+                    if self.deficit[vc] < 1.0 {
+                        for i in 0..self.stamps.len() {
+                            self.deficit[i] = if i == vc || !self.stamps[i].is_empty() {
+                                (self.deficit[i] + DRR_QUANTUM).min(2.0 * DRR_QUANTUM)
+                            } else {
+                                0.0
+                            };
                         }
                     }
-                    for off in 1..=n {
-                        let vc = (self.rr_cursor + off) % n;
-                        if eligible[vc] {
-                            return Some(vc);
-                        }
-                    }
-                    None
+                    self.deficit[vc] -= 1.0;
+                }
+                _ => {}
+            }
+            self.cursor = vc;
+        }
+
+        /// Picks among `eligible` on both the model and `s` (by mask and
+        /// by list), serves the pick on both, and checks that they agree
+        /// on it and on every VC's pending count and head stamp after.
+        fn step_with(&mut self, s: &mut MuxScheduler, eligible: &[bool]) -> Option<usize> {
+            let list: Vec<usize> = (0..eligible.len()).filter(|&v| eligible[v]).collect();
+            let expect = self.pick(eligible);
+            assert_eq!(s.choose(eligible), expect, "{:?} mask pick", self.kind);
+            assert_eq!(s.choose_from(&list), expect, "{:?} list pick", self.kind);
+            if let Some(vc) = expect {
+                self.serve(vc);
+                s.on_service(vc);
+            }
+            self.assert_matches(s);
+            expect
+        }
+
+        fn assert_matches(&self, s: &MuxScheduler) {
+            for (vc, q) in self.stamps.iter().enumerate() {
+                assert_eq!(s.pending(vc), q.len(), "{:?} VC {vc} pending", self.kind);
+                if let Some(head) = q.front() {
+                    let run = s.vcs[vc].runs.front().expect("a queued run");
+                    assert_eq!(
+                        run.next.to_bits(),
+                        head.to_bits(),
+                        "{:?} VC {vc} head",
+                        self.kind
+                    );
+                    assert_eq!(s.vcs[vc].head_stamp.to_bits(), head.to_bits());
                 }
             }
         }
@@ -1052,7 +1268,8 @@ mod tests {
     #[test]
     fn memoized_choice_sequence_matches_unmemoized_scan() {
         // Drive one scheduler through a long pseudo-random arrival/service
-        // trace and check every choice against the queue-front oracle.
+        // trace of single flits (heads and bodies of any stream, in any
+        // order) and check every choice against the per-flit model.
         // No external RNG: a tiny inline xorshift keeps this in-crate.
         let mut rng: u64 = 0x9e37_79b9_97f4_a7c5;
         let mut next = move || {
@@ -1064,7 +1281,8 @@ mod tests {
         for kind in ALL_KINDS {
             let n = 8;
             let mut s = MuxScheduler::new(kind, n);
-            let mut choices = Vec::new();
+            let mut model = Model::new(kind, n);
+            let mut choices = 0;
             for cycle in 0..5_000u64 {
                 // A burst of arrivals with varied vticks (stamp ties and
                 // same-cycle arrivals included, on purpose).
@@ -1079,26 +1297,66 @@ mod tests {
                     let mut f = flit(kind, vtick);
                     f.stream = StreamId((next() % 3) as u32);
                     s.on_arrival(vc, Cycles(cycle), &f);
+                    model.arrive(vc, cycle, &f);
                 }
                 // Random eligibility over the backlogged VCs.
                 let eligible: Vec<bool> = (0..n)
                     .map(|v| s.pending(v) > 0 && next() % 4 != 0)
                     .collect();
-                let list: Vec<usize> = (0..n).filter(|&v| eligible[v]).collect();
-                let expect = s.choose_unmemoized(&eligible);
-                assert_eq!(
-                    s.choose(&eligible),
-                    expect,
-                    "{kind:?} mask diverged at cycle {cycle}"
-                );
-                let got = s.choose_from(&list);
-                assert_eq!(got, expect, "{kind:?} list diverged at cycle {cycle}");
-                if let Some(vc) = got {
-                    s.on_service(vc);
-                    choices.push(vc);
+                choices += usize::from(model.step_with(&mut s, &eligible).is_some());
+            }
+            assert!(choices > 2_000, "{kind:?} trace must stay busy");
+        }
+    }
+
+    /// Per-VC Vticks for [`run_queue_matches_the_per_flit_model`]: the
+    /// best-effort one drives stamps to [`STAMP_SATURATION`] within about
+    /// a thousand flits.
+    const VTICKS: [f64; 5] = [flitnet::BEST_EFFORT_VTICK, 10.0, 13.3, 40.0, 0.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Whole messages on random VCs, streams and Vticks, queued at
+        /// cycles that never decrease and interleaved with picks and
+        /// services: every discipline's run queue makes the model's picks
+        /// and keeps its pending counts and head-stamp bits. Each VC
+        /// mostly carries one stream at one Vtick, so best-effort backlogs
+        /// grow long enough to saturate. One message in 32 switches stream
+        /// (a recycled VC) and one in 16 switches Vtick (a demoted message).
+        #[test]
+        fn run_queue_matches_the_per_flit_model(
+            vc_vticks in collection::vec(0usize..5, 3),
+            ops in collection::vec((0u64..40, 0usize..3, 0u64..64, 1u32..64), 100..300),
+        ) {
+            for kind in ALL_KINDS {
+                let mut s = MuxScheduler::new(kind, 3);
+                let mut model = Model::new(kind, 3);
+                let mut now = 0u64;
+                for &(gap, vc, choice, len) in &ops {
+                    now += gap;
+                    if choice % 4 != 0 {
+                        let odd = choice % 32 == 1;
+                        let mut head = flit(FlitKind::Head, VTICKS[vc_vticks[vc]]);
+                        head.msg_len = len;
+                        head.stream = StreamId(vc as u32 + if odd { 3 } else { 0 });
+                        if choice % 16 == 5 {
+                            head.vtick = VTICKS[(choice / 16) as usize % VTICKS.len()];
+                        }
+                        for i in 0..len {
+                            let f = head.nth(i);
+                            s.on_arrival(vc, Cycles(now), &f);
+                            model.arrive(vc, now, &f);
+                        }
+                        model.assert_matches(&s);
+                    }
+                    for i in 0..(len % 7) as usize {
+                        let eligible: Vec<bool> = (0..3)
+                            .map(|v| s.pending(v) > 0 && (choice as usize + i) % 4 != v)
+                            .collect();
+                        model.step_with(&mut s, &eligible);
+                    }
                 }
             }
-            assert!(choices.len() > 2_000, "{kind:?} trace must stay busy");
         }
     }
 }

@@ -96,8 +96,6 @@ pub struct DeliveryTracker {
     /// Last completion per stream (dense by stream id).
     last: Vec<Option<Cycles>>,
     intervals: RunningStats,
-    /// Per-stream interval statistics (dense by stream id).
-    per_stream: Vec<RunningStats>,
     /// Interval histogram in milliseconds, for percentile estimates.
     histogram: Histogram,
     frames: u64,
@@ -111,7 +109,6 @@ impl DeliveryTracker {
             timebase,
             last: Vec::new(),
             intervals: RunningStats::new(),
-            per_stream: Vec::new(),
             // 0–330 ms covers ten frame intervals; overflow still counts.
             histogram: Histogram::new(0.0, 330.0, 660),
             frames: 0,
@@ -143,18 +140,9 @@ impl DeliveryTracker {
                 let ms = self.timebase.cycles_to_ms(at - prev);
                 self.intervals.push(ms);
                 self.histogram.record(ms);
-                if idx >= self.per_stream.len() {
-                    self.per_stream.resize_with(idx + 1, RunningStats::new);
-                }
-                self.per_stream[idx].push(ms);
             }
         }
         self.last[idx] = Some(at);
-    }
-
-    /// Number of streams that have delivered at least one frame.
-    pub fn streams_seen(&self) -> usize {
-        self.last.iter().filter(|l| l.is_some()).count()
     }
 
     /// The pooled jitter summary.
@@ -173,18 +161,6 @@ impl DeliveryTracker {
         }
     }
 
-    /// The stream with the worst (largest) mean delivery interval, with
-    /// that mean in milliseconds — the user-facing "who is starving"
-    /// question. `None` before any interval is measured.
-    pub fn worst_stream(&self) -> Option<(StreamId, f64)> {
-        self.per_stream
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(i, s)| (StreamId(i as u32), s.mean()))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
     /// Serialises the tracker's accumulated state into a snapshot (the
     /// time base is construction-time configuration and is not written).
     pub fn save(&self, w: &mut SnapWriter) {
@@ -193,10 +169,6 @@ impl DeliveryTracker {
             w.option(l, |w, at| w.u64(at.0));
         }
         self.intervals.save(w);
-        w.usize(self.per_stream.len());
-        for s in &self.per_stream {
-            s.save(w);
-        }
         self.histogram.save(w);
         w.u64(self.frames);
         w.u64(self.warmup_end.0);
@@ -215,11 +187,6 @@ impl DeliveryTracker {
             self.last.push(r.option(|r| r.u64().map(Cycles))?);
         }
         self.intervals = RunningStats::load(r)?;
-        let n = r.usize()?;
-        self.per_stream.clear();
-        for _ in 0..n {
-            self.per_stream.push(RunningStats::load(r)?);
-        }
         self.histogram = Histogram::load(r)?;
         self.frames = r.u64()?;
         self.warmup_end = Cycles(r.u64()?);
@@ -335,7 +302,6 @@ mod tests {
         }
         let sum = t.summary();
         assert_eq!(sum.intervals, 4 * 9);
-        assert_eq!(t.streams_seen(), 4);
         assert!((sum.mean_ms - 33.0).abs() < 1e-9);
     }
 
@@ -355,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_and_worst_stream() {
+    fn percentile_covers_every_stream() {
         let mut t = DeliveryTracker::new(tb());
         let frame = tb().cycles_from_ms(33.0).get();
         // Stream 0: steady. Stream 1: every interval stretched by 10 %.
@@ -363,20 +329,19 @@ mod tests {
             t.record_frame(StreamId(0), Cycles(k * frame));
             t.record_frame(StreamId(1), Cycles(k * frame * 11 / 10));
         }
-        let (worst, mean) = t.worst_stream().expect("streams measured");
-        assert_eq!(worst, StreamId(1));
-        assert!(mean > 33.0);
         let s = t.summary();
-        assert!(s.p99_ms >= s.mean_ms - 0.5);
-        assert_eq!(t.per_stream.len(), 2);
-        assert_eq!(t.per_stream[0].count(), 49);
+        assert_eq!(s.intervals, 2 * 49);
+        assert!(
+            s.p99_ms >= 33.0 * 1.1 - 0.5,
+            "p99 {} misses the stretched stream",
+            s.p99_ms
+        );
     }
 
     #[test]
     fn empty_summary_has_nan_percentile() {
         let t = DeliveryTracker::new(tb());
         assert!(t.summary().p99_ms.is_nan());
-        assert!(t.worst_stream().is_none());
     }
 
     #[test]

@@ -47,8 +47,10 @@
 /// message latency maxima (the delay-bound audit's observations); v4 —
 /// message-level NI queues (one head flit plus a send cursor per waiting
 /// message), staged messages as their head flit, and no router allocator
-/// diagnostics.
-pub const SNAP_VERSION: u32 = 4;
+/// diagnostics; v5 — scheduler stamps as runs, staged messages as
+/// `{at, src, head}` with no option tag, a real-time stream's frame
+/// position as its flits left, and no per-stream delivery statistics.
+pub const SNAP_VERSION: u32 = 5;
 
 const MAGIC: [u8; 4] = *b"MWSN";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;

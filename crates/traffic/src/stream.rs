@@ -52,9 +52,9 @@ pub struct RealTimeStream {
     // --- generation state ---
     frame_idx: u32,
     frame_start: Cycles,
-    /// Remaining message lengths for the current frame, reversed (pop from
-    /// the back); empty means "start the next frame".
-    pending: Vec<u32>,
+    /// Flits of the current frame not yet handed out; 0 means "start the
+    /// next frame". Every message but a frame's last is `msg_flits` long.
+    flits_left: u32,
     msgs_in_frame: u32,
     msg_gap: Cycles,
     next_msg_seq: u32,
@@ -156,7 +156,7 @@ impl RealTimeStream {
             flit_bytes: spec.flit_bytes,
             frame_idx: 0,
             frame_start: start,
-            pending: Vec::new(),
+            flits_left: 0,
             msgs_in_frame: 0,
             msg_gap: Cycles::ZERO,
             next_msg_seq: 0,
@@ -210,17 +210,7 @@ impl RealTimeStream {
             .ceil()
             .clamp(1.0, f64::from(MAX_FRAME_FLITS)) as u32;
         let msgs = flits.div_ceil(self.msg_flits);
-        // Message lengths: full messages plus a possibly-short last one,
-        // stored reversed so pop() yields them in order.
-        let mut lens = Vec::with_capacity(msgs as usize);
-        let mut remaining = flits;
-        for _ in 0..msgs {
-            let len = remaining.min(self.msg_flits);
-            lens.push(len);
-            remaining -= len;
-        }
-        lens.reverse();
-        self.pending = lens;
+        self.flits_left = flits;
         self.msgs_in_frame = msgs;
         self.msg_gap = Cycles(self.frame_interval.get() / u64::from(msgs));
         self.next_msg_seq = 0;
@@ -229,7 +219,7 @@ impl RealTimeStream {
     /// Produces the stream's next message (monotonically increasing
     /// injection times). `next_msg_id` is a global message-id counter.
     pub fn next_message(&mut self, rng: &mut SimRng, next_msg_id: &mut u64) -> ScheduledMessage {
-        if self.pending.is_empty() {
+        if self.flits_left == 0 {
             if self.msgs_in_frame > 0 {
                 // Finished a frame: advance to the next interval boundary.
                 self.frame_idx += 1;
@@ -237,7 +227,9 @@ impl RealTimeStream {
             }
             self.begin_frame(rng);
         }
-        let len = self.pending.pop().expect("begin_frame produced messages");
+        // Full messages, then a possibly-short last one.
+        let len = self.flits_left.min(self.msg_flits);
+        self.flits_left -= len;
         let seq = self.next_msg_seq;
         self.next_msg_seq += 1;
         let at = self.frame_start + Cycles(u64::from(seq) * self.msg_gap.get());
@@ -272,17 +264,14 @@ impl RealTimeStream {
         self.timebase
     }
 
-    /// Serialises the stream's generation state (frame position, pending
-    /// message lengths, GOP cursor) into a snapshot. The structural fields
+    /// Serialises the stream's generation state (frame position, flits
+    /// left in the frame, GOP cursor) into a snapshot. The structural fields
     /// (endpoints, VCs, Vtick, sizer parameters) are derived from the
     /// workload spec and are not written.
     pub fn save(&self, w: &mut SnapWriter) {
         w.u32(self.frame_idx);
         w.u64(self.frame_start.0);
-        w.usize(self.pending.len());
-        for &len in &self.pending {
-            w.u32(len);
-        }
+        w.u32(self.flits_left);
         w.u32(self.msgs_in_frame);
         w.u64(self.msg_gap.0);
         w.u32(self.next_msg_seq);
@@ -297,15 +286,14 @@ impl RealTimeStream {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot decoding errors; rejects a GOP cursor on a
-    /// non-GOP sizer.
+    /// Propagates snapshot decoding errors; rejects a frame remainder
+    /// above [`MAX_FRAME_FLITS`] and a GOP cursor on a non-GOP sizer.
     pub fn load_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.frame_idx = r.u32()?;
         self.frame_start = Cycles(r.u64()?);
-        let n = r.usize()?;
-        self.pending.clear();
-        for _ in 0..n {
-            self.pending.push(r.u32()?);
+        self.flits_left = r.u32()?;
+        if self.flits_left > MAX_FRAME_FLITS {
+            return Err(SnapError::BadValue("frame remainder above MAX_FRAME_FLITS"));
         }
         self.msgs_in_frame = r.u32()?;
         self.msg_gap = Cycles(r.u64()?);
@@ -378,6 +366,61 @@ mod tests {
         // 209 messages: 208 full (20 flits) + 7-flit remainder.
         assert!(lens[..208].iter().all(|&l| l == 20));
         assert_eq!(lens[208], 7);
+    }
+
+    #[test]
+    fn vbr_frames_split_into_full_messages_and_a_short_last_one() {
+        let mut s = stream(StreamClass::Vbr);
+        let mut rng = SimRng::seed_from(6);
+        let mut id = 0u64;
+        for frame in 0..300 {
+            let mut lens = Vec::new();
+            loop {
+                let m = s.next_message(&mut rng, &mut id);
+                let head = m.flits[0];
+                assert_eq!(head.frame, FrameId(frame));
+                assert_eq!(head.msg_seq_in_frame as usize, lens.len());
+                assert_eq!(m.flits.len(), head.msg_len as usize);
+                lens.push(head.msg_len);
+                if lens.len() == head.msgs_in_frame as usize {
+                    break;
+                }
+            }
+            let flits: u32 = lens.iter().sum();
+            assert_eq!(lens.len() as u32, flits.div_ceil(20), "frame {frame}");
+            let (last, full) = lens.split_last().unwrap();
+            assert!(full.iter().all(|&l| l == 20), "frame {frame}: {lens:?}");
+            assert!((1..=20).contains(last), "frame {frame}: {lens:?}");
+        }
+    }
+
+    #[test]
+    fn a_mid_frame_snapshot_resumes_the_same_messages() {
+        let mut a = stream(StreamClass::Vbr);
+        let mut rng = SimRng::seed_from(9);
+        let mut id = 0u64;
+        // Part-way into the third frame.
+        while a.next_message(&mut rng, &mut id).flits[0].frame != FrameId(2) {}
+        for _ in 0..5 {
+            let _ = a.next_message(&mut rng, &mut id);
+        }
+        let mut w = SnapWriter::new();
+        a.save(&mut w);
+        let bytes = w.finish();
+        let mut b = stream(StreamClass::Vbr);
+        let mut r = SnapReader::new(&bytes).unwrap();
+        b.load_into(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut rng_b = SimRng::from_state(rng.state());
+        let mut id_b = id;
+        // Through the rest of the frame and several more.
+        for _ in 0..2_000 {
+            let ma = a.next_message(&mut rng, &mut id);
+            let mb = b.next_message(&mut rng_b, &mut id_b);
+            assert_eq!(ma.at, mb.at);
+            assert_eq!(ma.flits, mb.flits);
+        }
+        assert!(a.next_message(&mut rng, &mut id).flits[0].frame.0 > 3);
     }
 
     #[test]

@@ -96,13 +96,23 @@ require_tests --test stepping_identity -- \
 require_tests -p mediaworm -- snapshot checkpoint
 require_tests -p mediaworm-bench -- resume
 
-# Snapshot format v4: an NI part-way through a worm (message cursor > 0)
-# restores bit-identically, a v3 image is a version error, and a bad NI
-# cursor or staged head is a typed error, never a panic.
+# Snapshot format v5: scheduler stamps are runs that replay the per-flit
+# stamps bit for bit under every discipline, so a queued message saves in
+# constant size; an NI part-way through a worm (message cursor > 0)
+# restores bit-identically; a stream resumes mid-frame with the same
+# message lengths. A v4 image is a version error, and a bad NI cursor or
+# staged head, NI runs that disagree with the queued flits, or a run of
+# no flits is a typed error, never a panic.
 require_tests -p mediaworm -- \
+  run_queue_matches_the_per_flit_model \
+  a_queued_message_saves_as_one_run \
+  restore_rejects_a_run_of_no_flits \
   snapshot_mid_worm_at_the_ni_restores_bit_identically \
-  restore_rejects_a_v3_image \
+  restore_rejects_a_v4_image \
   restore_rejects_a_bad_ni_cursor_or_staged_head
+require_tests -p traffic -- \
+  vbr_frames_split_into_full_messages_and_a_short_last_one \
+  a_mid_frame_snapshot_resumes_the_same_messages
 require_tests -p flitnet -- nth_rebuilds_every_flit_from_any_flit_of_the_message
 
 # repro_all gives every experiment its own --json and --trace file.
@@ -175,3 +185,10 @@ done
 test -s target/bench/trace_smoke_jobs1.jsonl
 cmp target/bench/trace_smoke_jobs1.jsonl target/bench/trace_smoke_jobs2.jsonl
 rm target/bench/trace_smoke_jobs1.jsonl target/bench/trace_smoke_jobs2.jsonl
+
+# Benchmark: build perfbench (its own workspace under perfbench/) and run
+# its self-test, which fails if any workload's recorded outcome
+# fingerprints change. It also keeps the simulator APIs perfbench calls
+# compiling. About 2.5 min on 2 cores.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --self-test
