@@ -18,7 +18,7 @@
 //! * Sweeps resume: `--checkpoint N` snapshots each in-flight point
 //!   every `N` simulated cycles under `target/bench/state/`, and
 //!   `--resume` restores from those snapshots, continuing interrupted
-//!   points bit-identically.
+//!   points bit-identically and reusing finished points' final images.
 //! * `--json` writes machine-readable results to
 //!   `target/bench/BENCH_<name>.json` by default; `--json PATH` places
 //!   the file explicitly.
@@ -32,8 +32,9 @@
 pub mod experiments;
 pub mod sweep;
 
-use std::io;
+use std::io::{self, Read};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use flitnet::VcPartition;
 use mediaworm::{sim, RouterConfig, SchedulerKind, SimOpts, SimOutcome};
@@ -65,9 +66,12 @@ pub struct RunArgs {
     /// periodic checkpointing off unless `--resume` asks for the default
     /// cadence; see [`RunArgs::checkpoint_cycles`].
     pub checkpoint: Option<u64>,
-    /// Resume interrupted points from their snapshots under
-    /// `target/bench/state/` (`--resume`). Restored runs are bit-identical
-    /// to uninterrupted ones.
+    /// Resume points from their snapshots under `target/bench/state/`
+    /// (`--resume`): an interrupted point continues from its last
+    /// checkpoint and a finished one restores its final image without
+    /// stepping. Only images the same build wrote are reused. Restored
+    /// runs are bit-identical to uninterrupted ones, except the `skip`
+    /// counters, which count only the cycles this run stepped or skipped.
     pub resume: bool,
     /// Record a JSONL flit-event trace of every simulated point to this
     /// path. Each point's trace is appended in task order once every
@@ -279,6 +283,50 @@ pub const BENCH_DIR: &str = "target/bench";
 /// Checkpoint cadence `--resume` implies when `--checkpoint` is absent.
 const DEFAULT_CHECKPOINT_CYCLES: u64 = 1_000_000;
 
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a hash `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The running program's identity: a hash of its executable's bytes,
+/// read once per process. It keys the checkpoint files, so `--resume`
+/// reuses only images the same build wrote; after any rebuild a resumed
+/// point simulates afresh instead of reporting an older build's results.
+/// When the executable cannot be read, the identity is unique to this
+/// process, and nothing is reused.
+fn build_id() -> u64 {
+    static ID: OnceLock<u64> = OnceLock::new();
+    *ID.get_or_init(|| {
+        let hash_exe = || -> io::Result<u64> {
+            let mut file = std::fs::File::open(std::env::current_exe()?)?;
+            let mut buf = vec![0; 1 << 16];
+            let mut h = FNV_OFFSET;
+            loop {
+                match file.read(&mut buf)? {
+                    0 => return Ok(h),
+                    n => h = fnv1a(h, &buf[..n]),
+                }
+            }
+        };
+        hash_exe().unwrap_or_else(|_| {
+            let nanos = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |d| d.as_nanos());
+            fnv1a(
+                FNV_OFFSET,
+                format!("{}|{nanos}", std::process::id()).as_bytes(),
+            )
+        })
+    })
+}
+
 /// Parses the comma-separated `list` after `flag` item by item (`item`
 /// returns the error message); aborts with a usage message on the first
 /// bad item or a missing list. `split` yields at least one item, so the
@@ -398,9 +446,10 @@ impl Point {
     ///
     /// When the args ask for checkpointing ([`RunArgs::checkpoint_cycles`]),
     /// the run snapshots periodically to a point-specific file under
-    /// `target/bench/state/` and — with `--resume` — restores from it
-    /// first. Checkpointed, resumed and plain runs all produce identical
-    /// bits.
+    /// `target/bench/state/`, leaves its final image there, and — with
+    /// `--resume` — restores from it first. Checkpointed, resumed and
+    /// plain runs all produce identical bits, except a resumed run's
+    /// `skip` counters, which cover only the cycles after its restore.
     ///
     /// # Panics
     ///
@@ -433,22 +482,24 @@ impl Point {
     }
 
     /// `target/bench/state/point-<hash>.snap` for this (point, seed) run:
-    /// where a checkpointed run keeps its snapshot until it completes. The
-    /// hash covers topology, point parameters, seed and windows, so
-    /// distinct points never share state.
+    /// where a checkpointed run keeps its snapshot, and its final image
+    /// once it completes. The hash covers topology, point parameters,
+    /// seed, windows, [`RunArgs::sim_opts`] and the running executable
+    /// (see [`build_id`]), so distinct points never share state, an
+    /// `--audit` or `--bounds` run never resumes an image from a run
+    /// without that option, and a rebuilt program never resumes an image
+    /// an older build wrote.
     pub fn state_path(&self, topology: &Topology, args: &RunArgs, seed: u64) -> PathBuf {
         let key = format!(
-            "{:?}|{:?}|{seed}|{}|{}",
+            "{:?}|{:?}|{seed}|{}|{}|{:?}|{:016x}",
             topology,
             self,
             args.warmup_secs.to_bits(),
-            args.measure_secs.to_bits()
+            args.measure_secs.to_bits(),
+            args.sim_opts(),
+            build_id()
         );
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = fnv1a(FNV_OFFSET, key.as_bytes());
         PathBuf::from(BENCH_DIR)
             .join("state")
             .join(format!("point-{h:016x}.snap"))
@@ -714,8 +765,57 @@ mod tests {
         let mut wide = args.clone();
         wide.measure_secs *= 2.0;
         assert_ne!(base, p.state_path(&topo, &wide, 1));
+        assert_ne!(base, p.state_path(&topo, &argv(&["--audit"]), 1));
+        assert_ne!(base, p.state_path(&topo, &argv(&["--bounds"]), 1));
+        assert_eq!(base, p.state_path(&topo, &argv(&["--resume"]), 1));
         assert_eq!(base, p.state_path(&topo, &args, 1));
         assert!(base.starts_with("target/bench/state"));
+    }
+
+    #[test]
+    fn a_resumed_point_reuses_its_finished_image() {
+        let topo = Topology::single_switch(8);
+        let point = Point::new(0.6, 80.0, 20.0);
+        let args = RunArgs {
+            warmup_secs: 0.002,
+            measure_secs: 0.004,
+            checkpoint: Some(20_000),
+            ..RunArgs::default()
+        };
+        let seed = 0x5e5e;
+        let path = point.state_path(&topo, &args, seed);
+        let _ = std::fs::remove_file(&path);
+        let first = point.run_on_seeded(&topo, &args, seed);
+        assert!(first.skip.cycles_stepped > 0);
+        assert!(path.exists(), "a finished point leaves its image");
+
+        let resumed = RunArgs {
+            resume: true,
+            ..args
+        };
+        let again = point.run_on_seeded(&topo, &resumed, seed);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            again.skip.cycles_stepped, 0,
+            "a finished point steps no cycle"
+        );
+        assert_eq!(
+            again.jitter.mean_ms.to_bits(),
+            first.jitter.mean_ms.to_bits()
+        );
+        assert_eq!(again.jitter.std_ms.to_bits(), first.jitter.std_ms.to_bits());
+        assert_eq!(again.jitter.intervals, first.jitter.intervals);
+        assert_eq!(
+            again.be_mean_latency_us.to_bits(),
+            first.be_mean_latency_us.to_bits()
+        );
+        assert_eq!(again.be_msgs, first.be_msgs);
+        assert_eq!(again.injected_msgs, first.injected_msgs);
+        assert_eq!(again.delivered_msgs, first.delivered_msgs);
+        assert_eq!(again.in_flight_at_end, first.in_flight_at_end);
+        assert_eq!(again.counters, first.counters);
+        assert_eq!(again.stall, first.stall);
+        assert_eq!(again.audit_violations, first.audit_violations);
     }
 
     #[test]

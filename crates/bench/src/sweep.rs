@@ -15,16 +15,11 @@
 //!   via [`derive_seed`] — never from which worker ran it or when;
 //! * results come back in task order regardless of completion order
 //!   ([`SweepRunner::for_each_in_order`] holds back only those that
-//!   finished ahead of an earlier task);
-//! * replicated runs reduce through [`RunningStats::merge`] in replica
-//!   index order (parallel Welford is deterministic for a fixed merge
-//!   order, not for an arbitrary one).
+//!   finished ahead of an earlier task).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-use netsim::RunningStats;
 
 use crate::RunArgs;
 
@@ -164,30 +159,6 @@ impl SweepRunner {
             }
         });
     }
-
-    /// Runs `points × replicas` tasks through `f` and merges each point's
-    /// replica statistics with [`RunningStats::merge`], always in replica
-    /// index order. `f` receives `(point, replica, seed)`; the seed is
-    /// derived from the flat task index `point * replicas + replica`.
-    pub fn run_stats<F>(&self, points: usize, replicas: usize, f: F) -> Vec<RunningStats>
-    where
-        F: Fn(usize, usize, u64) -> RunningStats + Sync,
-    {
-        assert!(replicas >= 1, "each point needs at least one replica");
-        let per_task = self.map(points * replicas, |t| {
-            f(t.index / replicas, t.index % replicas, t.seed)
-        });
-        per_task
-            .chunks(replicas)
-            .map(|chunk| {
-                let mut acc = RunningStats::new();
-                for s in chunk {
-                    acc.merge(s);
-                }
-                acc
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -258,28 +229,6 @@ mod tests {
         let r = SweepRunner::new(4, 0);
         let out: Vec<u64> = r.map(0, |t| t.seed);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn run_stats_merges_in_replica_order_bit_identically() {
-        // Irrational-ish samples so float merge order would show up.
-        let sample = |p: usize, rep: usize, seed: u64| {
-            let mut s = RunningStats::new();
-            for k in 0..50 {
-                let x = ((seed % 1000) as f64).sqrt()
-                    + (p as f64 * 0.37 + rep as f64 * 0.11 + k as f64).sin();
-                s.push(x);
-            }
-            s
-        };
-        let seq = SweepRunner::new(1, 99).run_stats(6, 4, sample);
-        let par = SweepRunner::new(8, 99).run_stats(6, 4, sample);
-        assert_eq!(seq.len(), 6);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.count(), b.count());
-            assert_eq!(a.mean().to_bits(), b.mean().to_bits());
-            assert_eq!(a.variance().to_bits(), b.variance().to_bits());
-        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The sweep harness must produce bit-identical results at any job count:
-//! seeds derive from the task index alone, results are slotted by index,
-//! and replica statistics merge in a fixed order. The telemetry layer must
+//! seeds derive from the task index alone and results are slotted by
+//! index. The telemetry layer must
 //! obey the same contract — counters and the JSONL trace file are
 //! assembled in task order, and tracing must not change any number.
 
 use mediaworm::{SchedulerKind, SimOutcome};
 use mediaworm_bench::sweep::SweepRunner;
 use mediaworm_bench::{experiments, Point, RunArgs};
-use netsim::RunningStats;
 use topo::Topology;
 use traffic::PolicingMode;
 
@@ -41,42 +40,6 @@ fn test_points() -> [Point; 3] {
         Point::new(0.5, 80.0, 20.0),
         Point::new(0.6, 50.0, 50.0),
     ]
-}
-
-/// Merged per-point replica stats over a small real Point list.
-fn merged_stats(jobs: usize) -> Vec<RunningStats> {
-    let args = args_with_jobs(jobs);
-    let points = test_points();
-    SweepRunner::from_args(&args).run_stats(points.len(), 2, |p, _replica, seed| {
-        let out = run_on_switch(&points[p], &args, seed);
-        let mut s = RunningStats::new();
-        s.push(out.jitter.mean_ms);
-        s.push(out.jitter.std_ms);
-        s.push(out.delivered_msgs as f64);
-        s
-    })
-}
-
-#[test]
-fn jobs_1_and_jobs_8_merge_to_identical_stats() {
-    let sequential = merged_stats(1);
-    let parallel = merged_stats(8);
-    assert_eq!(sequential.len(), parallel.len());
-    for (s, p) in sequential.iter().zip(&parallel) {
-        assert_eq!(s.count(), p.count());
-        assert_eq!(
-            s.mean().to_bits(),
-            p.mean().to_bits(),
-            "mean must match bit-for-bit"
-        );
-        assert_eq!(
-            s.variance().to_bits(),
-            p.variance().to_bits(),
-            "variance must match bit-for-bit"
-        );
-        assert_eq!(s.min().to_bits(), p.min().to_bits());
-        assert_eq!(s.max().to_bits(), p.max().to_bits());
-    }
 }
 
 #[test]

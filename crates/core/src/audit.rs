@@ -367,14 +367,14 @@ mod tests {
     use super::*;
     use flitnet::{
         Flit, FlitKind, FrameId, MsgId, NodeId, RouterId, StreamId, TrafficClass, VcPartition,
-        VcSel,
+        VcSel, Worm,
     };
     use netsim::Cycles;
 
     use crate::config::RouterConfig;
 
     fn worm(msg: u64, len: u32, dest: u32) -> Vec<Flit> {
-        Flit::flitify(Flit {
+        Worm::new(Flit {
             kind: FlitKind::Head,
             stream: StreamId(msg as u32),
             msg: MsgId(msg),
@@ -390,6 +390,8 @@ mod tests {
             class: TrafficClass::Vbr,
             created_at: Cycles(0),
         })
+        .into_iter()
+        .collect()
     }
 
     #[test]

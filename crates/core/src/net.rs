@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use flitnet::{CreditLink, Flit, Link, NodeId, PortId, RouterId, VcId};
+use flitnet::{CreditLink, Flit, Link, NodeId, PortId, RouterId, VcId, Worm};
 use metrics::{DeliveryTracker, FrameTails, LatencyTracker};
 use netsim::audit::AuditLog;
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
@@ -84,30 +84,6 @@ impl NiMsg {
     /// Flits of this message still to send.
     fn remaining(&self) -> u64 {
         u64::from(self.head.msg_len - self.next)
-    }
-}
-
-/// A source's next message, waiting for its injection cycle: the head
-/// flit, which holds every per-message field (its `vc` is the injection
-/// VC), as for [`NiMsg`]. Staging drops the workload's `Vec<Flit>` at
-/// once.
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    at: Cycles,
-    src: NodeId,
-    head: Flit,
-}
-
-impl Staged {
-    fn new(msg: ScheduledMessage) -> Staged {
-        let head = msg.flits[0];
-        debug_assert_eq!(head.msg_len as usize, msg.flits.len());
-        debug_assert_eq!(head.vc, msg.vc_in, "the head carries the injection VC");
-        Staged {
-            at: msg.at,
-            src: msg.src,
-            head,
-        }
     }
 }
 
@@ -207,9 +183,9 @@ pub struct Network {
     /// Link id feeding router `r`'s input port `p`.
     feed_link: Vec<Vec<usize>>,
     workload: Workload,
-    calendar: Calendar<usize>,
-    /// Every source's next message (a source always has exactly one).
-    staged: Vec<Staged>,
+    /// Every source's next message, keyed by its injection cycle: one
+    /// `(source index, message)` entry per source at all times.
+    calendar: Calendar<(usize, ScheduledMessage)>,
     sinks: Sinks,
     now: Cycles,
     flits_in_flight: u64,
@@ -232,18 +208,11 @@ pub struct Network {
     /// queues drain (`queued == 0` — which implies no open worm, since a
     /// message joins its NI queue whole).
     active_eps: ActiveSet,
-    /// Flits sent per link (same indexing as `links`), for utilisation
-    /// statistics.
-    link_sent: Vec<u64>,
-    /// Start of the current link-statistics window (see
-    /// [`Network::reset_link_stats`]).
-    stats_start: Cycles,
     /// Downstream input-buffer depth per VC (the audit's conservation
     /// checks need the capacity the credits were initialised from).
     buf_flits: u32,
-    /// Monotone count of flits put on any link. Never reset (unlike
-    /// `link_sent`, which [`Network::reset_link_stats`] zeroes), so the
-    /// watchdog can use it as a forwarding-progress signal.
+    /// Monotone count of flits put on any link: the watchdog's
+    /// forwarding-progress signal.
     total_link_sends: u64,
     /// Invariant audit sweep; `None` (the default) costs nothing.
     audit: Option<AuditState>,
@@ -370,9 +339,8 @@ impl Network {
             }
         }
 
-        // Stage the first message of every source.
+        // Schedule the first message of every source.
         let mut calendar = Calendar::with_capacity(workload.source_count());
-        let mut staged = Vec::with_capacity(workload.source_count());
         let mut workload = workload;
         for i in 0..workload.source_count() {
             let msg = workload.next_message(i);
@@ -381,8 +349,7 @@ impl Network {
                 "workload source {} out of the topology's node range",
                 msg.src
             );
-            calendar.schedule(msg.at, i);
-            staged.push(Staged::new(msg));
+            calendar.schedule(msg.at, (i, msg));
         }
 
         let link_count = links.len();
@@ -395,7 +362,6 @@ impl Network {
             feed_link,
             workload,
             calendar,
-            staged,
             sinks: Sinks {
                 delivery: DeliveryTracker::new(timebase),
                 latency: LatencyTracker::new(timebase),
@@ -414,8 +380,6 @@ impl Network {
             depart_buf: Vec::new(),
             active_links: ActiveSet::new(link_count),
             active_eps: ActiveSet::new(node_count),
-            link_sent: vec![0; link_count],
-            stats_start: Cycles::ZERO,
             buf_flits: cfg.buf_flits_value(),
             total_link_sends: 0,
             audit: None,
@@ -503,45 +467,6 @@ impl Network {
     /// The workload driving the network.
     pub fn workload(&self) -> &Workload {
         &self.workload
-    }
-
-    /// Cycles elapsed in the current link-statistics window.
-    fn stats_window(&self) -> Cycles {
-        self.now - self.stats_start
-    }
-
-    /// Zeroes the per-link flit counters and restarts the utilisation
-    /// window at the current cycle.
-    ///
-    /// Utilisation queries divide by cycles elapsed *since this call*
-    /// (or since construction), so a caller can exclude the start-up
-    /// transient — CBR streams begin at random phases within the first
-    /// frame interval, which otherwise dilutes a whole-run average.
-    pub fn reset_link_stats(&mut self) {
-        self.link_sent.fill(0);
-        self.stats_start = self.now;
-    }
-
-    /// Utilisation of router `r`'s output link on port `p`: flits sent
-    /// divided by cycles elapsed in the statistics window (0.0 before
-    /// the clock advances past the window start).
-    pub fn link_utilization(&self, r: flitnet::RouterId, p: PortId) -> f64 {
-        let window = self.stats_window();
-        if window == Cycles::ZERO {
-            return 0.0;
-        }
-        let l = self.out_link[r.index()][p.index()];
-        self.link_sent[l] as f64 / window.as_f64()
-    }
-
-    /// Utilisation of `node`'s injection link.
-    pub fn injection_utilization(&self, node: NodeId) -> f64 {
-        let window = self.stats_window();
-        if window == Cycles::ZERO {
-            return 0.0;
-        }
-        let l = self.endpoints[node.index()].link;
-        self.link_sent[l] as f64 / window.as_f64()
     }
 
     /// Network-wide telemetry counter totals summed over all routers.
@@ -734,8 +659,8 @@ impl Network {
 
     /// Phase 1: fire due injections into the NI queues.
     fn inject(&mut self, now: Cycles) {
-        while let Some((_, i)) = self.calendar.pop_due(now) {
-            let Staged { at, src, head } = self.staged[i];
+        while let Some((at, (i, msg))) = self.calendar.pop_due(now) {
+            let (src, head) = (msg.src, msg.flits.head());
             let ep = &mut self.endpoints[src.index()];
             let v = head.vc.index();
             for k in 0..head.msg_len {
@@ -767,10 +692,9 @@ impl Network {
                 }
                 self.sinks.rt_outstanding[s].push_back(head.created_at.get());
             }
-            let next = Staged::new(self.workload.next_message(i));
+            let next = self.workload.next_message(i);
             debug_assert!(next.at >= at, "source injections must be monotonic");
-            self.calendar.schedule(next.at, i);
-            self.staged[i] = next;
+            self.calendar.schedule(next.at, (i, next));
         }
     }
 
@@ -951,7 +875,6 @@ impl Network {
                 let l = self.out_link[r][d.port.index()];
                 self.links[l].flit.send(now, d.flit);
                 self.active_links.insert(l);
-                self.link_sent[l] += 1;
                 self.total_link_sends += 1;
             }
         }
@@ -1015,7 +938,6 @@ impl Network {
         let link = ep.link;
         self.links[link].flit.send(now, flit);
         self.active_links.insert(link);
-        self.link_sent[link] += 1;
         self.total_link_sends += 1;
     }
 
@@ -1363,9 +1285,9 @@ impl Network {
     ///
     /// The snapshot covers everything a restored run needs to continue
     /// bit-identically: the clock, in-flight accounting, the workload's
-    /// RNG stream and per-source positions, the injection calendar
-    /// (including its tie-break sequence numbers), staged messages, NI
-    /// queues and credits, every router's buffers/grants/credits/
+    /// RNG stream and per-source positions, the injection calendar with
+    /// each source's next message (and the tie-break sequence numbers),
+    /// NI queues and credits, every router's buffers/grants/credits/
     /// schedulers/counters, every link's wire state, the destination-side
     /// trackers, and the audit/watchdog/stall state. Structural state
     /// (topology, wiring, configuration) is *not* written — [`Network::
@@ -1381,25 +1303,16 @@ impl Network {
         w.u64(self.flits_in_flight);
         w.u64(self.injected_msgs);
         w.u64(self.total_link_sends);
-        w.u64(self.stats_start.0);
-        w.usize(self.link_sent.len());
-        for &n in &self.link_sent {
-            w.u64(n);
-        }
         self.workload.save(&mut w);
         w.u64(self.calendar.next_seq());
         let entries = self.calendar.snapshot_entries();
         w.usize(entries.len());
-        for (at, seq, &idx) in entries {
+        for (at, seq, (idx, msg)) in entries {
             w.u64(at.0);
             w.u64(seq);
-            w.usize(idx);
-        }
-        w.usize(self.staged.len());
-        for msg in &self.staged {
-            w.u64(msg.at.0);
+            w.usize(*idx);
             w.u32(msg.src.0);
-            msg.head.save(&mut w);
+            msg.flits.head().save(&mut w);
         }
         for ep in &self.endpoints {
             for q in &ep.queues {
@@ -1480,41 +1393,37 @@ impl Network {
         self.flits_in_flight = r.u64()?;
         self.injected_msgs = r.u64()?;
         self.total_link_sends = r.u64()?;
-        self.stats_start = Cycles(r.u64()?);
-        if r.usize()? != self.link_sent.len() {
-            return Err(SnapError::BadValue("link count mismatch"));
-        }
-        for n in &mut self.link_sent {
-            *n = r.u64()?;
-        }
         self.workload.load_into(&mut r)?;
         let next_seq = r.u64()?;
-        let n = r.usize()?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
+        // Every source has exactly one message in the calendar.
+        let sources = self.workload.source_count();
+        if r.usize()? != sources {
+            return Err(SnapError::BadValue("calendar size is not the source count"));
+        }
+        let mut seen = vec![false; sources];
+        let mut entries = Vec::with_capacity(sources);
+        for _ in 0..sources {
             let at = Cycles(r.u64()?);
             let seq = r.u64()?;
             let idx = r.usize()?;
-            if idx >= self.staged.len() || seq >= next_seq {
-                return Err(SnapError::BadValue("calendar entry out of range"));
-            }
-            entries.push((at, seq, idx));
-        }
-        self.calendar = Calendar::from_snapshot(entries, next_seq);
-        if r.usize()? != self.staged.len() {
-            return Err(SnapError::BadValue("staged source count mismatch"));
-        }
-        for msg in &mut self.staged {
-            msg.at = Cycles(r.u64()?);
-            msg.src = NodeId(r.u32()?);
-            msg.head = Flit::load_head(&mut r)?;
-            let ep = self.endpoints.get(msg.src.index());
-            if ep.is_none_or(|ep| msg.head.vc.index() >= ep.queues.len()) {
+            let src = NodeId(r.u32()?);
+            let head = Flit::load_head(&mut r)?;
+            if idx >= sources || seen[idx] || seq >= next_seq {
                 return Err(SnapError::BadValue(
-                    "staged message source or VC out of range",
+                    "calendar entry out of range or repeating a source",
                 ));
             }
+            seen[idx] = true;
+            let ep = self.endpoints.get(src.index());
+            if ep.is_none_or(|ep| head.vc.index() >= ep.queues.len()) {
+                return Err(SnapError::BadValue(
+                    "scheduled message source or VC out of range",
+                ));
+            }
+            let flits = Worm::new(head);
+            entries.push((at, seq, (idx, ScheduledMessage { at, src, flits })));
         }
+        self.calendar = Calendar::from_snapshot(entries, next_seq);
         for ep in &mut self.endpoints {
             for q in &mut ep.queues {
                 let n = r.usize()?;
@@ -1739,25 +1648,15 @@ mod tests {
         let tb = net.timebase();
         // CBR streams start at random phases within the first 33 ms frame
         // interval; measure a window that excludes that ramp-up.
-        net.run_until(tb.cycles_from_ms(40.0));
-        net.reset_link_stats();
-        net.run_until(tb.cycles_from_ms(100.0));
-        // Injection links should run near the offered 0.5 load; ejection
-        // links likewise (uniform destinations).
-        let mut total_inj = 0.0;
-        for n in 0..8 {
-            total_inj += net.injection_utilization(flitnet::NodeId(n));
-        }
-        let mean_inj = total_inj / 8.0;
-        assert!(
-            (mean_inj - 0.5).abs() < 0.06,
-            "mean injection util {mean_inj}"
-        );
-        let mut total_out = 0.0;
-        for p in 0..8 {
-            total_out += net.link_utilization(flitnet::RouterId(0), PortId(p));
-        }
-        let mean_out = total_out / 8.0;
+        let (start, end) = (tb.cycles_from_ms(40.0), tb.cycles_from_ms(100.0));
+        net.run_until(start);
+        let before = net.counters();
+        net.run_until(end);
+        let after = net.counters();
+        // Every output port of the single switch is an ejection link, and
+        // they should run near the offered 0.5 load (uniform destinations).
+        let sent = (after.rt_flits + after.be_flits) - (before.rt_flits + before.be_flits);
+        let mean_out = sent as f64 / (8.0 * (end - start).as_f64());
         assert!((mean_out - 0.5).abs() < 0.06, "mean output util {mean_out}");
     }
 
@@ -2188,20 +2087,20 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_v4_image() {
+    fn restore_rejects_a_v5_image() {
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let mut a = Network::new(&topology, small_workload(0.4, 25), &cfg);
         a.run_until(a.timebase().cycles_from_ms(2.0));
         let mut bytes = a.snapshot();
         // The version word follows the 4-byte magic.
-        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
         let mut b = Network::new(&topology, small_workload(0.4, 25), &cfg);
-        assert_eq!(b.restore(&bytes), Err(SnapError::BadVersion { found: 4 }));
+        assert_eq!(b.restore(&bytes), Err(SnapError::BadVersion { found: 5 }));
     }
 
     #[test]
-    fn restore_rejects_a_bad_ni_cursor_or_staged_head() {
+    fn restore_rejects_a_bad_ni_cursor_or_head() {
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let build = || Network::new(&topology, small_workload(0.9, 26), &cfg);
@@ -2246,21 +2145,58 @@ mod tests {
             e.head = e.head.nth(e.head.msg_len - 1);
             e.head.msg_len += 1;
         })));
-        // A staged message of no flits, one saved from a body flit, and
-        // one from a source or on a VC the network does not have.
-        assert!(bad_value(restore_after(&|net| {
-            net.staged[0].head.msg_len = 0;
-        })));
-        assert!(bad_value(restore_after(&|net| {
-            net.staged[0].head.seq_in_msg = 1;
-        })));
-        assert!(bad_value(restore_after(&|net| {
-            net.staged[0].src = NodeId(8);
-        })));
-        assert!(bad_value(restore_after(&|net| {
-            net.staged[0].head.vc = VcId(16);
-        })));
         // Untouched, the same image restores.
         assert_eq!(restore_after(&|_| {}), Ok(()));
+    }
+
+    #[test]
+    fn restore_rejects_a_calendar_without_each_source_once() {
+        let topology = Topology::single_switch(8);
+        let cfg = RouterConfig::default();
+        let build = || Network::new(&topology, small_workload(0.9, 27), &cfg);
+        let mut good = build();
+        good.run_until(good.timebase().cycles_from_ms(5.0));
+        // Restores `good`'s image with its calendar entries (in pop
+        // order) edited by `edit`.
+        type Entries = Vec<(Cycles, u64, (usize, ScheduledMessage))>;
+        let restore_after = |edit: &dyn Fn(&mut Entries)| {
+            let mut bad = build();
+            bad.restore(&good.snapshot()).expect("restore");
+            let next_seq = bad.calendar.next_seq();
+            let mut entries: Vec<_> = bad
+                .calendar
+                .snapshot_entries()
+                .into_iter()
+                .map(|(at, seq, &e)| (at, seq, e))
+                .collect();
+            edit(&mut entries);
+            bad.calendar = Calendar::from_snapshot(entries, next_seq);
+            build().restore(&bad.snapshot())
+        };
+        let bad_value = |r: Result<(), SnapError>| matches!(r, Err(SnapError::BadValue(_)));
+
+        // A source missing, and a source repeated in place of another.
+        assert!(bad_value(restore_after(&|e| {
+            e.pop();
+        })));
+        assert!(bad_value(restore_after(&|e| {
+            e[1].2 .0 = e[0].2 .0;
+        })));
+        // A message from a source or on a VC the network does not have.
+        assert!(bad_value(restore_after(&|e| {
+            e[0].2 .1.src = NodeId(8);
+        })));
+        assert!(bad_value(restore_after(&|e| {
+            let msg = &mut e[0].2 .1;
+            msg.flits = Worm::new(Flit {
+                vc: VcId(16),
+                ..msg.flits.head()
+            });
+        })));
+        // Untouched, the same image restores and re-snapshots identically.
+        assert_eq!(restore_after(&|_| {}), Ok(()));
+        let mut b = build();
+        b.restore(&good.snapshot()).expect("restore");
+        assert_eq!(b.snapshot(), good.snapshot());
     }
 }

@@ -1147,7 +1147,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flitnet::{FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass};
+    use flitnet::{FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, Worm};
 
     impl Router {
         /// The pending set, input port `p`'s granted set and output port
@@ -1178,7 +1178,7 @@ mod tests {
             class: TrafficClass::Vbr,
             created_at: Cycles(0),
         };
-        Flit::flitify(template)
+        Worm::new(template).into_iter().collect()
     }
 
     fn drive(router: &mut Router, now: Cycles) -> (Vec<CreditReturn>, Vec<Departure>) {

@@ -102,11 +102,12 @@ impl SimOpts {
 /// kill mid-write never leaves a torn checkpoint behind.
 #[derive(Debug, Clone)]
 pub struct CheckpointOpts {
-    /// Cycles between snapshots. `0` writes no periodic checkpoints (the
-    /// run can still *resume from* an existing file when `resume` is set).
+    /// Cycles between snapshots. `0` writes no periodic checkpoints, only
+    /// the final image (the run can still *resume from* an existing file
+    /// when `resume` is set).
     pub interval_cycles: u64,
     /// Where the snapshot lives. The parent directory is created on the
-    /// first write; the file is deleted when the run completes.
+    /// first write; the run's final image stays there when it completes.
     pub path: PathBuf,
     /// Restore from `path` before stepping, if the file exists. A missing
     /// file is not an error — the run simply starts from cycle zero.
@@ -288,9 +289,9 @@ impl From<io::Error> for SimError {
 /// simulation state (RNG streams, VC buffers, scheduler tags, link
 /// pipelines, metric accumulators), so counters, statistics and traces
 /// continue exactly where the checkpoint left them; a resumed run's
-/// trace covers only the segment after the restore point. The checkpoint
-/// file is removed once the run reaches its end cycle, so a completed
-/// point never resumes stale state.
+/// trace covers only the segment after the restore point. The run also
+/// writes its final image, at the end cycle or at a stall, so resuming a
+/// completed point restores that image and steps no cycle.
 ///
 /// # Errors
 ///
@@ -359,16 +360,7 @@ pub fn run_with(
             net.run_until(to);
         }
         if let Some(ckpt) = ckpt {
-            if net.now() < end && net.stall_report().is_none() {
-                write_checkpoint(&ckpt.path, &net.snapshot())?;
-            }
-        }
-    }
-    if let Some(ckpt) = ckpt {
-        match std::fs::remove_file(&ckpt.path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
+            write_checkpoint(&ckpt.path, &net.snapshot())?;
         }
     }
     let bounds = oracle.map(|o| o.report(&net, end));
@@ -611,7 +603,23 @@ mod tests {
             out.jitter.mean_ms.to_bits(),
             "periodic checkpointing must not perturb the statistics"
         );
-        assert!(!path.exists(), "checkpoint must be removed on completion");
+        // The final image stays: resuming it steps no cycle and gives the
+        // same outcome.
+        assert!(path.exists(), "the final image must stay on disk");
+        let again = run_with(
+            &topology,
+            workload(0.5, 80.0, 20.0, 31),
+            &cfg,
+            0.01,
+            0.03,
+            SimOpts::standard(),
+            Some(&CheckpointOpts::resumable(path.clone(), 20_000)),
+        )
+        .expect("resumed finished run");
+        assert_eq!(again.skip.cycles_stepped, 0);
+        assert_eq!(again.counters, out.counters);
+        assert_eq!(again.delivered_msgs, out.delivered_msgs);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -650,7 +658,8 @@ mod tests {
             plain.be_mean_latency_us.to_bits(),
             out.be_mean_latency_us.to_bits()
         );
-        assert!(!path.exists(), "checkpoint must be removed on completion");
+        assert!(path.exists(), "the final image must stay on disk");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

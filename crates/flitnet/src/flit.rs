@@ -13,10 +13,11 @@
 //!
 //! Only `kind`, `seq_in_msg` and `vc` vary within a message, so any flit
 //! of a message rebuilds the others: [`Flit::nth`] is the one
-//! head/body/tail rule. Network interfaces keep a waiting message as its
-//! head plus a cursor and build each flit with it as the flit leaves;
-//! snapshots store staged and NI-queued messages as their heads
-//! ([`Flit::load_head`]).
+//! head/body/tail rule. A [`Worm`] is a whole message held as its head,
+//! from the traffic source to the network interface; the NI keeps a
+//! waiting message as its head plus a cursor and builds each flit as it
+//! leaves. Snapshots store scheduled and NI-queued messages as their
+//! heads ([`Flit::load_head`]).
 
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::Cycles;
@@ -130,22 +131,9 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// Builds the flit sequence for one message.
-    ///
-    /// Produces `msg_len` flits: a head, `msg_len − 2` bodies and a tail
-    /// (or a single [`FlitKind::HeadTail`] when `msg_len == 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `template.msg_len == 0`.
-    pub fn flitify(template: Flit) -> Vec<Flit> {
-        assert!(template.msg_len > 0, "message must have at least one flit");
-        (0..template.msg_len).map(|i| template.nth(i)).collect()
-    }
-
     /// Builds flit `i` of this flit's message: a copy with `kind` and
     /// `seq_in_msg` set for position `i`. This is the one head/body/tail
-    /// rule; [`Flit::flitify`] maps it over a whole message.
+    /// rule; [`Worm`] maps it over a whole message.
     pub fn nth(&self, i: u32) -> Flit {
         debug_assert!(
             i < self.msg_len,
@@ -248,6 +236,107 @@ impl Flit {
     }
 }
 
+/// A message as its head flit.
+///
+/// The head holds every per-message field and [`Flit::nth`] rebuilds the
+/// rest, so a whole message is one `Copy` value the size of one flit.
+/// Iterating a worm builds its flits head to tail.
+///
+/// # Example
+///
+/// ```
+/// use flitnet::{Flit, FlitKind, TrafficClass, Worm};
+/// use flitnet::{FrameId, MsgId, NodeId, StreamId, VcId};
+/// use netsim::Cycles;
+///
+/// let worm = Worm::new(Flit {
+///     kind: FlitKind::Head,
+///     stream: StreamId(0),
+///     msg: MsgId(1),
+///     frame: FrameId(0),
+///     seq_in_msg: 0,
+///     msg_len: 3,
+///     msg_seq_in_frame: 0,
+///     msgs_in_frame: 1,
+///     dest: NodeId(5),
+///     vc: VcId(1),
+///     out_vc: VcId(3),
+///     vtick: 100.0,
+///     class: TrafficClass::Vbr,
+///     created_at: Cycles(0),
+/// });
+/// assert_eq!(worm.len(), 3);
+/// let kinds: Vec<FlitKind> = worm.into_iter().map(|f| f.kind).collect();
+/// assert_eq!(kinds, [FlitKind::Head, FlitKind::Body, FlitKind::Tail]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Worm {
+    head: Flit,
+}
+
+// A worm has at least one flit, so it is never empty.
+#[allow(clippy::len_without_is_empty)]
+impl Worm {
+    /// The message `flit` belongs to; any flit of it will do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flit.msg_len == 0`.
+    pub fn new(flit: Flit) -> Worm {
+        assert!(flit.msg_len > 0, "message must have at least one flit");
+        Worm { head: flit.nth(0) }
+    }
+
+    /// The head flit: flit 0, which carries every per-message field.
+    pub fn head(&self) -> Flit {
+        self.head
+    }
+
+    /// Message length in flits.
+    pub fn len(&self) -> usize {
+        self.head.msg_len as usize
+    }
+}
+
+impl IntoIterator for Worm {
+    type Item = Flit;
+    type IntoIter = Flits;
+
+    fn into_iter(self) -> Flits {
+        Flits {
+            head: self.head,
+            next: 0,
+        }
+    }
+}
+
+/// Iterator over a [`Worm`]'s flits, head to tail, each built with
+/// [`Flit::nth`].
+#[derive(Debug, Clone)]
+pub struct Flits {
+    head: Flit,
+    next: u32,
+}
+
+impl Iterator for Flits {
+    type Item = Flit;
+
+    fn next(&mut self) -> Option<Flit> {
+        let i = self.next;
+        (i < self.head.msg_len).then(|| {
+            self.next += 1;
+            self.head.nth(i)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.head.msg_len - self.next) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Flits {}
+
 /// Checks that a FIFO flit sequence is a well-formed run of worm
 /// segments, the core wormhole invariant audited per VC buffer:
 ///
@@ -319,9 +408,13 @@ mod tests {
         }
     }
 
+    fn flits(len: u32) -> Vec<Flit> {
+        Worm::new(template(len)).into_iter().collect()
+    }
+
     #[test]
-    fn flitify_structure() {
-        let flits = Flit::flitify(template(20));
+    fn worm_is_a_head_bodies_and_a_tail() {
+        let flits = flits(20);
         assert_eq!(flits.len(), 20);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[19].kind, FlitKind::Tail);
@@ -338,7 +431,7 @@ mod tests {
     #[test]
     fn nth_rebuilds_every_flit_from_any_flit_of_the_message() {
         for len in [1, 2, 3, 20] {
-            let flits = Flit::flitify(template(len));
+            let flits = flits(len);
             for f in &flits {
                 for (i, want) in flits.iter().enumerate() {
                     assert_eq!(f.nth(i as u32), *want);
@@ -348,15 +441,15 @@ mod tests {
     }
 
     #[test]
-    fn flitify_two_flit_message() {
-        let flits = Flit::flitify(template(2));
+    fn two_flit_worm_is_a_head_and_a_tail() {
+        let flits = flits(2);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Tail);
     }
 
     #[test]
-    fn flitify_single_flit_message() {
-        let flits = Flit::flitify(template(1));
+    fn single_flit_worm_is_one_head_tail() {
+        let flits = flits(1);
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head());
@@ -381,8 +474,8 @@ mod tests {
 
     #[test]
     fn worm_order_accepts_well_formed_sequences() {
-        let a = Flit::flitify(template(3));
-        let mut b = Flit::flitify(template(2));
+        let a = flits(3);
+        let mut b = flits(2);
         for f in &mut b {
             f.msg = MsgId(8);
         }
@@ -399,8 +492,8 @@ mod tests {
 
     #[test]
     fn worm_order_rejects_interleaving_and_gaps() {
-        let a = Flit::flitify(template(3));
-        let mut b = Flit::flitify(template(3));
+        let a = flits(3);
+        let mut b = flits(3);
         for f in &mut b {
             f.msg = MsgId(8);
         }

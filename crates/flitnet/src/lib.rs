@@ -9,7 +9,8 @@
 //! * [`TrafficClass`] — the paper's three ATM-style classes (CBR, VBR,
 //!   best-effort).
 //! * [`Flit`] — the unit of flow control; a head flit carries routing and
-//!   bandwidth (`Vtick`) information, middle/tail flits follow the worm.
+//!   bandwidth (`Vtick`) information, middle/tail flits follow the worm;
+//!   a [`Worm`] is a whole message held as its head flit.
 //! * [`VcBuffer`] — the bounded FIFO behind every fixed-capacity queue:
 //!   router input and staging buffers, links and credit paths.
 //! * [`Link`] — a one-flit-per-cycle pipelined physical channel, plus the
@@ -27,7 +28,7 @@ pub mod partition;
 pub mod vcbuf;
 
 pub use class::TrafficClass;
-pub use flit::{worm_order_violation, Flit, FlitKind, BEST_EFFORT_VTICK};
+pub use flit::{worm_order_violation, Flit, FlitKind, Worm, BEST_EFFORT_VTICK};
 pub use ids::{FrameId, MsgId, NodeId, PortId, RouterId, StreamId, VcId};
 pub use link::{CreditLink, Link};
 pub use partition::{VcPartition, VcSel};

@@ -7,7 +7,6 @@
 //!   N(16 666 B, 3 333 B) in the paper.
 //! * [`Exponential`] — inverse-CDF; used for Poisson best-effort arrivals
 //!   and PCS retry backoff.
-//! * [`UniformRange`] — a reusable uniform `[lo, hi)` sampler.
 
 use crate::rng::SimRng;
 
@@ -137,36 +136,6 @@ impl Distribution for Exponential {
     }
 }
 
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformRange {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or the bounds are not finite.
-    pub fn new(lo: f64, hi: f64) -> UniformRange {
-        assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
-        assert!(lo < hi, "empty range");
-        UniformRange { lo, hi }
-    }
-}
-
-impl Distribution for UniformRange {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
 /// A degenerate distribution that always returns the same value; used for
 /// CBR traffic, whose frame size is the constant 16 666 bytes in the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,17 +194,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(d.sample(&mut rng) >= 0.0);
         }
-    }
-
-    #[test]
-    fn uniform_stays_in_range() {
-        let d = UniformRange::new(10.0, 20.0);
-        let mut rng = SimRng::seed_from(4);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((10.0..20.0).contains(&x));
-        }
-        assert_eq!(d.mean(), 15.0);
     }
 
     #[test]

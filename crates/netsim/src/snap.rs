@@ -49,8 +49,11 @@
 /// message), staged messages as their head flit, and no router allocator
 /// diagnostics; v5 — scheduler stamps as runs, staged messages as
 /// `{at, src, head}` with no option tag, a real-time stream's frame
-/// position as its flits left, and no per-stream delivery statistics.
-pub const SNAP_VERSION: u32 = 5;
+/// position as its flits left, and no per-stream delivery statistics;
+/// v6 — one injection-calendar entry per source carrying that source's
+/// next message (`at`, `seq`, source, `src`, head), no separate staged
+/// messages, and no per-link utilisation counters.
+pub const SNAP_VERSION: u32 = 6;
 
 const MAGIC: [u8; 4] = *b"MWSN";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;

@@ -66,29 +66,6 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        self.non_finite += other.non_finite;
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            let non_finite = self.non_finite;
-            *self = *other;
-            self.non_finite = non_finite;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of samples seen.
     pub fn count(&self) -> u64 {
         self.n
@@ -420,32 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 10.0).collect();
-        let (a, b) = xs.split_at(200);
-        let mut sa: RunningStats = a.iter().copied().collect();
-        let sb: RunningStats = b.iter().copied().collect();
-        let all: RunningStats = xs.iter().copied().collect();
-        sa.merge(&sb);
-        assert_eq!(sa.count(), all.count());
-        assert!((sa.mean() - all.mean()).abs() < 1e-9);
-        assert!((sa.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(sa.min(), all.min());
-        assert_eq!(sa.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: RunningStats = [1.0, 2.0].into_iter().collect();
-        let before = s;
-        s.merge(&RunningStats::new());
-        assert_eq!(s, before);
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn non_finite_samples_do_not_poison_stats() {
         // Regression: push() used to fold NaN into mean/m2 forever (the
         // Welford recurrences propagate it) while f64::min/max silently
@@ -462,34 +413,6 @@ mod tests {
         assert!(s.variance().is_finite());
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 4.0);
-    }
-
-    #[test]
-    fn merge_threads_non_finite_counts() {
-        let mut a = RunningStats::new();
-        a.push(f64::NAN);
-        a.push(1.0);
-        let mut b = RunningStats::new();
-        b.push(f64::INFINITY);
-        b.push(3.0);
-        a.merge(&b);
-        assert_eq!(a.non_finite(), 2);
-        assert_eq!(a.mean(), 2.0);
-        // Merging into an empty accumulator keeps its rejected tally.
-        let mut e = RunningStats::new();
-        e.push(f64::NAN);
-        e.merge(&b);
-        assert_eq!(e.non_finite(), 2);
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 3.0);
-        // …and merging an empty-but-poisoned side still carries its tally.
-        let mut c = RunningStats::new();
-        c.push(5.0);
-        let mut poisoned = RunningStats::new();
-        poisoned.push(f64::NAN);
-        c.merge(&poisoned);
-        assert_eq!(c.non_finite(), 1);
-        assert_eq!(c.mean(), 5.0);
     }
 
     #[test]

@@ -291,7 +291,7 @@ impl PcsNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flitnet::{FlitKind, FrameId, MsgId, StreamId, TrafficClass};
+    use flitnet::{FlitKind, FrameId, MsgId, StreamId, TrafficClass, Worm};
 
     fn timebase() -> TimeBase {
         TimeBase::from_link(100e6, 32)
@@ -302,7 +302,7 @@ mod tests {
     }
 
     fn msg(stream: u32, msg_id: u64, dest: u32, vc_in: u32, vc_out: u32, len: u32) -> Vec<Flit> {
-        Flit::flitify(Flit {
+        Worm::new(Flit {
             kind: FlitKind::Head,
             stream: StreamId(stream),
             msg: MsgId(msg_id),
@@ -318,6 +318,8 @@ mod tests {
             class: TrafficClass::Vbr,
             created_at: Cycles(0),
         })
+        .into_iter()
+        .collect()
     }
 
     #[test]

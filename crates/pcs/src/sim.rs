@@ -13,7 +13,7 @@ use flitnet::NodeId;
 use metrics::JitterSummary;
 use netsim::dist::{Distribution, Exponential};
 use netsim::{Calendar, Cycles, SimRng};
-use traffic::{RealTimeStream, StreamClass};
+use traffic::{RealTimeStream, ScheduledMessage, StreamClass};
 
 use crate::config::PcsConfig;
 use crate::netmodel::{PcsCounters, PcsNetwork};
@@ -70,8 +70,8 @@ enum StreamState {
 enum Event {
     /// Stream `i` tries to establish its circuit.
     Attempt(usize),
-    /// Stream `i` injects its staged message.
-    Inject(usize),
+    /// Stream `i` injects its next message.
+    Inject(usize, ScheduledMessage),
 }
 
 /// Runs the PCS experiment at the given input load.
@@ -106,13 +106,11 @@ pub fn run(
 
     let mut calendar: Calendar<Event> = Calendar::new();
     let mut streams: Vec<(NodeId, NodeId, StreamState)> = Vec::new();
-    let mut staged: Vec<Option<traffic::ScheduledMessage>> = Vec::new();
     for node in 0..cfg.nodes {
         for _ in 0..per_node {
             let dest = NodeId(rng.index_excluding(cfg.nodes, node) as u32);
             let i = streams.len();
             streams.push((NodeId(node as u32), dest, StreamState::Waiting));
-            staged.push(None);
             calendar.schedule(Cycles(rng.range_u64(0, setup_window)), Event::Attempt(i));
         }
     }
@@ -157,8 +155,7 @@ pub fn run(
                             now + rtt,
                         );
                         let msg = s.next_message(&mut rng, &mut next_msg_id);
-                        calendar.schedule(msg.at, Event::Inject(i));
-                        staged[i] = Some(msg);
+                        calendar.schedule(msg.at, Event::Inject(i, msg));
                         streams[i].2 = StreamState::Connected(Box::new(s));
                     } else {
                         // Nacked: retry after a randomized backoff.
@@ -166,17 +163,15 @@ pub fn run(
                         calendar.schedule(now + Cycles(delay), Event::Attempt(i));
                     }
                 }
-                Event::Inject(i) => {
-                    let msg = staged[i].take().expect("staged message");
-                    for flit in &msg.flits {
-                        net.inject(now, msg.src, *flit);
+                Event::Inject(i, msg) => {
+                    for flit in msg.flits {
+                        net.inject(now, msg.src, flit);
                     }
                     let StreamState::Connected(s) = &mut streams[i].2 else {
                         unreachable!("inject for an unconnected stream");
                     };
                     let next = s.next_message(&mut rng, &mut next_msg_id);
-                    calendar.schedule(next.at, Event::Inject(i));
-                    staged[i] = Some(next);
+                    calendar.schedule(next.at, Event::Inject(i, next));
                 }
             }
         }

@@ -79,7 +79,7 @@ pub(crate) fn ring(n: u32, endpoints: u32) -> Topology {
     }
 
     let routes = RouteTable::build(&specs, &attachments, move |at, _goal| {
-        RouterId((at.get() + 1) % n)
+        vec![RouterId((at.get() + 1) % n)]
     });
 
     Topology::from_parts(format!("ring-{n}-e{endpoints}"), specs, attachments, routes)
@@ -138,7 +138,7 @@ pub(crate) fn fat_tree(leaves: u32, roots: u32, endpoints: u32) -> Topology {
         }
     }
 
-    let routes = RouteTable::build_multipath(&specs, &attachments, move |at, goal| {
+    let routes = RouteTable::build(&specs, &attachments, move |at, goal| {
         if at.get() < leaves {
             // At a leaf, any root works (adaptive up).
             (0..roots).map(|k| RouterId(leaves + k)).collect()
@@ -242,7 +242,7 @@ pub(crate) fn torus(w: u32, h: u32, endpoints: u32) -> Topology {
         }
     };
 
-    let routes = RouteTable::build(&specs, &attachments, next_router);
+    let routes = RouteTable::build(&specs, &attachments, |at, goal| vec![next_router(at, goal)]);
 
     // Dateline table: the restriction depends only on the current router's
     // position and the goal position in the dimension being routed.
@@ -375,7 +375,7 @@ pub(crate) fn fat_mesh(w: u32, h: u32, fat: u32, endpoints: u32) -> Topology {
 
     let attachments_for_routes = attachments.clone();
     let routes = RouteTable::build(&specs, &attachments_for_routes, move |at, dest_router| {
-        next_router(at, dest_router)
+        vec![next_router(at, dest_router)]
     });
 
     Topology::from_parts(

@@ -18,63 +18,18 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
-    /// Builds a table from router wiring, endpoint attachments, and a
-    /// next-router function implementing the deterministic routing
-    /// algorithm. `next_router(at, goal_router)` is only consulted when
-    /// `at != goal_router` (single-switch topologies never call it).
-    pub fn build<F>(
-        specs: &[RouterSpec],
-        attachments: &[(RouterId, PortId)],
-        next_router: F,
-    ) -> RouteTable
-    where
-        F: Fn(RouterId, RouterId) -> RouterId,
-    {
-        let mut table = Vec::with_capacity(specs.len());
-        for (r, spec) in specs.iter().enumerate() {
-            let at = RouterId(r as u32);
-            let mut per_node = Vec::with_capacity(attachments.len());
-            for (node, (goal_router, goal_port)) in attachments.iter().enumerate() {
-                let _ = NodeId(node as u32);
-                let candidates = if at == *goal_router {
-                    vec![*goal_port]
-                } else {
-                    let next = next_router(at, *goal_router);
-                    assert_ne!(next, at, "next_router must make progress");
-                    let lanes: Vec<PortId> = spec
-                        .ports
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(p, t)| match t {
-                            PortTarget::Router { router, .. } if *router == next => {
-                                Some(PortId(p as u32))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    assert!(
-                        !lanes.is_empty(),
-                        "no link from {at} toward {next}: topology/routing mismatch"
-                    );
-                    lanes
-                };
-                per_node.push(candidates);
-            }
-            table.push(per_node);
-        }
-        RouteTable { table }
-    }
-
-    /// Builds a table where a hop may have candidates toward *several*
-    /// next routers (e.g. a fat-tree's up-links): `next_routers(at, goal)`
-    /// returns every acceptable next router, and all lanes toward any of
-    /// them become candidates.
+    /// Builds a table from router wiring, endpoint attachments, and the
+    /// routing algorithm: `next_routers(at, goal)` returns every
+    /// acceptable next router (one for deterministic routing, several for
+    /// a fat-tree's up-links), and all lanes toward any of them become
+    /// candidates, in port order. It is only consulted when `at != goal`
+    /// (single-switch topologies never call it).
     ///
     /// # Panics
     ///
-    /// Panics if some `(at, goal)` pair with `at != goal` yields no
-    /// candidate ports.
-    pub fn build_multipath<F>(
+    /// Panics if some `(at, goal)` pair with `at != goal` yields no next
+    /// router, names `at` itself, or yields no candidate ports.
+    pub fn build<F>(
         specs: &[RouterSpec],
         attachments: &[(RouterId, PortId)],
         next_routers: F,
@@ -91,7 +46,10 @@ impl RouteTable {
                     vec![*goal_port]
                 } else {
                     let nexts = next_routers(at, *goal_router);
-                    assert!(!nexts.is_empty(), "next_routers must make progress");
+                    assert!(
+                        !nexts.is_empty() && !nexts.contains(&at),
+                        "next_routers must make progress"
+                    );
                     let lanes: Vec<PortId> = spec
                         .ports
                         .iter()
@@ -176,7 +134,7 @@ mod tests {
         let attachments = vec![(RouterId(0), PortId(2)), (RouterId(1), PortId(2))];
         let t = RouteTable::build(&specs, &attachments, |at, goal| {
             assert_ne!(at, goal);
-            goal
+            vec![goal]
         });
         assert_eq!(
             t.candidates(RouterId(0), NodeId(1)),

@@ -1,7 +1,7 @@
 //! Best-effort traffic sources.
 
 use flitnet::{
-    Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, BEST_EFFORT_VTICK,
+    Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm, BEST_EFFORT_VTICK,
 };
 use netsim::dist::{Distribution, Exponential};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
@@ -33,7 +33,7 @@ use crate::workload::ScheduledMessage;
 /// let mut next_id = 0u64;
 /// let m = src.next_message(&mut rng, &mut next_id);
 /// assert_eq!(m.flits.len(), 20);
-/// assert_ne!(m.flits[0].dest, NodeId(0)); // never self-addressed
+/// assert_ne!(m.flits.head().dest, NodeId(0)); // never self-addressed
 /// ```
 #[derive(Debug)]
 pub struct BestEffortSource {
@@ -153,8 +153,7 @@ impl BestEffortSource {
         ScheduledMessage {
             at,
             src: self.node,
-            vc_in,
-            flits: Flit::flitify(template),
+            flits: Worm::new(template),
         }
     }
 
@@ -320,7 +319,7 @@ mod tests {
         let mut counts = [0u32; 8];
         for _ in 0..7000 {
             let m = s.next_message(&mut rng, &mut id);
-            counts[m.flits[0].dest.index()] += 1;
+            counts[m.flits.head().dest.index()] += 1;
         }
         assert_eq!(counts[3], 0, "never self-addressed");
         for (i, &c) in counts.iter().enumerate() {
@@ -337,9 +336,8 @@ mod tests {
         let mut id = 0u64;
         for _ in 0..100 {
             let m = s.next_message(&mut rng, &mut id);
-            assert!(m.vc_in == VcId(14) || m.vc_in == VcId(15));
-            assert!(m.flits[0].vc == m.vc_in);
-            assert!(m.flits[0].out_vc == VcId(14) || m.flits[0].out_vc == VcId(15));
+            assert!(m.flits.head().vc == VcId(14) || m.flits.head().vc == VcId(15));
+            assert!(m.flits.head().out_vc == VcId(14) || m.flits.head().out_vc == VcId(15));
         }
     }
 
@@ -349,10 +347,10 @@ mod tests {
         let mut s = source(ArrivalProcess::Constant, &mut rng);
         let mut id = 0u64;
         let m = s.next_message(&mut rng, &mut id);
-        for f in &m.flits {
+        for f in m.flits {
             assert_eq!(f.vtick, BEST_EFFORT_VTICK);
             assert_eq!(f.class, TrafficClass::BestEffort);
         }
-        assert_eq!(m.flits[0].msgs_in_frame, 1);
+        assert_eq!(m.flits.head().msgs_in_frame, 1);
     }
 }

@@ -26,7 +26,7 @@
 //!   DRR) demotion is a no-op by construction — those schedulers never
 //!   look at `Vtick`.
 
-use flitnet::BEST_EFFORT_VTICK;
+use flitnet::{Flit, Worm, BEST_EFFORT_VTICK};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::Cycles;
 
@@ -213,9 +213,10 @@ impl Policer {
             PolicingMode::Demote => {
                 let need = msg.flits.len() as f64;
                 if !self.buckets[stream].conforms(msg.at, need) {
-                    for f in &mut msg.flits {
-                        f.vtick = BEST_EFFORT_VTICK;
-                    }
+                    msg.flits = Worm::new(Flit {
+                        vtick: BEST_EFFORT_VTICK,
+                        ..msg.flits.head()
+                    });
                 }
             }
         }
@@ -265,7 +266,7 @@ impl Policer {
 mod tests {
     use super::*;
     use crate::workload::ScheduledMessage;
-    use flitnet::{Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId};
+    use flitnet::{FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId};
 
     fn msg(at: u64, flits: u32) -> ScheduledMessage {
         let template = Flit {
@@ -287,8 +288,7 @@ mod tests {
         ScheduledMessage {
             at: Cycles(at),
             src: NodeId(0),
-            vc_in: VcId(0),
-            flits: Flit::flitify(template),
+            flits: Worm::new(template),
         }
     }
 
@@ -306,7 +306,7 @@ mod tests {
             let mut m = msg(k * 2_000, 20);
             p.apply(0, &mut m);
             assert_eq!(m.at, Cycles(k * 2_000), "conforming message delayed");
-            assert!(m.flits.iter().all(|f| f.vtick == 100.0));
+            assert!(m.flits.into_iter().all(|f| f.vtick == 100.0));
         }
     }
 
@@ -338,11 +338,11 @@ mod tests {
             let mut m = msg(0, 20);
             p.apply(0, &mut m);
             assert_eq!(m.at, Cycles(0), "demote never delays");
-            if m.flits[0].vtick == BEST_EFFORT_VTICK {
+            if m.flits.head().vtick == BEST_EFFORT_VTICK {
                 demoted += 1;
                 // Class (and therefore VC partition) is untouched.
-                assert!(m.flits.iter().all(|f| f.class == TrafficClass::Vbr));
-                assert!(m.flits.iter().all(|f| f.vtick == BEST_EFFORT_VTICK));
+                assert!(m.flits.into_iter().all(|f| f.class == TrafficClass::Vbr));
+                assert!(m.flits.into_iter().all(|f| f.vtick == BEST_EFFORT_VTICK));
             }
         }
         assert_eq!(demoted, 4, "208 in-burst messages conform, 4 do not");
@@ -352,13 +352,12 @@ mod tests {
     fn off_mode_is_a_no_op() {
         let mut p = policer(PolicingMode::Off);
         let mut m = msg(0, 20);
-        let before = m.flits.clone();
+        let before = m.flits;
         for _ in 0..500 {
             p.apply(0, &mut m);
         }
         assert_eq!(m.at, Cycles(0));
-        assert_eq!(m.flits.len(), before.len());
-        assert!(m.flits[0].vtick == before[0].vtick);
+        assert_eq!(m.flits, before);
     }
 
     #[test]

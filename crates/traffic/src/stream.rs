@@ -1,6 +1,6 @@
 //! Real-time (VBR/CBR) stream sources.
 
-use flitnet::{Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId};
+use flitnet::{Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm};
 use netsim::dist::{Constant, Distribution, Normal};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::{Cycles, SimRng, TimeBase};
@@ -31,7 +31,7 @@ use crate::workload::ScheduledMessage;
 /// let mut next_msg_id = 0u64;
 /// let m = s.next_message(&mut rng, &mut next_msg_id);
 /// assert_eq!(m.src, NodeId(0));
-/// assert!(!m.flits.is_empty());
+/// assert_eq!(m.flits.head().dest, NodeId(5));
 /// ```
 #[derive(Debug)]
 pub struct RealTimeStream {
@@ -254,8 +254,7 @@ impl RealTimeStream {
         ScheduledMessage {
             at,
             src: self.src,
-            vc_in: self.vc_in,
-            flits: Flit::flitify(template),
+            flits: Worm::new(template),
         }
     }
 
@@ -339,7 +338,7 @@ mod tests {
             let m = s.next_message(&mut rng, &mut id);
             assert!(m.at >= last_at, "injections must be monotonic");
             last_at = m.at;
-            let head = m.flits[0];
+            let head = m.flits.head();
             assert_eq!(head.msg_seq_in_frame, k);
             assert_eq!(head.msgs_in_frame, 209);
             assert_eq!(head.frame, FrameId(0));
@@ -348,7 +347,7 @@ mod tests {
         assert_eq!(total, 4167);
         // Next message starts frame 1, one interval later.
         let m = s.next_message(&mut rng, &mut id);
-        assert_eq!(m.flits[0].frame, FrameId(1));
+        assert_eq!(m.flits.head().frame, FrameId(1));
         let tb = s.timebase();
         let frame_cycles = tb.cycles_from_ms(33.0);
         assert_eq!(m.at, Cycles(1000) + frame_cycles);
@@ -361,7 +360,7 @@ mod tests {
         let mut id = 0u64;
         let mut lens = Vec::new();
         for _ in 0..209 {
-            lens.push(s.next_message(&mut rng, &mut id).flits[0].msg_len);
+            lens.push(s.next_message(&mut rng, &mut id).flits.head().msg_len);
         }
         // 209 messages: 208 full (20 flits) + 7-flit remainder.
         assert!(lens[..208].iter().all(|&l| l == 20));
@@ -377,7 +376,7 @@ mod tests {
             let mut lens = Vec::new();
             loop {
                 let m = s.next_message(&mut rng, &mut id);
-                let head = m.flits[0];
+                let head = m.flits.head();
                 assert_eq!(head.frame, FrameId(frame));
                 assert_eq!(head.msg_seq_in_frame as usize, lens.len());
                 assert_eq!(m.flits.len(), head.msg_len as usize);
@@ -400,7 +399,7 @@ mod tests {
         let mut rng = SimRng::seed_from(9);
         let mut id = 0u64;
         // Part-way into the third frame.
-        while a.next_message(&mut rng, &mut id).flits[0].frame != FrameId(2) {}
+        while a.next_message(&mut rng, &mut id).flits.head().frame != FrameId(2) {}
         for _ in 0..5 {
             let _ = a.next_message(&mut rng, &mut id);
         }
@@ -420,7 +419,7 @@ mod tests {
             assert_eq!(ma.at, mb.at);
             assert_eq!(ma.flits, mb.flits);
         }
-        assert!(a.next_message(&mut rng, &mut id).flits[0].frame.0 > 3);
+        assert!(a.next_message(&mut rng, &mut id).flits.head().frame.0 > 3);
     }
 
     #[test]
@@ -432,7 +431,7 @@ mod tests {
         // Gather msgs_in_frame for 10 frames.
         for _ in 0..10 {
             let m = s.next_message(&mut rng, &mut id);
-            let head = m.flits[0];
+            let head = m.flits.head();
             frames.insert(head.msgs_in_frame);
             // Skip the rest of the frame.
             for _ in 1..head.msgs_in_frame {
@@ -465,7 +464,7 @@ mod tests {
         let mut frame_flits = Vec::new();
         for _ in 0..12 {
             let m = s.next_message(&mut rng, &mut id);
-            let msgs = m.flits[0].msgs_in_frame;
+            let msgs = m.flits.head().msgs_in_frame;
             let mut total = m.flits.len() as u32;
             for _ in 1..msgs {
                 total += s.next_message(&mut rng, &mut id).flits.len() as u32;
@@ -481,7 +480,7 @@ mod tests {
         assert!((mean - 4167.0).abs() < 30.0, "GOP mean {mean}");
         // The pattern repeats: frame 12 is an I frame again.
         let m = s.next_message(&mut rng, &mut id);
-        let msgs = m.flits[0].msgs_in_frame;
+        let msgs = m.flits.head().msgs_in_frame;
         let mut total = m.flits.len() as u32;
         for _ in 1..msgs {
             total += s.next_message(&mut rng, &mut id).flits.len() as u32;
@@ -513,7 +512,7 @@ mod tests {
         let mut id = 5u64;
         let m = s.next_message(&mut rng, &mut id);
         assert_eq!(id, 6);
-        for f in &m.flits {
+        for f in m.flits {
             assert_eq!(f.stream, StreamId(7));
             assert_eq!(f.dest, NodeId(2));
             assert_eq!(f.vc, VcId(0), "current-hop VC starts as vc_in");
@@ -521,7 +520,6 @@ mod tests {
             assert_eq!(f.class, TrafficClass::Vbr);
             assert!((f.vtick - 100.0).abs() < 1e-9);
         }
-        assert_eq!(m.vc_in, VcId(0));
     }
 
     #[test]
@@ -547,7 +545,7 @@ mod tests {
             );
             let mut rng = SimRng::seed_from(seed);
             let mut id = 0u64;
-            let head = s.next_message(&mut rng, &mut id).flits[0];
+            let head = s.next_message(&mut rng, &mut id).flits.head();
             assert!(
                 head.msgs_in_frame <= limit,
                 "seed {seed}: frame of {} messages exceeds the clamp",
@@ -567,8 +565,8 @@ mod tests {
         let mut s = stream(StreamClass::Cbr);
         let mut rng = SimRng::seed_from(5);
         let mut id = 0u64;
-        let a = s.next_message(&mut rng, &mut id).flits[0].msg;
-        let b = s.next_message(&mut rng, &mut id).flits[0].msg;
+        let a = s.next_message(&mut rng, &mut id).flits.head().msg;
+        let b = s.next_message(&mut rng, &mut id).flits.head().msg;
         assert_eq!(a, MsgId(0));
         assert_eq!(b, MsgId(1));
     }

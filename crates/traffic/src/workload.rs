@@ -1,6 +1,6 @@
 //! Building complete traffic-mix workloads (paper §4.2.3).
 
-use flitnet::{Flit, NodeId, StreamId, TrafficClass, VcId, VcPartition};
+use flitnet::{NodeId, StreamId, TrafficClass, VcId, VcPartition, Worm};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::{Cycles, SimRng};
 
@@ -9,17 +9,16 @@ use crate::police::{Policer, PolicingMode};
 use crate::spec::{StreamClass, WorkloadSpec};
 use crate::stream::RealTimeStream;
 
-/// One message ready for injection: when, where, and its flits.
-#[derive(Debug, Clone)]
+/// One message ready for injection: when, where, and the message as its
+/// head flit.
+#[derive(Debug, Clone, Copy)]
 pub struct ScheduledMessage {
     /// Injection cycle at the source network interface.
     pub at: Cycles,
     /// Source endpoint.
     pub src: NodeId,
-    /// VC on the injection link.
-    pub vc_in: VcId,
-    /// The message's flits in order (head … tail).
-    pub flits: Vec<Flit>,
+    /// The message; its head's `vc` is the injection-link VC.
+    pub flits: Worm,
 }
 
 /// A traffic source: either a fixed real-time stream or a per-node
@@ -483,7 +482,7 @@ mod tests {
         for i in 0..wl.source_count() {
             for _ in 0..3 {
                 let m = wl.next_message(i);
-                assert!(seen.insert(m.flits[0].msg));
+                assert!(seen.insert(m.flits.head().msg));
             }
         }
     }
@@ -525,12 +524,12 @@ mod tests {
         for i in 0..rt {
             for _ in 0..1_700 {
                 let m = wl.next_message(i);
-                if m.flits[0].vtick == flitnet::BEST_EFFORT_VTICK {
+                if m.flits.head().vtick == flitnet::BEST_EFFORT_VTICK {
                     demoted += 1;
                     // Demotion changes scheduling priority only: the
                     // flits stay in their class partition.
-                    assert_eq!(m.flits[0].class, TrafficClass::Vbr);
-                    assert!(p.class_of(m.vc_in).is_real_time());
+                    assert_eq!(m.flits.head().class, TrafficClass::Vbr);
+                    assert!(p.class_of(m.flits.head().vc).is_real_time());
                 }
             }
         }

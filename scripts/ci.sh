@@ -96,20 +96,26 @@ require_tests --test stepping_identity -- \
 require_tests -p mediaworm -- snapshot checkpoint
 require_tests -p mediaworm-bench -- resume
 
-# Snapshot format v5: scheduler stamps are runs that replay the per-flit
-# stamps bit for bit under every discipline, so a queued message saves in
-# constant size; an NI part-way through a worm (message cursor > 0)
-# restores bit-identically; a stream resumes mid-frame with the same
-# message lengths. A v4 image is a version error, and a bad NI cursor or
-# staged head, NI runs that disagree with the queued flits, or a run of
-# no flits is a typed error, never a panic.
+# Snapshot format v6: the injection calendar holds one entry per source
+# carrying its next message as a head flit; scheduler stamps are runs
+# that replay the per-flit stamps bit for bit under every discipline, so
+# a queued message saves in constant size; an NI part-way through a worm
+# (message cursor > 0) restores bit-identically; a stream resumes
+# mid-frame with the same message lengths. A v5 image is a version
+# error, and a calendar with a source missing or repeated, a source id
+# of 8 or a VC of 16 on the 8-port switch, a bad NI cursor or head, NI
+# runs that disagree with the queued flits, or a run of no flits is a
+# typed error, never a panic. A resumed sweep point that had finished
+# restores its final image and steps no cycle.
 require_tests -p mediaworm -- \
   run_queue_matches_the_per_flit_model \
   a_queued_message_saves_as_one_run \
   restore_rejects_a_run_of_no_flits \
   snapshot_mid_worm_at_the_ni_restores_bit_identically \
-  restore_rejects_a_v4_image \
-  restore_rejects_a_bad_ni_cursor_or_staged_head
+  restore_rejects_a_v5_image \
+  restore_rejects_a_calendar_without_each_source_once \
+  restore_rejects_a_bad_ni_cursor_or_head
+require_tests -p mediaworm-bench -- a_resumed_point_reuses_its_finished_image
 require_tests -p traffic -- \
   vbr_frames_split_into_full_messages_and_a_short_last_one \
   a_mid_frame_snapshot_resumes_the_same_messages

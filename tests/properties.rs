@@ -1,7 +1,9 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants of the reproduction.
 
-use flitnet::{Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, VcPartition};
+use flitnet::{
+    Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, VcPartition, Worm,
+};
 use mediaworm::{MuxScheduler, SchedulerKind, DRR_QUANTUM};
 use netsim::dist::{Distribution, Normal};
 use netsim::{Calendar, Cycles, RunningStats, SimRng, TimeBase};
@@ -97,13 +99,15 @@ proptest! {
         }
     }
 
-    /// Flitify always produces exactly one head and one tail, in order,
+    /// A worm's flits are always exactly one head and one tail, in order,
     /// covering `msg_len` flits.
     #[test]
-    fn flitify_is_well_formed(len in 1u32..500) {
+    fn worm_flits_are_well_formed(len in 1u32..500) {
         let mut template = flit(FlitKind::Head, 10.0, 0);
         template.msg_len = len;
-        let flits = Flit::flitify(template);
+        let worm = Worm::new(template);
+        prop_assert_eq!(worm.into_iter().len(), len as usize);
+        let flits: Vec<Flit> = worm.into_iter().collect();
         prop_assert_eq!(flits.len(), len as usize);
         prop_assert!(flits[0].kind.is_head());
         prop_assert!(flits[len as usize - 1].kind.is_tail());
@@ -453,11 +457,11 @@ proptest! {
         // Walk two full frames.
         for _ in 0..2 {
             let first = s.next_message(&mut rng, &mut next_id);
-            let msgs = first.flits[0].msgs_in_frame;
+            let msgs = first.flits.head().msgs_in_frame;
             let mut flits = first.flits.len() as u32;
             for k in 1..msgs {
                 let m = s.next_message(&mut rng, &mut next_id);
-                prop_assert_eq!(m.flits[0].msg_seq_in_frame, k);
+                prop_assert_eq!(m.flits.head().msg_seq_in_frame, k);
                 flits += m.flits.len() as u32;
             }
             // Full messages except possibly the last.
