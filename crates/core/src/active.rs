@@ -3,7 +3,7 @@
 
 /// A duplicate-free set of indices drawn from a universe `0..len` fixed
 /// at construction: pending input slots, granted input VCs, staged output
-/// VCs, busy links, backlogged endpoints.
+/// VCs, busy links, NI VCs and endpoints that can send.
 ///
 /// A bitset of `u64` words, so membership and ascending order are the
 /// same bits: `insert`, `remove` and `contains` are O(1) and iteration

@@ -95,9 +95,11 @@ struct Endpoint {
     sched: MuxScheduler,
     credits: Vec<u32>,
     link: usize,
-    /// Flits still to send across all VCs: the NI's O(1) idle test
-    /// (`ni_send` visits only endpoints with `queued > 0`).
-    queued: u64,
+    /// VCs that can send: a queued message and a credit
+    /// ([`Endpoint::can_send`]). The NI multiplexer picks among these,
+    /// and an endpoint with none is in no [`Network::active_eps`].
+    /// Derived, never serialized.
+    ready: ActiveSet,
     /// VC of the worm currently being injected. The NI drains a message's
     /// flits back-to-back when it can (like a DMA engine), so worms enter
     /// the network compact; pacing between competing worms is the
@@ -109,6 +111,17 @@ struct Endpoint {
 }
 
 impl Endpoint {
+    /// [`Endpoint::ready`]'s membership rule: VC `v` holds a message and a
+    /// credit.
+    fn can_send(&self, v: usize) -> bool {
+        !self.queues[v].is_empty() && self.credits[v] > 0
+    }
+
+    /// [`Endpoint::ready`] re-derived from the queues and credits.
+    fn ready_vcs(&self) -> ActiveSet {
+        ActiveSet::from_fn(self.queues.len(), |v| self.can_send(v))
+    }
+
     /// Flits still to send, recounted from the queued messages' cursors
     /// (the audit's flit-conservation term and the stall report's NI
     /// backlog).
@@ -202,11 +215,13 @@ pub struct Network {
     /// the float-accumulation order in the trackers and the trace byte
     /// order).
     active_links: ActiveSet,
-    /// Endpoints with flits queued at the NI (`queued > 0`); `ni_send`
-    /// scans only these, ascending for the same reason as
-    /// `active_links`. An endpoint joins on injection and leaves once its
-    /// queues drain (`queued == 0` — which implies no open worm, since a
-    /// message joins its NI queue whole).
+    /// Endpoints whose NI can send this cycle (a non-empty
+    /// [`Endpoint::ready`]); `ni_send` scans only these, ascending for the
+    /// same reason as `active_links`. An endpoint joins when a VC becomes
+    /// ready (an injection onto a VC with a credit, or a credit for a VC
+    /// with a message) and leaves once its last ready VC runs out of
+    /// credits or messages. A backlogged but credit-blocked NI is not a
+    /// member, so it costs nothing per cycle.
     active_eps: ActiveSet,
     /// Downstream input-buffer depth per VC (the audit's conservation
     /// checks need the capacity the credits were initialised from).
@@ -309,7 +324,7 @@ impl Network {
                 sched: MuxScheduler::new(cfg.scheduler_kind(), m as usize),
                 credits: vec![cfg.buf_flits_value(); m as usize],
                 link: links.len() - 1,
-                queued: 0,
+                ready: ActiveSet::new(m as usize),
                 current: None,
                 sendable: Vec::with_capacity(m as usize),
             });
@@ -395,9 +410,11 @@ impl Network {
         ActiveSet::from_fn(self.links.len(), |l| self.links[l].busy())
     }
 
-    /// [`Network::active_eps`] re-derived from the NI backlogs.
-    fn backlogged_eps(&self) -> ActiveSet {
-        ActiveSet::from_fn(self.endpoints.len(), |n| self.endpoints[n].queued > 0)
+    /// [`Network::active_eps`] re-derived from the endpoints' ready sets.
+    fn ready_eps(&self) -> ActiveSet {
+        ActiveSet::from_fn(self.endpoints.len(), |n| {
+            !self.endpoints[n].ready.is_empty()
+        })
     }
 
     /// Current simulation time.
@@ -539,7 +556,8 @@ impl Network {
     /// Whether no component can change state at the current cycle: every
     /// router's pipeline is empty (`!has_work`, which covers pending
     /// heads, granted connections and staged outputs — all imply resident
-    /// flits) and every backlogged NI is credit-blocked on all its VCs.
+    /// flits) and no NI can send (`active_eps` is empty: every backlogged
+    /// NI is credit-blocked on all its VCs).
     ///
     /// Anything else that *will* act — a due injection, a flit or credit
     /// arriving on a wire, an audit or watchdog deadline — acts at a
@@ -551,14 +569,7 @@ impl Network {
         if self.flits_in_flight == 0 {
             return true;
         }
-        self.routers.iter().all(|r| !r.has_work())
-            && self.active_eps.iter().all(|n| {
-                let ep = &self.endpoints[n];
-                !ep.queues
-                    .iter()
-                    .zip(&ep.credits)
-                    .any(|(q, &c)| !q.is_empty() && c > 0)
-            })
+        self.active_eps.is_empty() && self.routers.iter().all(|r| !r.has_work())
     }
 
     /// The earliest future cycle at which any component can act: the next
@@ -663,12 +674,12 @@ impl Network {
             let (src, head) = (msg.src, msg.flits.head());
             let ep = &mut self.endpoints[src.index()];
             let v = head.vc.index();
-            for k in 0..head.msg_len {
-                ep.sched.on_arrival(v, now, &head.nth(k));
-            }
+            ep.sched.on_message_arrival(v, now, &head);
             ep.queues[v].push_back(NiMsg { head, next: 0 });
-            ep.queued += u64::from(head.msg_len);
-            self.active_eps.insert(src.index());
+            if ep.credits[v] > 0 {
+                ep.ready.insert(v);
+                self.active_eps.insert(src.index());
+            }
             if let Some(sink) = &mut self.trace {
                 // One event per message; `port` holds the source node id
                 // (there is no router at the injection point).
@@ -754,7 +765,12 @@ impl Network {
                     self.routers[router].receive_credit(port, vc);
                 }
                 TxSide::Ni { node } => {
-                    self.endpoints[node].credits[vc.index()] += 1;
+                    let (ep, v) = (&mut self.endpoints[node], vc.index());
+                    ep.credits[v] += 1;
+                    if !ep.queues[v].is_empty() {
+                        ep.ready.insert(v);
+                        self.active_eps.insert(node);
+                    }
                 }
             }
         }
@@ -889,50 +905,49 @@ impl Network {
     /// source matters: a worm spread thin over time holds its granted
     /// output VC at every router for the whole stretch.
     ///
-    /// Sending touches only the injection links, so the endpoint set can
-    /// be taken out while it is scanned; an empty set skips the take.
+    /// Only endpoints that can send are visited: a backlogged NI whose
+    /// VCs all lack a credit is not in the set. Sending touches only the
+    /// injection links, so the endpoint set can be taken out while it is
+    /// scanned; an empty set skips the take.
     fn ni_send(&mut self, now: Cycles) {
         if self.active_eps.is_empty() {
             return;
         }
         let mut active = std::mem::take(&mut self.active_eps);
         active.retain(|n| {
-            debug_assert!(
-                self.endpoints[n].queued > 0,
-                "active endpoint must have flits"
-            );
-            self.ni_send_one(n, now);
-            self.endpoints[n].queued > 0
+            self.ni_send_one(n, now, false);
+            !self.endpoints[n].ready.is_empty()
         });
         self.active_eps = active;
     }
 
-    /// Phase 6, reference mode: scan every endpoint in index order, then
-    /// prune the active set exactly as the optimized scan would have.
+    /// Phase 6, reference mode: let every endpoint with a queued message
+    /// pick in index order from the VCs [`Endpoint::can_send`] lists (not
+    /// from its ready set), then prune the active set exactly as the
+    /// optimized scan would have.
     fn ni_send_reference(&mut self, now: Cycles) {
         for n in 0..self.endpoints.len() {
-            if self.endpoints[n].queues.iter().all(VecDeque::is_empty) {
-                debug_assert_eq!(
-                    self.endpoints[n].queued, 0,
-                    "queued counter must track queues"
-                );
+            let ep = &self.endpoints[n];
+            if ep.queues.iter().all(VecDeque::is_empty) {
                 continue;
             }
-            debug_assert!(
+            debug_assert_eq!(ep.ready, ep.ready_vcs(), "endpoint {n}'s ready VCs");
+            debug_assert_eq!(
                 self.active_eps.contains(n),
-                "a backlogged NI must be in the active set"
+                !ep.ready.is_empty(),
+                "an NI that can send must be in the active set"
             );
-            self.ni_send_one(n, now);
+            self.ni_send_one(n, now, true);
         }
         let endpoints = &self.endpoints;
-        self.active_eps.retain(|n| endpoints[n].queued > 0);
+        self.active_eps.retain(|n| !endpoints[n].ready.is_empty());
     }
 
     /// Lets endpoint `n`'s NI put (at most) one flit on its injection
-    /// link.
-    fn ni_send_one(&mut self, n: usize, now: Cycles) {
+    /// link; `reference` selects [`Network::ni_pick`]'s full scan.
+    fn ni_send_one(&mut self, n: usize, now: Cycles, reference: bool) {
         let ep = &mut self.endpoints[n];
-        let Some(flit) = Self::ni_pick(ep) else {
+        let Some(flit) = Self::ni_pick(ep, reference) else {
             return;
         };
         let link = ep.link;
@@ -943,15 +958,20 @@ impl Network {
 
     /// The NI scheduling decision of [`Network::ni_send_one`], minus the
     /// link send: picks (and dequeues) the flit endpoint `ep` injects
-    /// this cycle, if any.
-    fn ni_pick(ep: &mut Endpoint) -> Option<Flit> {
-        let sendable = |ep: &Endpoint, v: usize| !ep.queues[v].is_empty() && ep.credits[v] > 0;
+    /// this cycle, if any. The scheduler's candidates are the ready set,
+    /// or with `reference` every VC [`Endpoint::can_send`] admits (the
+    /// same ascending list while the set is in sync).
+    fn ni_pick(ep: &mut Endpoint, reference: bool) -> Option<Flit> {
         let v = match ep.current {
-            Some(v) if sendable(ep, v) => v,
+            Some(v) if ep.can_send(v) => v,
             _ => {
                 let mut list = std::mem::take(&mut ep.sendable);
                 list.clear();
-                list.extend((0..ep.queues.len()).filter(|&v| sendable(ep, v)));
+                if reference {
+                    list.extend((0..ep.queues.len()).filter(|&v| ep.can_send(v)));
+                } else {
+                    list.extend(ep.ready.iter());
+                }
                 let choice = ep.sched.choose_from(&list);
                 ep.sendable = list;
                 choice?
@@ -965,7 +985,9 @@ impl Network {
         }
         ep.sched.on_service(v);
         ep.credits[v] -= 1;
-        ep.queued -= 1;
+        if !ep.can_send(v) {
+            ep.ready.remove(v);
+        }
         ep.current = if flit.kind.is_tail() { None } else { Some(v) };
         Some(flit)
     }
@@ -1146,23 +1168,35 @@ impl Network {
             }
         }
         // Active-set conservation: a link must be in the active set
-        // exactly when it has traffic in flight, and an endpoint exactly
-        // when it has flits queued. The stepper scans only the members,
-        // so a desync silently strands traffic.
+        // exactly when it has traffic in flight, an NI VC in its
+        // endpoint's ready set exactly when it holds a message and a
+        // credit, and an endpoint in the active set exactly when it has a
+        // ready VC. The stepper scans only the members, so a desync
+        // silently strands traffic.
+        let mut desync = |port: u32, detail: String| {
+            log.record(Violation {
+                cycle: now.get(),
+                router: None,
+                port,
+                vc: 0,
+                kind: ViolationKind::ActiveSetDesync,
+                detail,
+            });
+        };
         let sets = [
             (&self.active_links, self.busy_links(), "links"),
-            (&self.active_eps, self.backlogged_eps(), "endpoints"),
+            (&self.active_eps, self.ready_eps(), "endpoints"),
         ];
         for (live, want, what) in sets {
             if *live != want {
-                log.record(Violation {
-                    cycle: now.get(),
-                    router: None,
-                    port: 0,
-                    vc: 0,
-                    kind: ViolationKind::ActiveSetDesync,
-                    detail: format!("active {what} {live:?}, re-derived {want:?}"),
-                });
+                desync(0, format!("active {what} {live:?}, re-derived {want:?}"));
+            }
+        }
+        // An endpoint's violation carries its node id as the port.
+        for (n, ep) in self.endpoints.iter().enumerate() {
+            let (live, want) = (&ep.ready, ep.ready_vcs());
+            if *live != want {
+                desync(n as u32, format!("ready VCs {live:?}, re-derived {want:?}"));
             }
         }
         // Global flit conservation: everything injected but undelivered
@@ -1293,10 +1327,11 @@ impl Network {
     /// (topology, wiring, configuration) is *not* written — [`Network::
     /// restore`] requires a network freshly built from the same inputs.
     ///
-    /// The derived active sets (busy links, backlogged endpoints, router
-    /// pending/granted/staged sets) are recomputed on restore from the
-    /// restored buffers; they are pure functions of that state (the
-    /// predicates the `ActiveSetDesync` audit checks).
+    /// The derived active sets (busy links, NI VCs and endpoints that can
+    /// send, router pending/granted/staged sets) are recomputed on
+    /// restore from the restored buffers and credits; they are pure
+    /// functions of that state (the predicates the `ActiveSetDesync`
+    /// audit checks).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.u64(self.now.0);
@@ -1401,6 +1436,7 @@ impl Network {
             return Err(SnapError::BadValue("calendar size is not the source count"));
         }
         let mut seen = vec![false; sources];
+        let mut seqs = Vec::with_capacity(sources);
         let mut entries = Vec::with_capacity(sources);
         for _ in 0..sources {
             let at = Cycles(r.u64()?);
@@ -1414,6 +1450,7 @@ impl Network {
                 ));
             }
             seen[idx] = true;
+            seqs.push(seq);
             let ep = self.endpoints.get(src.index());
             if ep.is_none_or(|ep| head.vc.index() >= ep.queues.len()) {
                 return Err(SnapError::BadValue(
@@ -1422,6 +1459,12 @@ impl Network {
             }
             let flits = Worm::new(head);
             entries.push((at, seq, (idx, ScheduledMessage { at, src, flits })));
+        }
+        // Each schedule draws a fresh `seq`, so two entries sharing one
+        // would tie in the heap and pop in an order no run produces.
+        seqs.sort_unstable();
+        if seqs.windows(2).any(|w| w[0] == w[1]) {
+            return Err(SnapError::BadValue("calendar entries sharing a seq"));
         }
         self.calendar = Calendar::from_snapshot(entries, next_seq);
         for ep in &mut self.endpoints {
@@ -1451,7 +1494,7 @@ impl Network {
             if ep.current.is_some_and(|v| v >= ep.queues.len()) {
                 return Err(SnapError::BadValue("NI current VC out of range"));
             }
-            ep.queued = ep.backlog();
+            ep.ready = ep.ready_vcs();
         }
         for router in &mut self.routers {
             router.load_into(&mut r)?;
@@ -1509,7 +1552,7 @@ impl Network {
         r.finish()?;
         // Recompute the derived active sets from the restored state.
         self.active_links = self.busy_links();
-        self.active_eps = self.backlogged_eps();
+        self.active_eps = self.ready_eps();
         Ok(())
     }
 }
@@ -1863,6 +1906,14 @@ mod tests {
     }
 
     #[test]
+    fn audit_flags_a_corrupted_ready_vc_set() {
+        assert_corrupted_set_is_flagged(16, |net| {
+            let n = net.active_eps.iter().next().expect("an NI that can send");
+            &mut net.endpoints[n].ready
+        });
+    }
+
+    #[test]
     fn audited_run_matches_unaudited_numbers() {
         use crate::audit::{AuditConfig, WatchdogConfig};
         let topology = Topology::single_switch(8);
@@ -2072,7 +2123,8 @@ mod tests {
         let mut b = Network::new(&topology, small_workload(0.9, 24), &cfg);
         b.restore(&bytes).expect("restore");
         assert_eq!(b.endpoints[n].queues[v].front().map(|e| e.next), Some(next));
-        assert_eq!(b.endpoints[n].queued, a.endpoints[n].queued);
+        assert_eq!(b.endpoints[n].backlog(), a.endpoints[n].backlog());
+        assert_eq!(b.endpoints[n].ready, a.endpoints[n].ready);
         assert_eq!(bytes, b.snapshot(), "re-snapshot must be byte-identical");
 
         let end = tb.cycles_from_ms(15.0);
@@ -2181,6 +2233,10 @@ mod tests {
         })));
         assert!(bad_value(restore_after(&|e| {
             e[1].2 .0 = e[0].2 .0;
+        })));
+        // Two entries sharing a `seq`.
+        assert!(bad_value(restore_after(&|e| {
+            e[1].1 = e[0].1;
         })));
         // A message from a source or on a VC the network does not have.
         assert!(bad_value(restore_after(&|e| {

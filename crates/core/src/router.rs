@@ -685,7 +685,12 @@ impl Router {
                 for p in 0..n {
                     // Only granted VCs can be crossbar-eligible, and the
                     // granted set iterates ascending, so filtering it
-                    // yields the exact list the full scan builds.
+                    // yields the exact list the full scan builds. A port
+                    // with no grant counts no conflict, and choosing from
+                    // its empty list mutates nothing: it is skipped.
+                    if !reference && self.inputs[p].granted.is_empty() {
+                        continue;
+                    }
                     eligible.clear();
                     if reference {
                         eligible.extend((0..m).filter(|&v| self.xbar_eligible(p, v, now)));

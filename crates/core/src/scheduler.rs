@@ -184,6 +184,26 @@ impl MuxScheduler {
     ///
     /// Panics if `vc` is out of range.
     pub fn on_arrival(&mut self, vc: usize, now: Cycles, flit: &Flit) {
+        self.arrive(vc, now, flit, 1);
+    }
+
+    /// Records a whole message, given as its head flit, joining VC `vc`'s
+    /// queue at cycle `now`: the same stamps, runs and registers as
+    /// `head.msg_len` calls of [`MuxScheduler::on_arrival`] with its
+    /// flits in order, without building them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is out of range.
+    pub fn on_message_arrival(&mut self, vc: usize, now: Cycles, head: &Flit) {
+        debug_assert!(head.kind.is_head(), "a message arrives by its head flit");
+        self.arrive(vc, now, head, head.msg_len);
+    }
+
+    /// The stamping rule of both arrivals: stamps `flits` flits joining
+    /// VC `vc`'s queue at cycle `now`, the first of them `first` and the
+    /// rest the non-head flits after it.
+    fn arrive(&mut self, vc: usize, now: Cycles, first: &Flit, flits: u32) {
         // Runs follow messages only while every stamp is at or above the
         // clock, which `Vtick >= 0` and a clock below the saturation
         // ceiling guarantee: a flit queued behind its own stream's last
@@ -192,64 +212,70 @@ impl MuxScheduler {
             now.as_f64() <= STAMP_SATURATION,
             "cycle {now:?} past the stamp ceiling"
         );
+        // A second advance at the same cycle is a no-op, so one advance
+        // serves every flit of a message.
         if self.kind == SchedulerKind::Wfq {
             self.advance_virtual_time(now);
         }
-        let v_time = self.v_time;
-        let v_served = self.v_served;
+        let (kind, v_time, v_served) = (self.kind, self.v_time, self.v_served);
         let state = &mut self.vcs[vc];
-        let last = state.aux_vc;
-        if flit.kind.is_head() {
-            debug_assert!(flit.vtick >= 0.0, "Vtick {} below zero", flit.vtick);
-            state.vtick = flit.vtick;
+        let mut last = state.aux_vc;
+        if first.kind.is_head() {
+            debug_assert!(first.vtick >= 0.0, "Vtick {} below zero", first.vtick);
+            state.vtick = first.vtick;
             // Zhang's auxVC is a per-connection register (WFQ and SCFQ
             // reuse it as the connection's finish tag). When the VC is
             // recycled to a different stream, the new connection must not
             // inherit (and be penalized by) the old connection's clock.
-            if state.stream != Some(flit.stream) {
+            if state.stream != Some(first.stream) {
                 state.aux_vc = 0.0;
-                state.stream = Some(flit.stream);
+                state.stream = Some(first.stream);
             }
         }
-        let (stamp, step) = match self.kind {
-            // auxVC ← max(Clock, auxVC) + Vtick  (Zhang's update rule),
-            // saturated so a best-effort backlog cannot push the register
-            // past f64 integer precision.
-            SchedulerKind::VirtualClock => (
-                advance(state.aux_vc.max(now.as_f64()), state.vtick),
-                state.vtick,
-            ),
-            // F ← max(F_prev, V) + Vtick against the GPS-approximated
-            // virtual time advanced above.
-            SchedulerKind::Wfq => (advance(state.aux_vc.max(v_time), state.vtick), state.vtick),
-            // F ← max(F_prev, tag of the last-served flit) + Vtick.
-            SchedulerKind::Scfq => (
-                advance(state.aux_vc.max(v_served), state.vtick),
-                state.vtick,
-            ),
-            SchedulerKind::Fifo => (now.as_f64(), 0.0),
-            SchedulerKind::RoundRobin | SchedulerKind::Drr => (0.0, 0.0),
-        };
-        state.aux_vc = stamp;
-        if state.flits == 0 {
-            state.head_stamp = stamp;
-        }
-        state.flits += 1;
-        // The flit joins the tail run when the run's own rule yields its
-        // stamp, bit for bit; the run then replays it exactly.
-        match state.runs.back_mut() {
-            Some(tail)
-                if tail.step.to_bits() == step.to_bits()
-                    && advance(last, step).to_bits() == stamp.to_bits()
-                    && tail.left < u32::MAX =>
-            {
-                tail.left += 1;
+        for _ in 0..flits {
+            let (stamp, step) = match kind {
+                // auxVC ← max(Clock, auxVC) + Vtick  (Zhang's update rule),
+                // saturated so a best-effort backlog cannot push the
+                // register past f64 integer precision.
+                SchedulerKind::VirtualClock => (
+                    advance(state.aux_vc.max(now.as_f64()), state.vtick),
+                    state.vtick,
+                ),
+                // F ← max(F_prev, V) + Vtick against the GPS-approximated
+                // virtual time advanced above.
+                SchedulerKind::Wfq => (advance(state.aux_vc.max(v_time), state.vtick), state.vtick),
+                // F ← max(F_prev, tag of the last-served flit) + Vtick.
+                SchedulerKind::Scfq => (
+                    advance(state.aux_vc.max(v_served), state.vtick),
+                    state.vtick,
+                ),
+                SchedulerKind::Fifo => (now.as_f64(), 0.0),
+                SchedulerKind::RoundRobin | SchedulerKind::Drr => (0.0, 0.0),
+            };
+            state.aux_vc = stamp;
+            if state.flits == 0 {
+                state.head_stamp = stamp;
             }
-            _ => state.runs.push_back(Run {
-                next: stamp,
-                step,
-                left: 1,
-            }),
+            state.flits += 1;
+            // The flit joins the tail run when the run's own rule yields
+            // its stamp, bit for bit; the run then replays it exactly.
+            // `last` is the stamp issued before it, which a head that
+            // recycles the VC to a new stream does not reset.
+            match state.runs.back_mut() {
+                Some(tail)
+                    if tail.step.to_bits() == step.to_bits()
+                        && advance(last, step).to_bits() == stamp.to_bits()
+                        && tail.left < u32::MAX =>
+                {
+                    tail.left += 1;
+                }
+                _ => state.runs.push_back(Run {
+                    next: stamp,
+                    step,
+                    left: 1,
+                }),
+            }
+            last = stamp;
         }
     }
 
@@ -1314,6 +1340,26 @@ mod tests {
     /// a thousand flits.
     const VTICKS: [f64; 5] = [flitnet::BEST_EFFORT_VTICK, 10.0, 13.3, 40.0, 0.0];
 
+    /// Asserts that two schedulers hold the same state: every saved
+    /// register and run, and every VC's memoized head stamp, bit for bit.
+    fn assert_same_state(a: &MuxScheduler, b: &MuxScheduler) {
+        let save = |s: &MuxScheduler| {
+            let mut w = SnapWriter::new();
+            s.save(&mut w);
+            w.finish()
+        };
+        assert_eq!(save(a), save(b), "{:?} saved state", a.kind);
+        for (vc, (x, y)) in a.vcs.iter().zip(&b.vcs).enumerate() {
+            assert_eq!(x.flits, y.flits, "{:?} VC {vc} flits", a.kind);
+            assert_eq!(
+                x.head_stamp.to_bits(),
+                y.head_stamp.to_bits(),
+                "{:?} VC {vc} head stamp",
+                a.kind
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// Whole messages on random VCs, streams and Vticks, queued at
@@ -1355,6 +1401,59 @@ mod tests {
                             .collect();
                         model.step_with(&mut s, &eligible);
                     }
+                }
+            }
+        }
+
+        /// One [`MuxScheduler::on_message_arrival`] per message leaves
+        /// every discipline in the state `msg_len` calls of
+        /// [`MuxScheduler::on_arrival`] with the message's flits do: the
+        /// same runs, `aux_vc`, head stamps and WFQ virtual time, bit for
+        /// bit, with picks and services in between. Messages arrive on
+        /// random VCs at cycles that never decrease, from five streams
+        /// (so VCs are recycled) at the Vticks of [`VTICKS`]; one in
+        /// eight first fills its VC's tail run to within half a message
+        /// of `u32::MAX` flits, so the message splits across the cap.
+        #[test]
+        fn message_arrival_matches_per_flit_arrivals(
+            ops in collection::vec((0u64..40, 0usize..3, 0u64..64, 1u32..64), 1..120),
+        ) {
+            for kind in ALL_KINDS {
+                let mut whole = MuxScheduler::new(kind, 3);
+                let mut per_flit = MuxScheduler::new(kind, 3);
+                let mut now = 0u64;
+                for &(gap, vc, choice, len) in &ops {
+                    now += gap;
+                    let mut head = flit(FlitKind::Head, VTICKS[choice as usize % VTICKS.len()]);
+                    head.msg_len = len;
+                    head.stream = StreamId((choice % 5) as u32);
+                    let head = head.nth(0);
+                    if choice % 8 == 3 {
+                        let full = u32::MAX - len / 2;
+                        for s in [&mut whole, &mut per_flit] {
+                            let state = &mut s.vcs[vc];
+                            if let Some(tail) = state.runs.back_mut().filter(|t| t.left < full) {
+                                state.flits += (full - tail.left) as usize;
+                                tail.left = full;
+                            }
+                        }
+                    }
+                    whole.on_message_arrival(vc, Cycles(now), &head);
+                    for i in 0..len {
+                        per_flit.on_arrival(vc, Cycles(now), &head.nth(i));
+                    }
+                    assert_same_state(&whole, &per_flit);
+                    for i in 0..(choice % 5) as usize {
+                        let list: Vec<usize> =
+                            (0..3).filter(|&v| whole.pending(v) > 0 && (v + i) % 3 != 0).collect();
+                        let pick = whole.choose_from(&list);
+                        prop_assert_eq!(pick, per_flit.choose_from(&list));
+                        if let Some(v) = pick {
+                            whole.on_service(v);
+                            per_flit.on_service(v);
+                        }
+                    }
+                    assert_same_state(&whole, &per_flit);
                 }
             }
         }

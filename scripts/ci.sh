@@ -75,15 +75,22 @@ require_tests -p pcs-router -- watchdog
 
 # Active sets: ActiveSet agrees with a BTreeSet model (membership,
 # ascending and rotated iteration, equality) over universes that are not
-# a multiple of 64, and the audit flags each of the stepper's five sets
-# when it loses a member or gains a non-member.
+# a multiple of 64, and the audit flags each of the stepper's six sets
+# (an NI's ready VCs among them) when it loses a member or gains a
+# non-member.
 require_tests -p mediaworm -- \
   active_set_matches_a_btreeset_model \
   audit_flags_a_corrupted_pending_set \
   audit_flags_a_corrupted_granted_set \
   audit_flags_a_corrupted_staged_set \
   audit_flags_a_corrupted_active_link_set \
-  audit_flags_a_corrupted_active_endpoint_set
+  audit_flags_a_corrupted_active_endpoint_set \
+  audit_flags_a_corrupted_ready_vc_set
+
+# The NI queues a message with one scheduler call, which must leave every
+# discipline in the state its per-flit arrivals would (runs, registers and
+# head stamps, bit for bit, across the run cap).
+require_tests -p mediaworm -- message_arrival_matches_per_flit_arrivals
 
 # Resume identity: checkpoint/restore must be bit-identical to an
 # uninterrupted run (stitched traces, end snapshots, stall reports) on
@@ -102,10 +109,10 @@ require_tests -p mediaworm-bench -- resume
 # a queued message saves in constant size; an NI part-way through a worm
 # (message cursor > 0) restores bit-identically; a stream resumes
 # mid-frame with the same message lengths. A v5 image is a version
-# error, and a calendar with a source missing or repeated, a source id
-# of 8 or a VC of 16 on the 8-port switch, a bad NI cursor or head, NI
-# runs that disagree with the queued flits, or a run of no flits is a
-# typed error, never a panic. A resumed sweep point that had finished
+# error, and a calendar with a source missing or repeated, two entries
+# sharing a seq, a source id of 8 or a VC of 16 on the 8-port switch, a
+# bad NI cursor or head, NI runs that disagree with the queued flits, or
+# a run of no flits is a typed error, never a panic. A resumed sweep point that had finished
 # restores its final image and steps no cycle.
 require_tests -p mediaworm -- \
   run_queue_matches_the_per_flit_model \

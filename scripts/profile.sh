@@ -2,17 +2,26 @@
 # Profiling driver for the simulator hot path.
 #
 # Usage:
-#   scripts/profile.sh            # perf record/report the benchmark
-#   scripts/profile.sh flame      # same, rendered as a flamegraph (needs
-#                                 # inferno or flamegraph.pl on PATH)
+#   scripts/profile.sh [report|flame] [WORKLOAD]
+#
+#   report     perf record/report the benchmark (the default)
+#   flame      same, rendered as a flamegraph (needs inferno or
+#              flamegraph.pl on PATH)
+#   WORKLOAD   a perfbench workload (see BENCHMARK.json); default
+#              `switch_sat`
 #
 # What it profiles: the `perfbench` benchmark (see perfbench/README.md) on
-# its `switch_sat` workload, the top point of fig. 3 (8-port switch,
-# 16 VCs, VBR 80:20 at load 0.96) warmed past the 33 ms VBR phase ramp.
-# It is arbitration-bound, so the profile is dominated by the fast
-# driver's hot code: `Router::arbitrate` / `crossbar` / `output_stage`,
-# `Network::deliver` / `ni_send`, and the schedulers. The first stretch
-# of the profile is the warm-up.
+# one workload, seed 42, 15 s. The first stretch of the profile is the
+# warm-up.
+#
+# * `switch_sat`, the top point of fig. 3 (8-port switch, 16 VCs, VBR
+#   80:20 at load 0.96), is arbitration-bound: the fast driver's
+#   `Router::arbitrate` / `crossbar` / `output_stage`, `Network::deliver`
+#   / `ni_send`, and the schedulers lead.
+# * `wire64_sparse`, the same switch with 64-cycle links and 4-flit
+#   buffers at load 0.05, is wire-bound: `Network::deliver` (the link
+#   rings), `ni_send` and the horizon check (`try_horizon_jump`) lead,
+#   while arbitration is nearly idle.
 #
 # Symbols: the release profile strips nothing by default, but for clean
 # stacks add to perfbench/Cargo.toml temporarily:
@@ -29,7 +38,7 @@ if ! command -v perf >/dev/null; then
 fi
 
 bench=(./perfbench/target/release/mediaworm-perfbench
-    --workload switch_sat --seed 42 --seconds 15 --trace 0)
+    --workload "${2:-switch_sat}" --seed 42 --seconds 15 --trace 0)
 
 case "${1:-report}" in
 flame)
@@ -48,7 +57,7 @@ report)
     perf report -i perf.data
     ;;
 *)
-    echo "usage: scripts/profile.sh [flame|report]" >&2
+    echo "usage: scripts/profile.sh [report|flame] [WORKLOAD]" >&2
     exit 2
     ;;
 esac
