@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use flitnet::{Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, VcPartition};
+use flitnet::{Flit, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, VcPartition};
 use mediaworm::{MuxScheduler, Network, RouterConfig, SchedulerKind};
 use netsim::dist::{Distribution, Normal};
 use netsim::{Calendar, Cycles, SimRng};
@@ -16,13 +16,11 @@ use traffic::{StreamClass, WorkloadBuilder};
 
 fn flit(vtick: f64) -> Flit {
     Flit {
-        kind: FlitKind::Head,
         stream: StreamId(0),
         msg: MsgId(0),
         frame: FrameId(0),
         seq_in_msg: 0,
         msg_len: 20,
-        msg_seq_in_frame: 0,
         msgs_in_frame: 1,
         dest: NodeId(0),
         vc: VcId(0),

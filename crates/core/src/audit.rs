@@ -312,7 +312,7 @@ pub(crate) fn build_waits_for(
         if let Some((go, gv)) = routers[r2].grant_of(p2, in_vc) {
             targets.push((r2 as u32, go.get(), gv.get()));
         } else if let Some(head) = routers[r2].input_head(p2, in_vc) {
-            if head.kind.is_head() {
+            if head.is_head() {
                 for cand in route(r2, head) {
                     for vc2 in routers[r2].partition().vcs_for(head.class) {
                         if routers[r2].output_owner(cand, vc2).is_some() {
@@ -366,8 +366,7 @@ pub(crate) fn find_cycle_nodes(adj: &[Vec<usize>]) -> Vec<bool> {
 mod tests {
     use super::*;
     use flitnet::{
-        Flit, FlitKind, FrameId, MsgId, NodeId, RouterId, StreamId, TrafficClass, VcPartition,
-        VcSel, Worm,
+        Flit, FrameId, MsgId, NodeId, RouterId, StreamId, TrafficClass, VcPartition, VcSel, Worm,
     };
     use netsim::Cycles;
 
@@ -375,13 +374,11 @@ mod tests {
 
     fn worm(msg: u64, len: u32, dest: u32) -> Vec<Flit> {
         Worm::new(Flit {
-            kind: FlitKind::Head,
             stream: StreamId(msg as u32),
             msg: MsgId(msg),
             frame: FrameId(0),
             seq_in_msg: 0,
             msg_len: len,
-            msg_seq_in_frame: 0,
             msgs_in_frame: 1,
             dest: NodeId(dest),
             vc: VcId(0),

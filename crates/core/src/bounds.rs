@@ -300,14 +300,17 @@ impl BoundsOracle {
     /// vs. the age of the oldest still-undelivered message, at `end`.
     pub fn report(&self, net: &Network, end: Cycles) -> BoundsReport {
         let stats = net.rt_latency_stats();
+        let oldest = net.rt_oldest_outstanding();
         let mut streams = Vec::with_capacity(self.bounds.len());
         let mut violations = Vec::new();
         for (fb, &class) in self.bounds.iter().zip(&self.classes) {
             let s = fb.id as usize;
             let st = stats.get(s).filter(|st| !st.is_empty());
             let observed_max = st.map(netsim::RunningStats::max);
-            let stuck_age = net
-                .rt_oldest_outstanding(s)
+            let stuck_age = oldest
+                .get(s)
+                .copied()
+                .flatten()
                 .map(|created| end.get().saturating_sub(created));
             let sb = StreamBound {
                 stream: fb.id,

@@ -171,11 +171,6 @@ struct Sinks {
     /// warmup. These are the observations the delay-bound audit checks
     /// against the analytic worst case.
     rt_latency: Vec<RunningStats>,
-    /// Per real-time stream: creation stamps of injected-but-undelivered
-    /// messages, in injection order. A message stuck in the fabric must
-    /// still be counted against its delay bound — this is what lets the
-    /// audit catch a deadlocked (never-delivering) network.
-    rt_outstanding: Vec<VecDeque<u64>>,
     /// Messages created before this stamp stay out of `rt_latency`.
     rt_warmup_end: Cycles,
 }
@@ -384,7 +379,6 @@ impl Network {
                 delivered_msgs: 0,
                 delivered_flits: 0,
                 rt_latency: Vec::new(),
-                rt_outstanding: Vec::new(),
                 rt_warmup_end: Cycles::ZERO,
             },
             now: Cycles::ZERO,
@@ -461,14 +455,37 @@ impl Network {
         &self.sinks.rt_latency
     }
 
-    /// The creation stamp of stream `s`'s oldest injected-but-undelivered
-    /// message, if any. `now − stamp` is a latency already *incurred* —
-    /// the delay-bound audit charges stuck messages with it.
-    pub fn rt_oldest_outstanding(&self, s: usize) -> Option<u64> {
-        self.sinks
-            .rt_outstanding
-            .get(s)
-            .and_then(|q| q.front().copied())
+    /// Per real-time stream, indexed by stream id: the creation stamp of
+    /// its oldest injected-but-undelivered message, if any. `now − stamp`
+    /// is a latency already *incurred* — the delay-bound audit charges
+    /// stuck messages with it, which is what lets it catch a deadlocked
+    /// (never-delivering) network. Read from the network in one pass: a
+    /// message is undelivered while it waits at its NI or its tail flit
+    /// is on a link or in a router buffer. Streams past the last one
+    /// with such a message may be absent from the tail of the result.
+    pub fn rt_oldest_outstanding(&self) -> Vec<Option<u64>> {
+        let queued = self
+            .endpoints
+            .iter()
+            .flat_map(|ep| ep.queues.iter().flatten())
+            .map(|m| &m.head);
+        let on_links = self.links.iter().flat_map(|lp| lp.flit.iter_in_flight());
+        let in_routers = self
+            .routers
+            .iter()
+            .flat_map(Router::buffers)
+            .flat_map(|b| b.iter().map(|(_, f)| f));
+        let tails = on_links.chain(in_routers).filter(|f| f.is_tail());
+        let mut oldest: Vec<Option<u64>> = Vec::new();
+        for f in queued.chain(tails).filter(|f| f.class.is_real_time()) {
+            let s = f.stream.index();
+            if s >= oldest.len() {
+                oldest.resize(s + 1, None);
+            }
+            let created = f.created_at.get();
+            oldest[s] = Some(oldest[s].map_or(created, |o| o.min(created)));
+        }
+        oldest
     }
 
     /// The frame-delivery (jitter) tracker.
@@ -696,13 +713,6 @@ impl Network {
             }
             self.flits_in_flight += u64::from(head.msg_len);
             self.injected_msgs += 1;
-            if head.class.is_real_time() {
-                let s = head.stream.index();
-                if s >= self.sinks.rt_outstanding.len() {
-                    self.sinks.rt_outstanding.resize_with(s + 1, VecDeque::new);
-                }
-                self.sinks.rt_outstanding[s].push_back(head.created_at.get());
-            }
             let next = self.workload.next_message(i);
             debug_assert!(next.at >= at, "source injections must be monotonic");
             self.calendar.schedule(next.at, (i, next));
@@ -786,7 +796,7 @@ impl Network {
     ) {
         *in_flight -= 1;
         sinks.delivered_flits += 1;
-        if !flit.kind.is_tail() {
+        if !flit.is_tail() {
             return;
         }
         if let Some(trace) = trace {
@@ -811,14 +821,6 @@ impl Network {
             }
             if flit.created_at >= sinks.rt_warmup_end {
                 sinks.rt_latency[s].push((now - flit.created_at).get() as f64);
-            }
-            // Retire the message from the outstanding FIFO by stamp (not
-            // front-pop: fat bundles can deliver messages out of order).
-            if let Some(q) = sinks.rt_outstanding.get_mut(s) {
-                let stamp = flit.created_at.get();
-                if let Some(pos) = q.iter().position(|&c| c == stamp) {
-                    q.remove(pos);
-                }
             }
             if sinks.frame_tails.tail(&flit) {
                 sinks.delivery.record_frame(flit.stream, now);
@@ -988,7 +990,7 @@ impl Network {
         if !ep.can_send(v) {
             ep.ready.remove(v);
         }
-        ep.current = if flit.kind.is_tail() { None } else { Some(v) };
+        ep.current = if flit.is_tail() { None } else { Some(v) };
         Some(flit)
     }
 
@@ -1379,13 +1381,6 @@ impl Network {
         for st in &self.sinks.rt_latency {
             st.save(&mut w);
         }
-        w.usize(self.sinks.rt_outstanding.len());
-        for q in &self.sinks.rt_outstanding {
-            w.usize(q.len());
-            for &c in q {
-                w.u64(c);
-            }
-        }
         w.u64(self.sinks.rt_warmup_end.0);
         w.option(self.audit.as_ref(), |w, st| {
             w.u64(st.cfg.interval);
@@ -1512,16 +1507,6 @@ impl Network {
         self.sinks.rt_latency.clear();
         for _ in 0..n {
             self.sinks.rt_latency.push(RunningStats::load(&mut r)?);
-        }
-        let n = r.usize()?;
-        self.sinks.rt_outstanding.clear();
-        for _ in 0..n {
-            let m = r.usize()?;
-            let mut q = VecDeque::with_capacity(m);
-            for _ in 0..m {
-                q.push_back(r.u64()?);
-            }
-            self.sinks.rt_outstanding.push(q);
         }
         self.sinks.rt_warmup_end = Cycles(r.u64()?);
         self.audit = r
@@ -2139,16 +2124,63 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_v5_image() {
+    fn restore_rejects_a_v6_image() {
         let topology = Topology::single_switch(8);
         let cfg = RouterConfig::default();
         let mut a = Network::new(&topology, small_workload(0.4, 25), &cfg);
         a.run_until(a.timebase().cycles_from_ms(2.0));
         let mut bytes = a.snapshot();
         // The version word follows the 4-byte magic.
-        bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&6u32.to_le_bytes());
         let mut b = Network::new(&topology, small_workload(0.4, 25), &cfg);
-        assert_eq!(b.restore(&bytes), Err(SnapError::BadVersion { found: 5 }));
+        assert_eq!(b.restore(&bytes), Err(SnapError::BadVersion { found: 6 }));
+    }
+
+    #[test]
+    fn restore_rejects_a_flit_outside_its_message() {
+        let topology = Topology::single_switch(8);
+        let cfg = RouterConfig::default();
+        let build = || Network::new(&topology, small_workload(0.9, 28), &cfg);
+        let mut good = build();
+        good.run_until(good.timebase().cycles_from_ms(5.0));
+        while good.routers[0].buffered_flits() == 0 || good.links.iter().all(|lp| lp.flit.is_idle())
+        {
+            good.run_until(good.now() + Cycles(1));
+        }
+        // Restores `good`'s image with one flit's position edited by
+        // `edit`: a router-buffered flit, or (`on_link`) the first flit
+        // on a busy link, re-sent alone on a fresh wire.
+        let restore_after = |on_link: bool, edit: &dyn Fn(&mut Flit)| {
+            let mut bad = build();
+            bad.restore(&good.snapshot()).expect("restore");
+            if on_link {
+                let lp = bad.links.iter_mut().find(|lp| !lp.flit.is_idle()).unwrap();
+                let mut flit = *lp.flit.iter_in_flight().next().unwrap();
+                edit(&mut flit);
+                lp.flit = Link::new(lp.flit.latency());
+                lp.flit.send(bad.now, flit);
+            } else {
+                edit(bad.routers[0].buffered_flits_mut().next().unwrap());
+            }
+            build().restore(&bad.snapshot())
+        };
+        let bad_value = |r: Result<(), SnapError>| matches!(r, Err(SnapError::BadValue(_)));
+        for on_link in [false, true] {
+            // A position at or past the message's end, and a message of
+            // no flits.
+            assert!(bad_value(
+                restore_after(on_link, &|f| f.seq_in_msg = f.msg_len)
+            ));
+            assert!(bad_value(
+                restore_after(on_link, &|f| f.seq_in_msg += f.msg_len + 3)
+            ));
+            assert!(bad_value(restore_after(on_link, &|f| {
+                f.seq_in_msg = 0;
+                f.msg_len = 0;
+            })));
+        }
+        // Untouched, the same image restores.
+        assert_eq!(restore_after(false, &|_| {}), Ok(()));
     }
 
     #[test]

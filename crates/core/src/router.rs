@@ -429,7 +429,7 @@ impl Router {
         if now < arrived + Cycles(1) {
             return;
         }
-        if !head.kind.is_head() {
+        if !head.is_head() {
             // A body flit with no grant can only mean the previous
             // tail released the VC out of order — a simulator bug.
             unreachable!("non-head flit at an unrouted input VC: port {p} vc {v} flit {head:?}");
@@ -543,7 +543,7 @@ impl Router {
         if now < arrived + Cycles(1) {
             return false;
         }
-        if head.kind.is_head() && now < grant.ready_at {
+        if head.is_head() && now < grant.ready_at {
             return false;
         }
         !self.outputs[grant.out_port].vcs[grant.out_vc].buf.is_full()
@@ -589,7 +589,7 @@ impl Router {
                 real_time: flit.class.is_real_time(),
             });
         }
-        if flit.kind.is_tail() {
+        if flit.is_tail() {
             self.inputs[p].vcs[v].grant = None;
             // The output VC hands over at tail crossing: its staging
             // buffer is FIFO, so a successor message cannot overtake the
@@ -814,21 +814,19 @@ impl Router {
         self.resident > 0
     }
 
+    /// Every flit buffer of the router: the input VC buffers, then the
+    /// output staging buffers, each flit with its arrival cycle.
+    pub(crate) fn buffers(&self) -> impl Iterator<Item = &VcBuffer<(Cycles, Flit)>> {
+        let inputs = self.inputs.iter().flat_map(|ip| &ip.vcs).map(|vc| &vc.buf);
+        let staged = self.outputs.iter().flat_map(|op| &op.vcs).map(|vc| &vc.buf);
+        inputs.chain(staged)
+    }
+
     /// Flits buffered in the router, recounted from the input and staging
     /// FIFO lengths — an audit cross-check independent of the resident
     /// counter.
     pub(crate) fn buffered_flits(&self) -> u64 {
-        let inputs = self
-            .inputs
-            .iter()
-            .flat_map(|ip| &ip.vcs)
-            .map(|vc| vc.buf.len());
-        let staged = self
-            .outputs
-            .iter()
-            .flat_map(|op| &op.vcs)
-            .map(|vc| vc.buf.len());
-        inputs.chain(staged).sum::<usize>() as u64
+        self.buffers().map(VcBuffer::len).sum::<usize>() as u64
     }
 
     /// Total flits that have traversed the crossbar.
@@ -1164,17 +1162,24 @@ mod tests {
                 &mut self.outputs[p].staged,
             ]
         }
+
+        /// Every buffered flit, for the network's restore tests.
+        pub(crate) fn buffered_flits_mut(&mut self) -> impl Iterator<Item = &mut Flit> {
+            let inputs = self.inputs.iter_mut().flat_map(|ip| &mut ip.vcs);
+            let inputs = inputs.flat_map(|vc| vc.buf.iter_mut());
+            let staged = self.outputs.iter_mut().flat_map(|op| &mut op.vcs);
+            let staged = staged.flat_map(|vc| vc.buf.iter_mut());
+            inputs.chain(staged).map(|(_, f)| f)
+        }
     }
 
     fn msg_flits(msg: u64, len: u32, dest: u32, vc: u32, vtick: f64) -> Vec<Flit> {
         let template = Flit {
-            kind: FlitKind::Head,
             stream: StreamId(0),
             msg: MsgId(msg),
             frame: FrameId(0),
             seq_in_msg: 0,
             msg_len: len,
-            msg_seq_in_frame: 0,
             msgs_in_frame: 1,
             dest: NodeId(dest),
             vc: VcId(vc),
@@ -1236,8 +1241,8 @@ mod tests {
         for d in &out {
             assert_eq!(d.port, PortId(2));
         }
-        assert_eq!(out[0].flit.kind, FlitKind::Head);
-        assert_eq!(out[2].flit.kind, FlitKind::Tail);
+        assert_eq!(out[0].flit.kind(), FlitKind::Head);
+        assert_eq!(out[2].flit.kind(), FlitKind::Tail);
         assert!(!r.has_work());
         assert_eq!(r.flits_crossed(), 3);
     }
@@ -1252,7 +1257,7 @@ mod tests {
         for t in 0..20u64 {
             let (_, d) = drive(&mut r, Cycles(t));
             if let Some(dep) = d.first() {
-                first_out = Some((t, dep.flit.kind));
+                first_out = Some((t, dep.flit.kind()));
                 break;
             }
         }
@@ -1410,7 +1415,7 @@ mod tests {
             let (_, d) = drive(&mut r, Cycles(t));
             for dep in d {
                 vcs_seen.insert(dep.flit.vc);
-                if dep.flit.kind.is_tail() {
+                if dep.flit.is_tail() {
                     done_at.insert(dep.flit.msg, t);
                 }
             }
@@ -1441,7 +1446,7 @@ mod tests {
         for t in 0..60u64 {
             let (_, d) = drive(&mut r, Cycles(t));
             for dep in d {
-                if dep.flit.kind.is_tail() {
+                if dep.flit.is_tail() {
                     done_at.insert(dep.flit.msg, t);
                 }
             }
@@ -1845,7 +1850,7 @@ mod tests {
                 if granted_at.is_none() && r.grant_of(PortId(1), VcId(0)).is_some() {
                     granted_at = Some(t);
                 }
-                departed.extend(departs.iter().map(|d| (t, d.flit.msg, d.flit.kind)));
+                departed.extend(departs.iter().map(|d| (t, d.flit.msg, d.flit.kind())));
             }
             assert!(!r.has_work(), "both worms drain");
             assert_eq!(r.outputs[3].free, [0, 1], "the VC is free again");

@@ -131,10 +131,10 @@ struct VcState {
 /// ```
 /// use mediaworm::{MuxScheduler, SchedulerKind};
 /// use netsim::Cycles;
-/// # use flitnet::{Flit, FlitKind, TrafficClass, MsgId, NodeId, StreamId, FrameId, VcId};
+/// # use flitnet::{Flit, TrafficClass, MsgId, NodeId, StreamId, FrameId, VcId};
 /// # fn head(vtick: f64) -> Flit {
-/// #     Flit { kind: FlitKind::Head, stream: StreamId(0), msg: MsgId(0), frame: FrameId(0),
-/// #         seq_in_msg: 0, msg_len: 2, msg_seq_in_frame: 0, msgs_in_frame: 1,
+/// #     Flit { stream: StreamId(0), msg: MsgId(0), frame: FrameId(0),
+/// #         seq_in_msg: 0, msg_len: 2, msgs_in_frame: 1,
 /// #         dest: NodeId(0), vc: VcId(0), out_vc: VcId(0), vtick, class: TrafficClass::Vbr,
 /// #         created_at: Cycles(0) }
 /// # }
@@ -196,7 +196,7 @@ impl MuxScheduler {
     ///
     /// Panics if `vc` is out of range.
     pub fn on_message_arrival(&mut self, vc: usize, now: Cycles, head: &Flit) {
-        debug_assert!(head.kind.is_head(), "a message arrives by its head flit");
+        debug_assert!(head.is_head(), "a message arrives by its head flit");
         self.arrive(vc, now, head, head.msg_len);
     }
 
@@ -220,7 +220,7 @@ impl MuxScheduler {
         let (kind, v_time, v_served) = (self.kind, self.v_time, self.v_served);
         let state = &mut self.vcs[vc];
         let mut last = state.aux_vc;
-        if first.kind.is_head() {
+        if first.is_head() {
             debug_assert!(first.vtick >= 0.0, "Vtick {} below zero", first.vtick);
             state.vtick = first.vtick;
             // Zhang's auxVC is a per-connection register (WFQ and SCFQ
@@ -562,15 +562,21 @@ mod tests {
     use flitnet::{FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId};
     use proptest::prelude::*;
 
+    /// A flit in the role `kind`, at the position in a 4-flit message
+    /// (1-flit for `HeadTail`) that has that role.
     fn flit(kind: FlitKind, vtick: f64) -> Flit {
+        let (seq_in_msg, msg_len) = match kind {
+            FlitKind::Head => (0, 4),
+            FlitKind::Body => (1, 4),
+            FlitKind::Tail => (3, 4),
+            FlitKind::HeadTail => (0, 1),
+        };
         Flit {
-            kind,
             stream: StreamId(0),
             msg: MsgId(0),
             frame: FrameId(0),
-            seq_in_msg: 0,
-            msg_len: 4,
-            msg_seq_in_frame: 0,
+            seq_in_msg,
+            msg_len,
             msgs_in_frame: 1,
             dest: NodeId(0),
             vc: VcId(0),
@@ -1187,7 +1193,7 @@ mod tests {
                     self.v_time.max(now as f64).min(STAMP_SATURATION)
                 };
             }
-            if f.kind.is_head() {
+            if f.is_head() {
                 self.vtick[vc] = f.vtick;
                 if self.stream[vc] != Some(f.stream) {
                     self.aux[vc] = 0.0;

@@ -11,9 +11,10 @@
 //! fields at route/arbitration time, which the pipeline model enforces
 //! structurally.
 //!
-//! Only `kind`, `seq_in_msg` and `vc` vary within a message, so any flit
-//! of a message rebuilds the others: [`Flit::nth`] is the one
-//! head/body/tail rule. A [`Worm`] is a whole message held as its head,
+//! Only `seq_in_msg` and `vc` vary within a message, so any flit of a
+//! message rebuilds the others: [`Flit::nth`] is the one rule. A flit's
+//! head/body/tail role is not stored but read from its position
+//! ([`Flit::kind`]). A [`Worm`] is a whole message held as its head,
 //! from the traffic source to the network interface; the NI keeps a
 //! waiting message as its head plus a cursor and builds each flit as it
 //! leaves. Snapshots store scheduled and NI-queued messages as their
@@ -35,7 +36,8 @@ use crate::ids::{FrameId, MsgId, NodeId, StreamId, VcId};
 /// among themselves by arrival.
 pub const BEST_EFFORT_VTICK: f64 = 1e12;
 
-/// Position of a flit within its message.
+/// Role of a flit within its message, derived from its position by
+/// [`Flit::kind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit; carries routing and bandwidth-reservation information.
@@ -46,18 +48,6 @@ pub enum FlitKind {
     Tail,
     /// Single-flit message: head and tail at once.
     HeadTail,
-}
-
-impl FlitKind {
-    /// Whether routers must run routing/arbitration for this flit.
-    pub fn is_head(self) -> bool {
-        matches!(self, FlitKind::Head | FlitKind::HeadTail)
-    }
-
-    /// Whether this flit releases the message's reserved path.
-    pub fn is_tail(self) -> bool {
-        matches!(self, FlitKind::Tail | FlitKind::HeadTail)
-    }
 }
 
 /// One flit in flight.
@@ -72,13 +62,11 @@ impl FlitKind {
 /// use netsim::Cycles;
 ///
 /// let head = Flit {
-///     kind: FlitKind::Head,
 ///     stream: StreamId(0),
 ///     msg: MsgId(1),
 ///     frame: FrameId(0),
 ///     seq_in_msg: 0,
 ///     msg_len: 20,
-///     msg_seq_in_frame: 0,
 ///     msgs_in_frame: 208,
 ///     dest: NodeId(5),
 ///     vc: VcId(1),
@@ -87,13 +75,12 @@ impl FlitKind {
 ///     class: TrafficClass::Vbr,
 ///     created_at: Cycles(0),
 /// };
-/// assert!(head.kind.is_head());
-/// assert!(!head.kind.is_tail());
+/// assert_eq!(head.kind(), FlitKind::Head);
+/// assert!(head.is_head() && !head.is_tail());
+/// assert_eq!(head.nth(19).kind(), FlitKind::Tail);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flit {
-    /// Head / body / tail position within the message.
-    pub kind: FlitKind,
     /// Owning stream.
     pub stream: StreamId,
     /// Globally unique message id.
@@ -101,12 +88,11 @@ pub struct Flit {
     /// Frame number within the stream (real-time traffic only; 0 for
     /// best-effort).
     pub frame: FrameId,
-    /// Flit index within the message, `0 .. msg_len`.
+    /// Flit index within the message, `0 .. msg_len`: the flit's
+    /// head/body/tail role ([`Flit::kind`]).
     pub seq_in_msg: u32,
     /// Message length in flits.
     pub msg_len: u32,
-    /// Which message of the frame this is, `0 .. msgs_in_frame`.
-    pub msg_seq_in_frame: u32,
     /// Messages constituting the frame (1 for best-effort).
     pub msgs_in_frame: u32,
     /// Destination endpoint.
@@ -131,46 +117,50 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// Builds flit `i` of this flit's message: a copy with `kind` and
-    /// `seq_in_msg` set for position `i`. This is the one head/body/tail
-    /// rule; [`Worm`] maps it over a whole message.
+    /// Builds flit `i` of this flit's message: a copy with `seq_in_msg`
+    /// set to `i`. This is the one rule that rebuilds a message from any
+    /// of its flits; [`Worm`] maps it over a whole message.
     pub fn nth(&self, i: u32) -> Flit {
         debug_assert!(
             i < self.msg_len,
             "flit {i} of a {}-flit message",
             self.msg_len
         );
-        let n = self.msg_len;
-        let kind = if n == 1 {
-            FlitKind::HeadTail
-        } else if i == 0 {
-            FlitKind::Head
-        } else if i == n - 1 {
-            FlitKind::Tail
-        } else {
-            FlitKind::Body
-        };
         Flit {
-            kind,
             seq_in_msg: i,
             ..*self
         }
     }
 
+    /// Whether this is its message's first flit, the one routers route
+    /// and arbitrate.
+    pub fn is_head(&self) -> bool {
+        self.seq_in_msg == 0
+    }
+
+    /// Whether this is its message's last flit, the one that releases
+    /// the path the head reserved.
+    pub fn is_tail(&self) -> bool {
+        self.seq_in_msg + 1 == self.msg_len
+    }
+
+    /// The flit's role, read from its position in the message.
+    pub fn kind(&self) -> FlitKind {
+        match (self.is_head(), self.is_tail()) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
+        }
+    }
+
     /// Serialises the flit into a snapshot.
     pub fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self.kind {
-            FlitKind::Head => 0,
-            FlitKind::Body => 1,
-            FlitKind::Tail => 2,
-            FlitKind::HeadTail => 3,
-        });
         w.u32(self.stream.0);
         w.u64(self.msg.0);
         w.u32(self.frame.0);
         w.u32(self.seq_in_msg);
         w.u32(self.msg_len);
-        w.u32(self.msg_seq_in_frame);
         w.u32(self.msgs_in_frame);
         w.u32(self.dest.0);
         w.u32(self.vc.0);
@@ -188,22 +178,15 @@ impl Flit {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot decoding errors.
+    /// Propagates snapshot decoding errors; a flit whose position is not
+    /// inside a message of at least one flit is [`SnapError::BadValue`].
     pub fn load(r: &mut SnapReader<'_>) -> Result<Flit, SnapError> {
-        Ok(Flit {
-            kind: match r.u8()? {
-                0 => FlitKind::Head,
-                1 => FlitKind::Body,
-                2 => FlitKind::Tail,
-                3 => FlitKind::HeadTail,
-                _ => return Err(SnapError::BadValue("flit kind tag")),
-            },
+        let flit = Flit {
             stream: StreamId(r.u32()?),
             msg: MsgId(r.u64()?),
             frame: FrameId(r.u32()?),
             seq_in_msg: r.u32()?,
             msg_len: r.u32()?,
-            msg_seq_in_frame: r.u32()?,
             msgs_in_frame: r.u32()?,
             dest: NodeId(r.u32()?),
             vc: VcId(r.u32()?),
@@ -216,7 +199,11 @@ impl Flit {
                 _ => return Err(SnapError::BadValue("traffic class tag")),
             },
             created_at: Cycles(r.u64()?),
-        })
+        };
+        if flit.seq_in_msg >= flit.msg_len {
+            return Err(SnapError::BadValue("flit position past its message"));
+        }
+        Ok(flit)
     }
 
     /// Restores a message's head flit saved by [`Flit::save`], for state
@@ -225,11 +212,11 @@ impl Flit {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot decoding errors; a flit that is not flit 0 of
-    /// a message of at least one flit is [`SnapError::BadValue`].
+    /// Propagates [`Flit::load`]'s errors; a flit that is not flit 0 of
+    /// its message is [`SnapError::BadValue`].
     pub fn load_head(r: &mut SnapReader<'_>) -> Result<Flit, SnapError> {
         let head = Flit::load(r)?;
-        if head.msg_len == 0 || head.seq_in_msg != 0 || head.kind != head.nth(0).kind {
+        if !head.is_head() {
             return Err(SnapError::BadValue("message head flit"));
         }
         Ok(head)
@@ -250,13 +237,11 @@ impl Flit {
 /// use netsim::Cycles;
 ///
 /// let worm = Worm::new(Flit {
-///     kind: FlitKind::Head,
 ///     stream: StreamId(0),
 ///     msg: MsgId(1),
 ///     frame: FrameId(0),
 ///     seq_in_msg: 0,
 ///     msg_len: 3,
-///     msg_seq_in_frame: 0,
 ///     msgs_in_frame: 1,
 ///     dest: NodeId(5),
 ///     vc: VcId(1),
@@ -266,7 +251,7 @@ impl Flit {
 ///     created_at: Cycles(0),
 /// });
 /// assert_eq!(worm.len(), 3);
-/// let kinds: Vec<FlitKind> = worm.into_iter().map(|f| f.kind).collect();
+/// let kinds: Vec<FlitKind> = worm.into_iter().map(|f| f.kind()).collect();
 /// assert_eq!(kinds, [FlitKind::Head, FlitKind::Body, FlitKind::Tail]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -353,10 +338,10 @@ pub fn worm_order_violation<'a>(flits: impl IntoIterator<Item = &'a Flit>) -> Op
     for f in flits {
         if let Some(p) = prev {
             if p.msg == f.msg {
-                if p.kind.is_tail() {
+                if p.is_tail() {
                     return Some(format!("flit of msg {} follows its own tail", f.msg));
                 }
-                if f.kind.is_head() {
+                if f.is_head() {
                     return Some(format!("second head inside msg {}", f.msg));
                 }
                 if f.seq_in_msg != p.seq_in_msg + 1 {
@@ -366,16 +351,17 @@ pub fn worm_order_violation<'a>(flits: impl IntoIterator<Item = &'a Flit>) -> Op
                     ));
                 }
             } else {
-                if !p.kind.is_tail() {
+                if !p.is_tail() {
                     return Some(format!(
                         "msg {} interleaves into msg {} before its tail",
                         f.msg, p.msg
                     ));
                 }
-                if !f.kind.is_head() {
+                if !f.is_head() {
                     return Some(format!(
                         "msg {} enters the buffer mid-worm (first flit {:?})",
-                        f.msg, f.kind
+                        f.msg,
+                        f.kind()
                     ));
                 }
             }
@@ -391,13 +377,11 @@ mod tests {
 
     fn template(len: u32) -> Flit {
         Flit {
-            kind: FlitKind::Head,
             stream: StreamId(1),
             msg: MsgId(7),
             frame: FrameId(2),
             seq_in_msg: 0,
             msg_len: len,
-            msg_seq_in_frame: 3,
             msgs_in_frame: 10,
             dest: NodeId(4),
             vc: VcId(2),
@@ -416,12 +400,12 @@ mod tests {
     fn worm_is_a_head_bodies_and_a_tail() {
         let flits = flits(20);
         assert_eq!(flits.len(), 20);
-        assert_eq!(flits[0].kind, FlitKind::Head);
-        assert_eq!(flits[19].kind, FlitKind::Tail);
+        assert_eq!(flits[0].kind(), FlitKind::Head);
+        assert_eq!(flits[19].kind(), FlitKind::Tail);
         for (i, f) in flits.iter().enumerate() {
             assert_eq!(f.seq_in_msg, i as u32);
             if i > 0 && i < 19 {
-                assert_eq!(f.kind, FlitKind::Body);
+                assert_eq!(f.kind(), FlitKind::Body);
             }
             assert_eq!(f.msg, MsgId(7));
             assert_eq!(f.vtick, 100.0);
@@ -443,17 +427,38 @@ mod tests {
     #[test]
     fn two_flit_worm_is_a_head_and_a_tail() {
         let flits = flits(2);
-        assert_eq!(flits[0].kind, FlitKind::Head);
-        assert_eq!(flits[1].kind, FlitKind::Tail);
+        assert_eq!(flits[0].kind(), FlitKind::Head);
+        assert_eq!(flits[1].kind(), FlitKind::Tail);
     }
 
     #[test]
     fn single_flit_worm_is_one_head_tail() {
         let flits = flits(1);
         assert_eq!(flits.len(), 1);
-        assert_eq!(flits[0].kind, FlitKind::HeadTail);
-        assert!(flits[0].kind.is_head());
-        assert!(flits[0].kind.is_tail());
+        assert_eq!(flits[0].kind(), FlitKind::HeadTail);
+        assert!(flits[0].is_head());
+        assert!(flits[0].is_tail());
+    }
+
+    #[test]
+    fn load_rejects_a_flit_outside_its_message() {
+        let load = |f: Flit| {
+            let mut w = SnapWriter::new();
+            f.save(&mut w);
+            let bytes = w.finish();
+            let mut r = SnapReader::new(&bytes).expect("header");
+            Flit::load(&mut r)
+        };
+        let tail = template(3).nth(2);
+        assert_eq!(load(tail), Ok(tail));
+        for (seq_in_msg, msg_len) in [(3, 3), (7, 3), (0, 0)] {
+            let bad = Flit {
+                seq_in_msg,
+                msg_len,
+                ..tail
+            };
+            assert!(matches!(load(bad), Err(SnapError::BadValue(_))));
+        }
     }
 
     #[test]
@@ -509,7 +514,6 @@ mod tests {
             .contains("jumps"));
         // A worm continuing after its own tail.
         let mut after_tail = a[2];
-        after_tail.kind = FlitKind::Body;
         after_tail.seq_in_msg = 3;
         let ghost = [&a[2], &after_tail];
         assert!(worm_order_violation(ghost.into_iter())

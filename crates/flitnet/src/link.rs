@@ -26,13 +26,13 @@ use crate::vcbuf::VcBuffer;
 /// # Example
 ///
 /// ```
-/// use flitnet::{Flit, FlitKind, Link, TrafficClass};
+/// use flitnet::{Flit, Link, TrafficClass};
 /// use flitnet::{MsgId, NodeId, StreamId, FrameId, VcId};
 /// use netsim::Cycles;
 ///
 /// let mut link = Link::new(Cycles(1));
-/// # let f = Flit { kind: FlitKind::HeadTail, stream: StreamId(0), msg: MsgId(0),
-/// #   frame: FrameId(0), seq_in_msg: 0, msg_len: 1, msg_seq_in_frame: 0,
+/// # let f = Flit { stream: StreamId(0), msg: MsgId(0),
+/// #   frame: FrameId(0), seq_in_msg: 0, msg_len: 1,
 /// #   msgs_in_frame: 1, dest: NodeId(0), vc: VcId(0), out_vc: VcId(0), vtick: 1.0,
 /// #   class: TrafficClass::Vbr, created_at: Cycles(0) };
 /// assert!(link.can_send(Cycles(5)));
@@ -261,19 +261,16 @@ impl CreditLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::FlitKind;
     use crate::ids::{FrameId, MsgId, NodeId, StreamId};
     use crate::TrafficClass;
 
     fn flit(seq: u32) -> Flit {
         Flit {
-            kind: FlitKind::Body,
             stream: StreamId(0),
             msg: MsgId(0),
             frame: FrameId(0),
             seq_in_msg: seq,
             msg_len: 10,
-            msg_seq_in_frame: 0,
             msgs_in_frame: 1,
             dest: NodeId(0),
             vc: VcId(0),

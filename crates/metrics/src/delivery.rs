@@ -375,13 +375,11 @@ mod tests {
 
     fn tail(stream: u32, frame: u32, msgs_in_frame: u32) -> Flit {
         Flit {
-            kind: flitnet::FlitKind::Tail,
             stream: StreamId(stream),
             msg: flitnet::MsgId(0),
             frame: flitnet::FrameId(frame),
             seq_in_msg: 0,
             msg_len: 1,
-            msg_seq_in_frame: 0,
             msgs_in_frame,
             dest: flitnet::NodeId(0),
             vc: flitnet::VcId(0),

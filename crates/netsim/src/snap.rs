@@ -52,8 +52,10 @@
 /// position as its flits left, and no per-stream delivery statistics;
 /// v6 — one injection-calendar entry per source carrying that source's
 /// next message (`at`, `seq`, source, `src`, head), no separate staged
-/// messages, and no per-link utilisation counters.
-pub const SNAP_VERSION: u32 = 6;
+/// messages, and no per-link utilisation counters; v7 — flits without a
+/// kind tag or frame index (the role follows from `seq_in_msg` and
+/// `msg_len`), and no per-stream outstanding-message FIFO.
+pub const SNAP_VERSION: u32 = 7;
 
 const MAGIC: [u8; 4] = *b"MWSN";
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;

@@ -104,8 +104,9 @@ impl LinkMux {
 
 /// The PCS switch with its attached links and circuit bookkeeping.
 ///
-/// Circuit setup/teardown is driven by [`crate::sim`]; the network model
-/// only moves flits of established circuits.
+/// Circuit setup is driven by [`crate::sim`], and a circuit lasts for
+/// the whole run; the network model only moves flits of established
+/// circuits.
 #[derive(Debug)]
 pub struct PcsNetwork {
     pipe_latency: Cycles,
@@ -177,20 +178,6 @@ impl PcsNetwork {
         Some((VcId(in_vc as u32), VcId(out_vc as u32)))
     }
 
-    /// Releases a circuit's VCs (connection teardown).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either VC was not allocated.
-    pub fn release(&mut self, src: NodeId, dest: NodeId, in_vc: VcId, out_vc: VcId) {
-        let i = &mut self.in_vc_used[src.index()][in_vc.index()];
-        assert!(*i, "input VC was not allocated");
-        *i = false;
-        let o = &mut self.out_vc_used[dest.index()][out_vc.index()];
-        assert!(*o, "output VC was not allocated");
-        *o = false;
-    }
-
     /// Injects one flit of an established circuit at the source node. The
     /// flit's `vc` field selects the input-link VC; `out_vc` the
     /// output-link VC at the destination.
@@ -236,7 +223,7 @@ impl PcsNetwork {
 
     fn sink(&mut self, now: Cycles, flit: Flit) {
         self.flits_in_flight -= 1;
-        if !flit.kind.is_tail() {
+        if !flit.is_tail() {
             return;
         }
         self.delivered_msgs += 1;
@@ -291,7 +278,7 @@ impl PcsNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flitnet::{FlitKind, FrameId, MsgId, StreamId, TrafficClass, Worm};
+    use flitnet::{FrameId, MsgId, StreamId, TrafficClass, Worm};
 
     fn timebase() -> TimeBase {
         TimeBase::from_link(100e6, 32)
@@ -303,13 +290,11 @@ mod tests {
 
     fn msg(stream: u32, msg_id: u64, dest: u32, vc_in: u32, vc_out: u32, len: u32) -> Vec<Flit> {
         Worm::new(Flit {
-            kind: FlitKind::Head,
             stream: StreamId(stream),
             msg: MsgId(msg_id),
             frame: FrameId(0),
             seq_in_msg: 0,
             msg_len: len,
-            msg_seq_in_frame: 0,
             msgs_in_frame: 1,
             dest: NodeId(dest),
             vc: VcId(vc_in),
@@ -335,14 +320,6 @@ mod tests {
         assert!(net.try_establish(NodeId(0), NodeId(2)).is_none());
         // But another source can still reach node 2.
         assert!(net.try_establish(NodeId(3), NodeId(2)).is_some());
-    }
-
-    #[test]
-    fn release_returns_capacity() {
-        let mut net = network();
-        let (i, o) = net.try_establish(NodeId(0), NodeId(1)).unwrap();
-        net.release(NodeId(0), NodeId(1), i, o);
-        assert!(net.try_establish(NodeId(0), NodeId(1)).is_some());
     }
 
     #[test]

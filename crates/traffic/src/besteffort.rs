@@ -1,7 +1,7 @@
 //! Best-effort traffic sources.
 
 use flitnet::{
-    Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm, BEST_EFFORT_VTICK,
+    Flit, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm, BEST_EFFORT_VTICK,
 };
 use netsim::dist::{Distribution, Exponential};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
@@ -135,13 +135,11 @@ impl BestEffortSource {
         self.msg_counter = self.msg_counter.wrapping_add(1);
 
         let template = Flit {
-            kind: FlitKind::Head,
             stream: self.id,
             msg: msg_id,
             frame: FrameId(seq),
             seq_in_msg: 0,
             msg_len: self.msg_flits,
-            msg_seq_in_frame: 0,
             msgs_in_frame: 1,
             dest,
             vc: vc_in,

@@ -266,17 +266,15 @@ impl Policer {
 mod tests {
     use super::*;
     use crate::workload::ScheduledMessage;
-    use flitnet::{FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId};
+    use flitnet::{FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId};
 
     fn msg(at: u64, flits: u32) -> ScheduledMessage {
         let template = Flit {
-            kind: FlitKind::Head,
             stream: StreamId(0),
             msg: MsgId(0),
             frame: FrameId(0),
             seq_in_msg: 0,
             msg_len: flits,
-            msg_seq_in_frame: 0,
             msgs_in_frame: 1,
             dest: NodeId(1),
             vc: VcId(0),

@@ -1,6 +1,6 @@
 //! Real-time (VBR/CBR) stream sources.
 
-use flitnet::{Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm};
+use flitnet::{Flit, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm};
 use netsim::dist::{Constant, Distribution, Normal};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::{Cycles, SimRng, TimeBase};
@@ -236,13 +236,11 @@ impl RealTimeStream {
         let msg_id = MsgId(*next_msg_id);
         *next_msg_id += 1;
         let template = Flit {
-            kind: FlitKind::Head,
             stream: self.id,
             msg: msg_id,
             frame: FrameId(self.frame_idx),
             seq_in_msg: 0,
             msg_len: len,
-            msg_seq_in_frame: seq,
             msgs_in_frame: self.msgs_in_frame,
             dest: self.dest,
             vc: self.vc_in,
@@ -334,12 +332,11 @@ mod tests {
         // CBR frame: 16_666 B = 4167 flits = 209 messages.
         let mut total = 0u32;
         let mut last_at = Cycles::ZERO;
-        for k in 0..209 {
+        for _ in 0..209 {
             let m = s.next_message(&mut rng, &mut id);
             assert!(m.at >= last_at, "injections must be monotonic");
             last_at = m.at;
             let head = m.flits.head();
-            assert_eq!(head.msg_seq_in_frame, k);
             assert_eq!(head.msgs_in_frame, 209);
             assert_eq!(head.frame, FrameId(0));
             total += head.msg_len;
@@ -378,7 +375,6 @@ mod tests {
                 let m = s.next_message(&mut rng, &mut id);
                 let head = m.flits.head();
                 assert_eq!(head.frame, FrameId(frame));
-                assert_eq!(head.msg_seq_in_frame as usize, lens.len());
                 assert_eq!(m.flits.len(), head.msg_len as usize);
                 lens.push(head.msg_len);
                 if lens.len() == head.msgs_in_frame as usize {

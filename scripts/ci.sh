@@ -103,30 +103,36 @@ require_tests --test stepping_identity -- \
 require_tests -p mediaworm -- snapshot checkpoint
 require_tests -p mediaworm-bench -- resume
 
-# Snapshot format v6: the injection calendar holds one entry per source
+# Snapshot format v7: the injection calendar holds one entry per source
 # carrying its next message as a head flit; scheduler stamps are runs
 # that replay the per-flit stamps bit for bit under every discipline, so
 # a queued message saves in constant size; an NI part-way through a worm
 # (message cursor > 0) restores bit-identically; a stream resumes
-# mid-frame with the same message lengths. A v5 image is a version
+# mid-frame with the same message lengths. Flits carry no kind tag (the
+# role follows from seq_in_msg and msg_len) and no frame index, and the
+# image holds no outstanding-message FIFO. A v6 image is a version
 # error, and a calendar with a source missing or repeated, two entries
 # sharing a seq, a source id of 8 or a VC of 16 on the 8-port switch, a
-# bad NI cursor or head, NI runs that disagree with the queued flits, or
-# a run of no flits is a typed error, never a panic. A resumed sweep point that had finished
-# restores its final image and steps no cycle.
+# bad NI cursor or head, NI runs that disagree with the queued flits, a
+# run of no flits, or a router or link flit with seq_in_msg >= msg_len
+# (msg_len 0 included) is a typed error, never a panic. A resumed sweep
+# point that had finished restores its final image and steps no cycle.
 require_tests -p mediaworm -- \
   run_queue_matches_the_per_flit_model \
   a_queued_message_saves_as_one_run \
   restore_rejects_a_run_of_no_flits \
   snapshot_mid_worm_at_the_ni_restores_bit_identically \
-  restore_rejects_a_v5_image \
+  restore_rejects_a_v6_image \
+  restore_rejects_a_flit_outside_its_message \
   restore_rejects_a_calendar_without_each_source_once \
   restore_rejects_a_bad_ni_cursor_or_head
 require_tests -p mediaworm-bench -- a_resumed_point_reuses_its_finished_image
 require_tests -p traffic -- \
   vbr_frames_split_into_full_messages_and_a_short_last_one \
   a_mid_frame_snapshot_resumes_the_same_messages
-require_tests -p flitnet -- nth_rebuilds_every_flit_from_any_flit_of_the_message
+require_tests -p flitnet -- \
+  nth_rebuilds_every_flit_from_any_flit_of_the_message \
+  load_rejects_a_flit_outside_its_message
 
 # repro_all gives every experiment its own --json and --trace file.
 require_tests -p mediaworm-bench -- each_experiment_gets_its_own_json_and_trace_paths
@@ -164,13 +170,16 @@ require_tests -p mediaworm-bench --test cli -- \
 
 # Bounds smoke: one Virtual Clock slice of the bounds matrix must bound
 # every stream, observe no violations, and audit the provable (CBR,
-# policing-off) envelopes clean.
+# policing-off) envelopes clean. At least one stream must report a
+# stuck_age_cycles, so the oldest-undelivered-message ages the oracle
+# reads from the network are exercised end to end.
 cargo run --release -q -p mediaworm-bench --bin bounds -- \
   --quick --schedulers vc --policing off,shape --loads 0.8 \
   --json target/bench/BENCH_bounds.json
 test "$(jq '([.results[] | .bounds_summary.guaranteed_violations == 0] | all)
   and ([.results[] | .bounds_summary.bounded > 0] | all)
-  and ([.results[] | .bounds_summary.violations == 0] | all)' \
+  and ([.results[] | .bounds_summary.violations == 0] | all)
+  and ([.results[].bounds.streams[].stuck_age_cycles | numbers] | length > 0)' \
   target/bench/BENCH_bounds.json)" = "true"
 
 # Ablation smoke: a tiny slice of the scheduler x policing matrix must

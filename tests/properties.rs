@@ -9,15 +9,21 @@ use netsim::dist::{Distribution, Normal};
 use netsim::{Calendar, Cycles, RunningStats, SimRng, TimeBase};
 use proptest::prelude::*;
 
+/// A flit of `stream` in the role `kind`, at the position in a 4-flit
+/// message (1-flit for `HeadTail`) that has that role.
 fn flit(kind: FlitKind, vtick: f64, stream: u32) -> Flit {
+    let (seq_in_msg, msg_len) = match kind {
+        FlitKind::Head => (0, 4),
+        FlitKind::Body => (1, 4),
+        FlitKind::Tail => (3, 4),
+        FlitKind::HeadTail => (0, 1),
+    };
     Flit {
-        kind,
         stream: StreamId(stream),
         msg: MsgId(u64::from(stream)),
         frame: FrameId(0),
-        seq_in_msg: 0,
-        msg_len: 4,
-        msg_seq_in_frame: 0,
+        seq_in_msg,
+        msg_len,
         msgs_in_frame: 1,
         dest: NodeId(0),
         vc: VcId(0),
@@ -109,10 +115,10 @@ proptest! {
         prop_assert_eq!(worm.into_iter().len(), len as usize);
         let flits: Vec<Flit> = worm.into_iter().collect();
         prop_assert_eq!(flits.len(), len as usize);
-        prop_assert!(flits[0].kind.is_head());
-        prop_assert!(flits[len as usize - 1].kind.is_tail());
-        let heads = flits.iter().filter(|f| f.kind.is_head()).count();
-        let tails = flits.iter().filter(|f| f.kind.is_tail()).count();
+        prop_assert!(flits[0].is_head());
+        prop_assert!(flits[len as usize - 1].is_tail());
+        let heads = flits.iter().filter(|f| f.is_head()).count();
+        let tails = flits.iter().filter(|f| f.is_tail()).count();
         prop_assert_eq!(heads, 1);
         prop_assert_eq!(tails, 1);
         for (i, f) in flits.iter().enumerate() {
@@ -459,9 +465,9 @@ proptest! {
             let first = s.next_message(&mut rng, &mut next_id);
             let msgs = first.flits.head().msgs_in_frame;
             let mut flits = first.flits.len() as u32;
-            for k in 1..msgs {
+            for _ in 1..msgs {
                 let m = s.next_message(&mut rng, &mut next_id);
-                prop_assert_eq!(m.flits.head().msg_seq_in_frame, k);
+                prop_assert_eq!(m.flits.head().frame, first.flits.head().frame);
                 flits += m.flits.len() as u32;
             }
             // Full messages except possibly the last.
