@@ -9,7 +9,6 @@ use std::hint::black_box;
 
 use flitnet::{Flit, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, VcPartition};
 use mediaworm::{MuxScheduler, Network, RouterConfig, SchedulerKind};
-use netsim::dist::{Distribution, Normal};
 use netsim::{Calendar, Cycles, SimRng};
 use topo::Topology;
 use traffic::{StreamClass, WorkloadBuilder};
@@ -113,9 +112,8 @@ fn bench_calendar(c: &mut Criterion) {
 
 fn bench_normal(c: &mut Criterion) {
     c.bench_function("normal_sample", |b| {
-        let d = Normal::new(16_666.0, 3_333.0);
         let mut rng = SimRng::seed_from(2);
-        b.iter(|| black_box(d.sample(&mut rng)));
+        b.iter(|| black_box(rng.normal(16_666.0, 3_333.0)));
     });
 }
 

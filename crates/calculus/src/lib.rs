@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 
 use flitnet::NodeId;
-use topo::{PortTarget, Topology};
+use topo::Topology;
 
 /// A token-bucket arrival curve `α(t) = σ + ρt`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,24 +285,9 @@ type Point = (u32, u32);
 /// scheduling points: the NI, then one output port per router traversed
 /// (the last being the ejection port).
 fn flow_points(t: &Topology, src: NodeId, dest: NodeId) -> Option<Vec<Point>> {
+    let hops = t.path(src, dest)?;
     let mut points = vec![(u32::MAX, src.get())];
-    let (mut at, _) = t.attachment(src);
-    let (goal, _) = t.attachment(dest);
-    let max_hops = t.router_count() + 1;
-    loop {
-        if points.len() > max_hops + 1 {
-            return None;
-        }
-        let p = t.route(at, dest)[0];
-        points.push((at.get(), p.get()));
-        if at == goal {
-            break;
-        }
-        match t.target_of(at, p) {
-            PortTarget::Router { router, .. } => at = router,
-            PortTarget::Node(_) => break,
-        }
-    }
+    points.extend(hops.into_iter().map(|(r, p)| (r.get(), p.get())));
     Some(points)
 }
 

@@ -131,20 +131,9 @@ impl AdmissionController {
     /// offered a strict subset of a bundle (reserve under one key, read
     /// another — utilisation silently reported 0).
     fn route_links(&self, src: NodeId, dest: NodeId) -> Vec<(LinkKey, f64)> {
+        let path = self.topology.path(src, dest).expect("routing loop");
         let mut links = vec![((u32::MAX, src.get()), self.link_bps)];
-        let (mut at, _) = self.topology.attachment(src);
-        let (goal, _) = self.topology.attachment(dest);
-        loop {
-            let cands = self.topology.route(at, dest);
-            links.push(self.bundle_of(at, cands[0]));
-            if at == goal {
-                break;
-            }
-            match self.topology.target_of(at, cands[0]) {
-                PortTarget::Router { router, .. } => at = router,
-                PortTarget::Node(_) => break,
-            }
-        }
+        links.extend(path.into_iter().map(|(r, p)| self.bundle_of(r, p)));
         links
     }
 

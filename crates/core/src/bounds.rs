@@ -223,12 +223,8 @@ impl BoundsOracle {
         );
         // VBR is modelled by its negotiated envelope — mean rate with one
         // mean frame of burst, exactly the NI policer's token bucket.
-        let vbr = ArrivalCurve::new(
-            (spec.frame_mean_bytes / f64::from(spec.flit_bytes))
-                .ceil()
-                .max(f64::from(spec.msg_flits)),
-            spec.stream_bps / spec.link_bps,
-        );
+        let (burst, rate) = spec.vbr_envelope();
+        let vbr = ArrivalCurve::new(burst, rate);
 
         let flows: Vec<FlowSpec> = workload
             .stream_infos()

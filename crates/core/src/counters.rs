@@ -5,8 +5,8 @@
 //! forwarded per traffic class, crossbar-mux conflicts, credit-stall
 //! cycles and sampled VC-buffer occupancy. They exist so scheduler-bias or
 //! flow-control bugs show up as counter asymmetries instead of anecdotes,
-//! and they serialize to the machine-readable bench output via
-//! [`RouterCounters::to_json`].
+//! and their network-wide totals serialize to the machine-readable bench
+//! output via [`NetCounters::to_json`].
 
 use metrics::Json;
 
@@ -128,28 +128,6 @@ impl RouterCounters {
         t.occupancy_samples = self.occupancy_samples;
         t
     }
-
-    /// The counters as a JSON object (per-port arrays plus totals).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "ports",
-                Json::arr(self.ports.iter().map(|p| {
-                    Json::obj([
-                        ("rt_flits", Json::Uint(p.rt_flits)),
-                        ("be_flits", Json::Uint(p.be_flits)),
-                        ("mux_conflicts", Json::Uint(p.mux_conflicts)),
-                        (
-                            "credit_stalls",
-                            Json::arr(p.credit_stalls.iter().map(|&c| Json::Uint(c))),
-                        ),
-                        ("occupancy_flits", Json::Uint(p.occupancy_flits)),
-                    ])
-                })),
-            ),
-            ("totals", self.totals().to_json()),
-        ])
-    }
 }
 
 /// Network-wide counter totals, embedded in every simulation outcome.
@@ -263,14 +241,5 @@ mod tests {
         assert!(text.contains("\"cycles_skipped\":75"));
         assert!(text.contains("\"horizon_jumps\":3"));
         assert!(!text.contains("NaN"));
-    }
-
-    #[test]
-    fn json_shape_has_ports_and_totals() {
-        let c = RouterCounters::new(1, 2);
-        let text = c.to_json().to_string();
-        assert!(text.starts_with("{\"ports\":[{\"rt_flits\":0"));
-        assert!(text.contains("\"totals\":{"));
-        assert!(text.contains("\"credit_stalls\":[0,0]"));
     }
 }

@@ -9,11 +9,10 @@
 //!   400 Mbps link).
 //! * [`Calendar`] — a monotonic future-event list used for traffic
 //!   injection and any other timed callback.
-//! * [`SimRng`] — a seedable random-number generator wrapper so every
-//!   experiment is reproducible from a single `u64` seed.
-//! * [`dist`] — the probability distributions the paper's workload needs
-//!   (normal frame sizes, exponential backoff), implemented in-tree on top
-//!   of `rand` alone.
+//! * [`SimRng`] — the seedable generator (xoshiro256++) behind every
+//!   random draw, so each experiment is reproducible from a single `u64`
+//!   seed, with the normal frame sizes and exponential gaps the paper's
+//!   workload needs.
 //! * [`stats`] — online mean/variance (Welford), histograms and percentile
 //!   helpers used to compute the paper's d̄ / σ_d metrics.
 //! * [`telemetry`] — the [`FlitEvent`] line schema and the [`JsonlSink`]
@@ -46,7 +45,6 @@
 
 pub mod audit;
 pub mod calendar;
-pub mod dist;
 pub mod rng;
 pub mod snap;
 pub mod stats;

@@ -11,7 +11,6 @@
 
 use flitnet::NodeId;
 use metrics::JitterSummary;
-use netsim::dist::{Distribution, Exponential};
 use netsim::{Calendar, Cycles, SimRng};
 use traffic::{RealTimeStream, ScheduledMessage, StreamClass};
 
@@ -102,7 +101,7 @@ pub fn run(
     // Offered streams.
     let per_node = (load * cfg.spec.link_bps / cfg.spec.stream_bps).round() as usize;
     let setup_window = tb.cycles_from_ms(cfg.setup_window_ms).get().max(1);
-    let backoff = Exponential::new(tb.cycles_from_ms(cfg.retry_backoff_ms).as_f64().max(1.0));
+    let backoff_mean = tb.cycles_from_ms(cfg.retry_backoff_ms).as_f64().max(1.0);
 
     let mut calendar: Calendar<Event> = Calendar::new();
     let mut streams: Vec<(NodeId, NodeId, StreamState)> = Vec::new();
@@ -159,7 +158,7 @@ pub fn run(
                         streams[i].2 = StreamState::Connected(Box::new(s));
                     } else {
                         // Nacked: retry after a randomized backoff.
-                        let delay = backoff.sample(&mut rng).max(1.0) as u64;
+                        let delay = rng.exponential(backoff_mean).max(1.0) as u64;
                         calendar.schedule(now + Cycles(delay), Event::Attempt(i));
                     }
                 }

@@ -224,21 +224,43 @@ impl Topology {
         self.vc_sel.is_some()
     }
 
-    /// Number of router-to-router hops between two endpoints.
-    pub fn hops(&self, src: NodeId, dest: NodeId) -> u32 {
+    /// The canonical (first-candidate) route of `src → dest`: one
+    /// `(router, output port)` pair per router traversed, from the
+    /// source's attachment router to the destination's, whose last port
+    /// is the ejection port. `None` if the walk revisits a router
+    /// (a routing loop).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dest` is out of range.
+    pub fn path(&self, src: NodeId, dest: NodeId) -> Option<Vec<(RouterId, PortId)>> {
         let (mut at, _) = self.attachment(src);
         let (goal, _) = self.attachment(dest);
-        let mut hops = 0;
-        while at != goal {
+        let mut path = Vec::new();
+        loop {
+            if path.len() > self.router_count() {
+                return None;
+            }
             let port = self.route(at, dest)[0];
+            path.push((at, port));
+            if at == goal {
+                return Some(path);
+            }
             match self.target_of(at, port) {
                 PortTarget::Router { router, .. } => at = router,
-                PortTarget::Node(_) => unreachable!("route led to a node before the goal router"),
+                PortTarget::Node(_) => return Some(path),
             }
-            hops += 1;
-            assert!(hops <= self.router_count() as u32, "routing loop");
         }
-        hops
+    }
+
+    /// Number of router-to-router hops between two endpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a routing loop (see [`Topology::path`]).
+    pub fn hops(&self, src: NodeId, dest: NodeId) -> u32 {
+        let path = self.path(src, dest).expect("routing loop");
+        (path.len() - 1) as u32
     }
 
     /// Iterates over all router specs.
@@ -609,5 +631,38 @@ mod tests {
     #[should_panic(expected = "at least 3")]
     fn degenerate_torus_rejected() {
         let _ = Topology::torus(2, 4, 1);
+    }
+
+    #[test]
+    fn path_follows_first_candidates_and_is_none_on_a_loop() {
+        let ring = Topology::ring(3, 1);
+        // Clockwise out on port 0, eject on the endpoint port 2.
+        assert_eq!(
+            ring.path(NodeId(0), NodeId(2)),
+            Some(vec![
+                (RouterId(0), PortId(0)),
+                (RouterId(1), PortId(0)),
+                (RouterId(2), PortId(2)),
+            ])
+        );
+        assert_eq!(ring.hops(NodeId(0), NodeId(2)), 2);
+        assert_eq!(
+            ring.path(NodeId(1), NodeId(1)),
+            Some(vec![(RouterId(1), PortId(2))])
+        );
+
+        // The same wiring, but traffic for router 2 bounces between
+        // routers 0 and 1 forever.
+        let specs: Vec<RouterSpec> = ring.routers().map(|(_, s)| s.clone()).collect();
+        let routes = RouteTable::build(&specs, &ring.attachments, |at, goal| {
+            if goal == RouterId(2) {
+                vec![RouterId(1 - at.get())]
+            } else {
+                vec![RouterId((at.get() + 1) % 3)]
+            }
+        });
+        let looped = Topology::from_parts("looped".into(), specs, ring.attachments, routes);
+        assert_eq!(looped.path(NodeId(0), NodeId(2)), None);
+        assert_eq!(looped.path(NodeId(0), NodeId(1)).map(|p| p.len()), Some(2));
     }
 }

@@ -3,7 +3,6 @@
 use flitnet::{
     Flit, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm, BEST_EFFORT_VTICK,
 };
-use netsim::dist::{Distribution, Exponential};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::{Cycles, SimRng};
 
@@ -115,7 +114,7 @@ impl BestEffortSource {
         let at = self.next_at;
         let gap = match self.arrival {
             ArrivalProcess::Constant => self.mean_gap,
-            ArrivalProcess::Poisson => Exponential::new(self.mean_gap).sample(rng),
+            ArrivalProcess::Poisson => rng.exponential(self.mean_gap),
         };
         // Advance by whole cycles and bank the fractional remainder: the
         // carry pays itself back as an extra cycle once it accumulates to

@@ -174,18 +174,13 @@ pub struct Policer {
 }
 
 impl Policer {
-    /// Creates a policer for `streams` real-time streams against the
-    /// spec's negotiated envelope: tokens at the stream's mean rate
-    /// (`stream_bps` as a fraction of the link, i.e. flits per cycle),
-    /// burst depth of one mean frame.
+    /// Creates a policer for `streams` real-time streams, each a token
+    /// bucket of the spec's [`WorkloadSpec::vbr_envelope`].
     pub fn new(mode: PolicingMode, streams: usize, spec: &WorkloadSpec) -> Policer {
         let buckets = if mode == PolicingMode::Off {
             Vec::new()
         } else {
-            let rate = spec.stream_bps / spec.link_bps;
-            let depth = (spec.frame_mean_bytes / f64::from(spec.flit_bytes))
-                .ceil()
-                .max(f64::from(spec.msg_flits));
+            let (depth, rate) = spec.vbr_envelope();
             (0..streams)
                 .map(|_| TokenBucket::new(rate, depth))
                 .collect()

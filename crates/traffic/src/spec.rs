@@ -130,6 +130,18 @@ impl WorkloadSpec {
         self.timebase().vtick_cycles(self.stream_flit_rate())
     }
 
+    /// A real-time stream's negotiated token-bucket envelope `(σ, ρ)`:
+    /// a burst of one mean frame in flits (at least one message), refilled
+    /// at the stream's mean rate in flits per cycle (`stream_bps` as a
+    /// fraction of the link). The NI policer enforces it, and the bounds
+    /// oracle models VBR arrivals with it.
+    pub fn vbr_envelope(&self) -> (f64, f64) {
+        let burst = (self.frame_mean_bytes / f64::from(self.flit_bytes))
+            .ceil()
+            .max(f64::from(self.msg_flits));
+        (burst, self.stream_bps / self.link_bps)
+    }
+
     /// How many flits a frame of `bytes` bytes occupies.
     pub fn frame_flits(&self, bytes: f64) -> u32 {
         (bytes / f64::from(self.flit_bytes)).ceil().max(1.0) as u32

@@ -1,7 +1,6 @@
 //! Real-time (VBR/CBR) stream sources.
 
 use flitnet::{Flit, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, Worm};
-use netsim::dist::{Constant, Distribution, Normal};
 use netsim::snap::{SnapError, SnapReader, SnapWriter};
 use netsim::{Cycles, SimRng, TimeBase};
 
@@ -89,27 +88,31 @@ fn gop_scale(kind: char) -> f64 {
 /// GOP pattern (extension), CBR is constant.
 #[derive(Debug)]
 enum FrameSizer {
-    Vbr(Normal),
+    Vbr {
+        mean: f64,
+        std_dev: f64,
+    },
     /// GOP-structured: deterministic per-type means plus normal noise,
     /// advancing through [`GOP_PATTERN`] frame by frame.
     Gop {
         mean: f64,
-        noise: Normal,
+        std_dev: f64,
         idx: usize,
     },
-    Cbr(Constant),
+    /// Every frame is this many bytes.
+    Cbr(f64),
 }
 
 impl FrameSizer {
     fn sample_bytes(&mut self, rng: &mut SimRng, floor: f64) -> f64 {
         let raw = match self {
-            FrameSizer::Vbr(n) => n.sample(rng),
-            FrameSizer::Gop { mean, noise, idx } => {
+            FrameSizer::Vbr { mean, std_dev } => rng.normal(*mean, *std_dev),
+            FrameSizer::Gop { mean, std_dev, idx } => {
                 let kind = GOP_PATTERN[*idx % GOP_PATTERN.len()];
                 *idx += 1;
-                *mean * gop_scale(kind) + noise.sample(rng) * gop_scale(kind)
+                *mean * gop_scale(kind) + rng.normal(0.0, *std_dev) * gop_scale(kind)
             }
-            FrameSizer::Cbr(c) => c.sample(rng),
+            FrameSizer::Cbr(bytes) => *bytes,
         };
         raw.max(floor)
     }
@@ -131,15 +134,16 @@ impl RealTimeStream {
         spec.validate();
         let tb = spec.timebase();
         let sizer = match (class, spec.frame_model) {
-            (StreamClass::Vbr, FrameModel::Normal) => {
-                FrameSizer::Vbr(Normal::new(spec.frame_mean_bytes, spec.frame_std_bytes))
-            }
+            (StreamClass::Vbr, FrameModel::Normal) => FrameSizer::Vbr {
+                mean: spec.frame_mean_bytes,
+                std_dev: spec.frame_std_bytes,
+            },
             (StreamClass::Vbr, FrameModel::Gop) => FrameSizer::Gop {
                 mean: spec.frame_mean_bytes,
-                noise: Normal::new(0.0, spec.frame_std_bytes),
+                std_dev: spec.frame_std_bytes,
                 idx: 0,
             },
-            (StreamClass::Cbr, _) => FrameSizer::Cbr(Constant(spec.frame_mean_bytes)),
+            (StreamClass::Cbr, _) => FrameSizer::Cbr(spec.frame_mean_bytes),
         };
         RealTimeStream {
             id,

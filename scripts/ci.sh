@@ -66,6 +66,11 @@ require_tests --test properties -- \
   active_set_stepping_matches_full_scan_reference
 require_tests -p mediaworm -- skip
 
+# The generator is the reproducibility contract: seed 42's first range,
+# normal and exponential draws must stay the pinned literals, or every
+# table, trace and snapshot has changed.
+require_tests -p netsim -- golden_stream_from_seed_42
+
 # Audit mode: the flow-control invariant checks must stay clean on healthy
 # runs AND flag an injected credit fault (mutation coverage), and the
 # progress watchdog must classify the crafted deadlock without false

@@ -5,7 +5,6 @@ use flitnet::{
     Flit, FlitKind, FrameId, MsgId, NodeId, StreamId, TrafficClass, VcId, VcPartition, Worm,
 };
 use mediaworm::{MuxScheduler, SchedulerKind, DRR_QUANTUM};
-use netsim::dist::{Distribution, Normal};
 use netsim::{Calendar, Cycles, RunningStats, SimRng, TimeBase};
 use proptest::prelude::*;
 
@@ -363,12 +362,11 @@ proptest! {
     /// parameters.
     #[test]
     fn normal_moments(mean in -1e4f64..1e4, sd in 0.1f64..1e3, seed in 0u64..1000) {
-        let d = Normal::new(mean, sd);
         let mut rng = SimRng::seed_from(seed);
         let n = 20_000;
         let mut stats = RunningStats::new();
         for _ in 0..n {
-            stats.push(d.sample(&mut rng));
+            stats.push(rng.normal(mean, sd));
         }
         prop_assert!((stats.mean() - mean).abs() < 5.0 * sd / (n as f64).sqrt() + 1e-9);
         prop_assert!((stats.std_dev() - sd).abs() / sd < 0.1);
